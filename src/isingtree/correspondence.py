@@ -72,6 +72,7 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
     root-minor determinant of the corner Laplacian is det K up to the sign
     of the row permutation sigma, which is (-1)^V.
     """
+    # gq is not read; the parameter keeps the (gq, K, m) order callers use.
     nodes = [("c", d) for d in range(len(m.sigma))] + [ROOT]
     wi = {w: i for i, w in enumerate(K.whites)}
     bi = {b: i for i, b in enumerate(K.blacks)}
@@ -193,8 +194,7 @@ def split_tree_preimage(g0: DirectedModel, g: DirectedModel,
 # stage 2 -> stage 3: duality into the extended double graph
 # ---------------------------------------------------------------------------
 
-def dual_in_double(g: DirectedModel, dd: PlanarMap,
-                   tree_arcs: Iterable[int]) -> frozenset:
+def dual_in_double(g: DirectedModel, tree_arcs: Iterable[int]) -> frozenset:
     """Double-graph spanning tree dual to a split-graph tree.
 
     Each present arc at a corner contributes the half-edge dual to its
@@ -223,8 +223,7 @@ def dual_in_double(g: DirectedModel, dd: PlanarMap,
     return frozenset(keys)
 
 
-def check_local_rules(dd: PlanarMap, m: PlanarMap,
-                      edges: frozenset) -> list[str]:
+def check_local_rules(m: PlanarMap, edges: frozenset) -> list[str]:
     """Violations of the double-tree local rules for an edge-key set.
 
     Interior white of edge e with darts (e1, e2): exactly one of
@@ -246,7 +245,7 @@ def check_local_rules(dd: PlanarMap, m: PlanarMap,
     return bad
 
 
-def rule_tree_to_split_tree(g: DirectedModel, dd: PlanarMap,
+def rule_tree_to_split_tree(g: DirectedModel,
                             edges: frozenset) -> frozenset[int]:
     """Inverse of dual_in_double: read each corner's present arc off the
     rule-compliant double tree and return the split-graph arc set."""
@@ -281,7 +280,7 @@ def enumerate_rule_trees(dd: PlanarMap, m: PlanarMap) -> Iterator[frozenset]:
         total *= len(c)
     if total > state_cap():
         raise TooLargeError("%d rule configurations exceed the state cap" % total)
-    ends = {dd.edge_key(e): dd.endpoints(e) for e in range(dd.n_edges)}
+    ends = dd.key_ends
     n = dd.n_vertices
     for combo in itertools.product(*choices):
         keys = [k for pair in combo for k in pair]
@@ -304,7 +303,7 @@ def tree_to_matching(dd: PlanarMap, s_key: tuple,
                      edges: frozenset) -> frozenset:
     """Orient a double-graph spanning tree towards s and keep the out-edge
     of every black except s: a perfect matching of the double minus s."""
-    ends = {dd.edge_key(e): dd.endpoints(e) for e in range(dd.n_edges)}
+    ends = dd.key_ends
     s = dd.vertex_id(s_key)
     adj: dict[int, list[tuple]] = {}
     for k in edges:
@@ -362,7 +361,7 @@ def matching_to_trees(dd: PlanarMap, m: PlanarMap, matching: frozenset,
     spanning tree; failures are counted, not silently dropped.
     """
     match_at: dict[tuple, tuple] = {}
-    ends = {dd.edge_key(e): dd.endpoints(e) for e in range(dd.n_edges)}
+    ends = dd.key_ends
     for k in matching:
         u, v = ends[k]
         for vid in (u, v):
@@ -446,8 +445,7 @@ def parity_check(dd: PlanarMap, s_key: tuple, m1: frozenset,
     minus s: each connected component of the symmetric difference is an
     alternating cycle; classify its whites and interior vertices as in
     CycleParity and record whether s lies on or inside it."""
-    ends = {dd.edge_key(e): dd.endpoints(e) for e in range(dd.n_edges)}
-    key_of_id = {e: dd.edge_key(e) for e in range(dd.n_edges)}
+    ends = dd.key_ends
     diff = m1 ^ m2
     adj: dict[int, list[tuple]] = {}
     for k in diff:
@@ -537,7 +535,7 @@ class TreePair:
     dual_arcs: tuple[tuple, ...]
 
 
-def matching_to_tree_pair(dd: PlanarMap, m: PlanarMap, matching: frozenset) -> TreePair:
+def matching_to_tree_pair(m: PlanarMap, matching: frozenset) -> TreePair:
     """Split every matched edge through its white into an arc of the
     extended primal graph (from the matched black-primal) or of the extended
     dual graph (from the matched black-dual):
@@ -656,9 +654,12 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     count = 0
     all_keys = [P.edge_key(e) for e in range(P.n_edges)]
     for tree in enumerate_spanning_trees(P):
-        tset = frozenset(P.edge_key(e) for e in tree)
+        # orient from the ordered key list: the product order, hence the
+        # last digits of the sum, must not follow string hashing
+        keys = [P.edge_key(e) for e in tree]
+        tset = frozenset(keys)
         w = 1.0 + 0j
-        for tail, head, key in _orient(p_ends, tset, ROOT):
+        for tail, head, key in _orient(p_ends, keys, ROOT):
             w *= tw.arc(key, tail, head)
         dual_keys = [dual_key(k) for k in all_keys if k not in tset]
         for tail, head, key in _orient(s_ends, dual_keys, s_key):

@@ -1,8 +1,10 @@
 """Graphs derived from a planar map: diamond graph, quadri-tiling graph,
 extended primal/dual pair, and the extended double graph.
 
-All constructions go through :func:`map_from_rotations`, with vertex and
-edge keys recording provenance:
+Each construction calls :func:`map_from_rotations` once, on a provisional
+outer dart, and then names its designated outer face with
+:meth:`PlanarMap.with_outer_dart`, which keeps the dart and vertex numbering.
+Vertex and edge keys record provenance:
 
 * diamond graph: vertices ``('p', v)`` / ``('f', F)``, one edge ``('c', d)``
   per corner dart d joining v(d) to the face left of d;
@@ -68,17 +70,12 @@ def quad_graph(m: PlanarMap, restricted: bool = False) -> PlanarMap:
     d0 = min(m.outer_orbit)
     if restricted:
         # corner alpha(d0) is always kept (its left face is inner); use it
-        # provisionally, then fix the outer face to the max-length face.
-        start = ("c", d0 ^ 1)
-        q = map_from_rotations(rotations, (("p", m.vertex_of(d0 ^ 1)), start),
-                               coords=coords, tags=tags)
-        best = max(range(len(q.faces)), key=lambda f: (len(q.faces[f]), -f))
-        dart = q.faces[best][0]
+        # provisionally, then move the outer face to the max-length face.
         q = map_from_rotations(
-            rotations,
-            (q.vertex_key(q.vertex_of(dart)), q.edge_key(q.edge_of(dart))),
+            rotations, (("p", m.vertex_of(d0 ^ 1)), ("c", d0 ^ 1)),
             coords=coords, tags=tags)
-        return q
+        best = max(range(len(q.faces)), key=lambda f: (len(q.faces[f]), -f))
+        return q.with_outer_dart(q.faces[best][0])
 
     q = map_from_rotations(rotations, (("p", m.vertex_of(d0)), ("c", d0)),
                            coords=coords, tags=tags)
@@ -86,13 +83,7 @@ def quad_graph(m: PlanarMap, restricted: bool = False) -> PlanarMap:
     # corner, i.e. the face with corner-key set {d0, phi d0, a d0, phi a d0}
     want = frozenset(("c", x) for x in
                      (d0, m.phi(d0), d0 ^ 1, m.phi(d0 ^ 1)))
-    target = _face_with_keys(q, want)
-    dart = q.faces[target][0]
-    return map_from_rotations(
-        rotations,
-        (q.vertex_key(q.vertex_of(dart)), q.edge_key(q.edge_of(dart)),
-         _occ(q, dart)),
-        coords=coords, tags=tags)
+    return q.with_outer_dart(q.faces[_face_with_keys(q, want)][0])
 
 
 def _face_keys(m: PlanarMap, f: int) -> frozenset:
@@ -104,13 +95,6 @@ def _face_with_keys(m: PlanarMap, keys: frozenset) -> int:
     if len(hits) != 1:
         raise MapError("face with key set %r not unique: %r" % (keys, hits))
     return hits[0]
-
-
-def _occ(m: PlanarMap, dart: int) -> int:
-    v = m.vertex_of(dart)
-    ek = m.edge_key(m.edge_of(dart))
-    hits = [d for d in m.vertices[v] if m.edge_key(m.edge_of(d)) == ek]
-    return hits.index(dart)
 
 
 # ---------------------------------------------------------------------------
@@ -154,42 +138,7 @@ def quadri_tiling(m: PlanarMap) -> PlanarMap:
              if ("cp", d0) not in _face_keys(q, f)]
     if len(sides) != 1:
         raise MapError("outer face of the quadri-tiling graph is ambiguous")
-    dart = next(d for d in q.faces[sides[0]] if d in darts)
-    return map_from_rotations(
-        rotations,
-        (q.vertex_key(q.vertex_of(dart)), ("ex", d0), _occ(q, dart)),
-        tags=tags)
-
-
-def quadri_face_classes(gq: PlanarMap, m: PlanarMap) -> dict[int, tuple]:
-    """Classify the faces of quadri_tiling(m) against their expected shapes.
-
-    Returns face id -> ("edge", e) | ("vertex", v) | ("face", f).  Raises if
-    the face key sets do not match the predicted partition exactly (used as a
-    structural self-check in tests).
-    """
-    expected: dict[frozenset, tuple] = {}
-    for e in range(m.n_edges):
-        keys = frozenset([("cp", 2 * e), ("cp", 2 * e + 1),
-                          ("cd", 2 * e), ("cd", 2 * e + 1)])
-        expected[keys] = ("edge", e)
-    for v in range(len(m.vertices)):
-        keys = frozenset([("cp", d) for d in m.vertices[v]]
-                         + [("ex", d) for d in m.vertices[v]])
-        expected[keys] = ("vertex", v)
-    for f in range(len(m.faces)):
-        keys = frozenset([("cd", x ^ 1) for x in m.faces[f]]
-                         + [("ex", x) for x in m.faces[f]])
-        expected[keys] = ("face", f)
-    out = {}
-    for fid in range(len(gq.faces)):
-        keys = _face_keys(gq, fid)
-        if keys not in expected:
-            raise MapError("unexpected quadri-tiling face %r" % (sorted(keys),))
-        out[fid] = expected[keys]
-    if len(out) != len(expected):
-        raise MapError("quadri-tiling faces do not exhaust the expected list")
-    return out
+    return q.with_outer_dart(next(d for d in q.faces[sides[0]] if d in darts))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +175,7 @@ def extended_pair(m: PlanarMap) -> ExtendedPair:
     tags_d = {k: ("dual" if k[0] == "f" else "outer") for k in rot_d}
     d0 = min(boundary)
     star = map_from_rotations(rot_d, (("u", d0), ("rim", d0)), tags=tags_d)
-    star = _redesignate(star, rot_d, tags_d, _all_rim_face(star))
+    star = star.with_outer_dart(star.faces[_face_of_kind(star, "rim")][0])
 
     # --- extended primal (direct construction) ---
     rot_p: dict[Hashable, list[Hashable]] = {}
@@ -254,24 +203,13 @@ def extended_pair(m: PlanarMap) -> ExtendedPair:
     return ExtendedPair(primal=ext, dual=star, root_id=ext.vertex_id(("r",)))
 
 
-def _all_rim_face(star: PlanarMap) -> int:
-    hits = [f for f in range(len(star.faces))
-            if all(star.edge_key(star.edge_of(d))[0] == "rim"
-                   for d in star.faces[f])]
+def _face_of_kind(m: PlanarMap, kind: str) -> int:
+    """The one face all of whose edge keys are of the given kind."""
+    hits = [f for f in range(len(m.faces))
+            if all(m.edge_key(m.edge_of(d))[0] == kind for d in m.faces[f])]
     if len(hits) != 1:
-        raise MapError("outer rim face not unique: %r" % hits)
+        raise MapError("outer %r face not unique: %r" % (kind, hits))
     return hits[0]
-
-
-def _redesignate(m: PlanarMap, rotations, tags, face: int,
-                 coords=None) -> PlanarMap:
-    """Rebuild via map_from_rotations with `face` as the outer face."""
-    dart = m.faces[face][0]
-    return map_from_rotations(
-        rotations,
-        (m.vertex_key(m.vertex_of(dart)), m.edge_key(m.edge_of(dart)),
-         _occ(m, dart)),
-        coords=coords, tags=tags)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +270,4 @@ def extended_double(m: PlanarMap) -> PlanarMap:
 
     d0 = min(boundary)
     dd = map_from_rotations(rotations, (("wb", d0), ("hr", d0, 0)), tags=tags)
-    hits = [f for f in range(len(dd.faces))
-            if all(dd.edge_key(dd.edge_of(x))[0] == "hr" for x in dd.faces[f])]
-    if len(hits) != 1:
-        raise MapError("outer rim face of the double not unique: %r" % hits)
-    return _redesignate(dd, rotations, tags, hits[0])
+    return dd.with_outer_dart(dd.faces[_face_of_kind(dd, "hr")][0])

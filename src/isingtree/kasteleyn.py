@@ -115,8 +115,7 @@ class KasteleynMatrix:
 
 
 def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
-                    phases: Mapping | None = None,
-                    warn_nonflat: bool = True) -> KasteleynMatrix:
+                    phases: Mapping | None = None) -> KasteleynMatrix:
     """K[w, b] = nu_wb e^{i phi_wb} over the quadri-tiling edges.
 
     If the supplied (or default) phasing is not flat a warning is printed and
@@ -125,7 +124,7 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     if phases is None:
         phases = assign_phases(gq, iso, bnd)
     flat = check_flat(gq, phases)
-    if warn_nonflat and not flat.flat:
+    if not flat.flat:
         import warnings
         warnings.warn("phasing is not flat (max deviation %.3g); "
                       "|det K| need not equal the dimer partition function"

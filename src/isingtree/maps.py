@@ -22,6 +22,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 
@@ -173,6 +174,14 @@ class PlanarMap:
     def boundary_edges(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.n_edges) if self.is_boundary_edge(e))
 
+    def with_outer_dart(self, d: int) -> PlanarMap:
+        """The same map (sigma, coords, tags, keys, isolated tags) with the
+        face left of dart d as the outer face."""
+        return PlanarMap(self.sigma, d, coords=self.coords, tags=self.tags,
+                         vertex_keys=self.vertex_keys,
+                         edge_keys=self.edge_keys,
+                         isolated_tags=self.isolated_tags)
+
     # -- label lookups -----------------------------------------------------
 
     def vertex_id(self, key: Hashable) -> int:
@@ -190,6 +199,11 @@ class PlanarMap:
 
     def edge_key(self, e: int) -> Hashable:
         return self.edge_keys[e] if self.edge_keys is not None else e
+
+    @cached_property
+    def key_ends(self) -> dict[Hashable, tuple[int, int]]:
+        """Edge key -> endpoint vertex ids, built once; read-only."""
+        return {self.edge_key(e): self.endpoints(e) for e in range(self.n_edges)}
 
     # -- global checks -----------------------------------------------------
 
@@ -479,24 +493,11 @@ def restricted_dual(m: PlanarMap) -> PlanarMap:
     sub = map_from_rotations(rotations, (owner, first), tags="dual",
                              isolated_tags=isolated)
     # Prefer the true unbounded face: the one with maximal orbit length
-    # (ties: smallest id).  Rebuild with that designation if it differs.
+    # (ties: smallest id).
     best = max(range(len(sub.faces)), key=lambda f: (len(sub.faces[f]), -f))
     if best != sub.outer_face:
-        dart = sub.faces[best][0]
-        v_key = sub.vertex_key(sub.vertex_of(dart))
-        e_key = sub.edge_key(sub.edge_of(dart))
-        occ = _occurrence(sub, dart)
-        sub = map_from_rotations(rotations, (v_key, e_key, occ), tags="dual",
-                                 isolated_tags=isolated)
+        sub = sub.with_outer_dart(sub.faces[best][0])
     return sub
-
-
-def _occurrence(m: PlanarMap, dart: int) -> int:
-    """Index of `dart` among same-edge-key darts at its vertex (loops)."""
-    v = m.vertex_of(dart)
-    ek = m.edge_key(m.edge_of(dart))
-    hits = [d for d in m.vertices[v] if m.edge_key(m.edge_of(d)) == ek]
-    return hits.index(dart)
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,10 @@ def test_criterion_07_round_trip_classes_and_zero_rejections(pipelines):
             continue
         # (a) every split tree maps to a rule tree and back
         for t in enumerate_osts(p.g.graph, co.ROOT):
-            edges = co.dual_in_double(p.g, p.dd, frozenset(t))
-            assert co.check_local_rules(p.dd, p.m, edges) == []
+            edges = co.dual_in_double(p.g, frozenset(t))
+            assert co.check_local_rules(p.m, edges) == []
             assert edges in rule_trees
-            assert co.rule_tree_to_split_tree(p.g, p.dd, edges) == frozenset(t)
+            assert co.rule_tree_to_split_tree(p.g, edges) == frozenset(t)
         # (b) + (c) classes partition the rule trees with no rejections
         pref = co.class_prefactor(p.iso, p.bnd)
         seen = set()
@@ -254,11 +254,15 @@ def test_criterion_09_main_identity_two_independent_routes(pipelines):
 # Interior sizes of the 1846 C3+C4 superposition cycles; a count of the
 # components of the double minus each cycle's vertices gives the same.
 INTERIOR_COUNTS_C3_C4 = {0: 1733, 2: 78, 4: 26, 6: 9}
+# Turn totals (n1, n2, n3) over the same cycles; counting where the kind
+# changes along each cycle's sequence of blacks gives the same.
+TURN_TOTALS_C3_C4 = (1248, 2208, 2208)
 
 
 def test_criterion_10_superposition_cycles_odd_interior(pipelines):
     histogram = Counter()
-    turn_balanced = colour_balanced = s_outside = True
+    turn_balanced = colour_balanced = s_outside = turns_fill_cycle = True
+    turns = [0, 0, 0]
     n_cycles = 0
     for name in ("C3", "C4"):
         p = pipelines[name]
@@ -266,21 +270,29 @@ def test_criterion_10_superposition_cycles_odd_interior(pipelines):
             for cyc in co.parity_check(p.dd, p.s_key, m1, m2).cycles:
                 n_cycles += 1
                 turn_balanced &= cyc.n2 == cyc.n3
+                turns_fill_cycle &= cyc.n1 + cyc.n2 + cyc.n3 == cyc.length // 2
+                turns[0] += cyc.n1
+                turns[1] += cyc.n2
+                turns[2] += cyc.n3
                 colour_balanced &= cyc.n4 == cyc.n5
                 s_outside &= not (cyc.s_on or cyc.s_inside)
                 histogram[cyc.interior_vertices] += 1
     # A cycle inside a rule-compliant completion would need n5 - n4 = 1,
     # hence an odd interior; no superposition cycle may have one.
     n_odd = sum(v for k, v in histogram.items() if k % 2)
-    ok = (n_cycles == 1846 and turn_balanced and colour_balanced
+    ok = (n_cycles == 1846 and turn_balanced and turns_fill_cycle
+          and tuple(turns) == TURN_TOTALS_C3_C4 and colour_balanced
           and s_outside and n_odd == 0
           and histogram == INTERIOR_COUNTS_C3_C4)
-    line(10, ok, "%d cycles; n2 = n3: %s; n4 = n5: %s; s off and outside: "
-         "%s; odd interiors (a tree-completion cycle): %d (interior counts "
-         "%s)" % (n_cycles, turn_balanced, colour_balanced, s_outside, n_odd,
-                  dict(sorted(histogram.items()))))
+    line(10, ok, "%d cycles; n2 = n3: %s; turn totals (n1, n2, n3) = %s; "
+         "n4 = n5: %s; s off and outside: %s; odd interiors (a "
+         "tree-completion cycle): %d (interior counts %s)"
+         % (n_cycles, turn_balanced, tuple(turns), colour_balanced,
+            s_outside, n_odd, dict(sorted(histogram.items()))))
     assert n_cycles == 1846
     assert turn_balanced
+    assert turns_fill_cycle
+    assert tuple(turns) == TURN_TOTALS_C3_C4
     assert colour_balanced
     assert s_outside
     assert n_odd == 0, (

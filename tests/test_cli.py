@@ -1,9 +1,15 @@
 """Command-line interface, driven through main(argv)."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isingtree
 from isingtree.cli import main
 from isingtree.generators import cycle
 
@@ -137,3 +143,64 @@ def test_export_unknown_target_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["export", "octagon", "--generator", "cycle:3"])
     assert exc.value.code == 2
+
+
+# sha256 of `export <kind> --format json`, recorded before the derived builds
+# moved their outer face with PlanarMap.with_outer_dart instead of a second
+# map_from_rotations call; any change to a derived map's numbering, outer
+# face, coordinates, tags or keys changes these digests.
+EXPORT_DIGESTS = {
+    ("grid:3,3", "primal"):
+        "6426296d733a695284de3e72713ccda47a929301a936c51e625859d0eace6469",
+    ("grid:3,3", "dual"):
+        "dff04bfe005c2e8c1b63347035f3827df8265d65914013be96094fb1033c7b7d",
+    ("grid:3,3", "quad"):
+        "7e3504eee03e5b7d4ca9178073b1e2787268895a50689f9bcd6593bea49f79f3",
+    ("grid:3,3", "quadri_tiling"):
+        "5eb22d78b71959139be8d1811ba10daefa6e5212a81e5044cc130bdbc2ca3786",
+    ("grid:3,3", "extended_double"):
+        "54f388e34885bab438f7868a598f7c0f776a4e00c74ff8c87a190bb029096da6",
+    ("grid:3,3", "G0"):
+        "9094ca47ef6c44e22ce400887b990daed8f9bbcf3b6307129eed255121b8432f",
+    ("grid:3,3", "G"):
+        "f623360268fae9e0f3fe435dbaf6e5c5189fed6c636abc72472e6a75d8d59567",
+    ("rhombic:3,3,1/6", "primal"):
+        "1f558a9788f2a03e12657641346ea52b1b4d49aca11066ca5c07780826fd287d",
+    ("rhombic:3,3,1/6", "dual"):
+        "eac9606ce6672e814c4b80b9b2f0287b29b1231146388d31d8e1ed95fba844cd",
+    ("rhombic:3,3,1/6", "quad"):
+        "50d0bb032fe551522cf7f0f2817091bdc5ffc203b6e7f32438be415174e81c7c",
+    ("rhombic:3,3,1/6", "quadri_tiling"):
+        "5eb22d78b71959139be8d1811ba10daefa6e5212a81e5044cc130bdbc2ca3786",
+    ("rhombic:3,3,1/6", "extended_double"):
+        "54f388e34885bab438f7868a598f7c0f776a4e00c74ff8c87a190bb029096da6",
+    ("rhombic:3,3,1/6", "G0"):
+        "1c87e32fb12d81cbb3c037811f56dbaf40b88d14c73c0b9396859ebf75a94505",
+    ("rhombic:3,3,1/6", "G"):
+        "e18dfb3ebe677f4ae6655deb539901797319503a94b55b62f1ae9bfbdd76f5ad",
+}
+
+
+@pytest.mark.parametrize("generator,what", sorted(EXPORT_DIGESTS))
+def test_export_json_matches_golden_digest(generator, what, capsys):
+    assert main(["export", what, "--generator", generator,
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == EXPORT_DIGESTS[generator, what])
+
+
+def test_verify_json_does_not_depend_on_hash_seed():
+    # The tree-pair sum multiplies arc weights in the order it orients its
+    # tree; an order taken from a set of string keys would make the report's
+    # last digits follow PYTHONHASHSEED (seeds 0 and 1 differ on this graph).
+    src = str(Path(isingtree.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isingtree.cli", "verify", "--generator",
+             "rhombic:2,4,1/6", "--format", "json"],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -98,9 +98,9 @@ def test_rule_trees_biject_with_split_trees(pipelines, name):
     split_trees = [frozenset(t) for t in enumerate_osts(p.g.graph, co.ROOT)]
     images = set()
     for t in split_trees:
-        edges = co.dual_in_double(p.g, p.dd, t)
-        assert co.check_local_rules(p.dd, p.m, edges) == []
-        assert co.rule_tree_to_split_tree(p.g, p.dd, edges) == t
+        edges = co.dual_in_double(p.g, t)
+        assert co.check_local_rules(p.m, edges) == []
+        assert co.rule_tree_to_split_tree(p.g, edges) == t
         w = 1.0 + 0j
         for k in edges:
             w *= p.rho_star[k]
@@ -194,7 +194,7 @@ def test_matchings_biject_onto_tree_pairs(pipelines, name):
     all_keys = {P.edge_key(e) for e in range(P.n_edges)}
     primal_trees = set()
     for mk in matchings_minus_s(p):
-        tp = co.matching_to_tree_pair(p.dd, p.m, mk)
+        tp = co.matching_to_tree_pair(p.m, mk)
         assert co.arcs_form_ost(tp.primal_arcs, p_nodes, co.ROOT)
         assert co.arcs_form_ost(tp.dual_arcs, s_nodes, p.s_key)
         pset = frozenset(k for _, _, k in tp.primal_arcs)
@@ -213,7 +213,7 @@ def test_tree_pair_weight_identity_per_matching(pipelines, name):
         lhs = 1.0 + 0j
         for k in mk:
             lhs *= p.tau2[k]
-        tp = co.matching_to_tree_pair(p.dd, p.m, mk)
+        tp = co.matching_to_tree_pair(p.m, mk)
         assert lhs == pytest.approx(ck * co.tree_pair_weight(tp, p.tw),
                                     rel=1e-12)
 

@@ -4,7 +4,7 @@ import pytest
 
 from isingtree.generators import cycle, grid
 from isingtree.maps import (DegreeTooLowError, DisconnectedError, MapError,
-                            NonPlanarError, NotSimpleError, PlanarMap,
+                            NonPlanarError, NotSimpleError,
                             build_map, canonical_key, dual_map, is_isomorphic,
                             map_from_rotations, restricted_dual,
                             validate_simple_input)
@@ -174,6 +174,13 @@ def test_canonical_key_separates_cycles():
 def test_outer_face_choice_matters():
     m, _ = grid(3, 3)
     inner = next(f for f in range(len(m.faces)) if f != m.outer_face)
-    rerooted = PlanarMap(m.sigma, m.faces[inner][0])
+    d = m.faces[inner][0]
+    rerooted = m.with_outer_dart(d)
     assert not is_isomorphic(rerooted, m, include_outer=True)
     assert is_isomorphic(rerooted, m, include_outer=False)
+    assert rerooted.outer_dart == d
+    assert rerooted.outer_face == m.face_of(d) == inner
+    assert rerooted.sigma == m.sigma
+    assert rerooted.coords == m.coords
+    assert rerooted.vertex_keys == m.vertex_keys
+    assert rerooted.edge_keys == m.edge_keys
