@@ -1,9 +1,10 @@
 """Exact brute-force oracles: spin sums, dimer sums, tree sums, determinants.
 
 Everything here is deliberately elementary -- straight enumerations and
-O(n^3) Gaussian elimination -- so results can serve as ground truth for the
-structured constructions.  Enumerations guard against runaway inputs via two
-caps, overridable through the environment:
+one sparse LU kernel (:func:`complex_det`, Markowitz order with threshold
+pivoting) for det K and the matrix-tree minors -- so results can serve as
+ground truth for the structured constructions.  Enumerations guard against
+runaway inputs via two caps, overridable through the environment:
 
 * ``ISINGTREE_SPIN_CAP``  (default 2^24): max number of spin configurations;
 * ``ISINGTREE_STATE_CAP`` (default 10^7): max partial states explored by the
@@ -14,9 +15,11 @@ Exceeding a cap raises :class:`TooLargeError` rather than silently grinding.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .maps import PlanarMap, dual_map
@@ -270,74 +273,97 @@ def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
 # Laplacians, determinants, the matrix-tree route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexMatrix:
-    row_labels: tuple[Hashable, ...]
-    col_labels: tuple[Hashable, ...]
-    rows: tuple[tuple[complex, ...], ...]
-
-    def minor(self, drop_row: Hashable, drop_col: Hashable) -> "ComplexMatrix":
-        ri = self.row_labels.index(drop_row)
-        ci = self.col_labels.index(drop_col)
-        return ComplexMatrix(
-            self.row_labels[:ri] + self.row_labels[ri + 1:],
-            self.col_labels[:ci] + self.col_labels[ci + 1:],
-            tuple(tuple(x for j, x in enumerate(r) if j != ci)
-                  for i, r in enumerate(self.rows) if i != ri))
-
-    def scaled(self, c: complex) -> "ComplexMatrix":
-        return ComplexMatrix(self.row_labels, self.col_labels,
-                             tuple(tuple(c * x for x in r) for r in self.rows))
-
-
-def laplacian(g: WeightedDigraph) -> ComplexMatrix:
-    """Directed weighted Laplacian: entry (x, y) is the total arc weight
+def laplacian(g: WeightedDigraph) -> list[dict[int, complex]]:
+    """Directed weighted Laplacian as sparse rows (column -> entry), rows
+    and columns in ``g.nodes`` order: entry (x, y) is the total arc weight
     x -> y for x != y, and -(total weight out of x) on the diagonal, so
     every row sums to zero."""
     idx = {v: i for i, v in enumerate(g.nodes)}
-    n = len(g.nodes)
-    rows = [[0j] * n for _ in range(n)]
+    rows: list[dict[int, complex]] = [{} for _ in g.nodes]
     for a in g.arcs:
         i, j = idx[a.tail], idx[a.head]
-        rows[i][j] += a.weight
-        rows[i][i] -= a.weight
-    return ComplexMatrix(tuple(g.nodes), tuple(g.nodes),
-                         tuple(tuple(r) for r in rows))
+        r = rows[i]
+        r[j] = r.get(j, 0j) + a.weight
+        r[i] = r.get(i, 0j) - a.weight
+    return rows
 
 
 def matrix_tree_Z(g: WeightedDigraph, root: Hashable) -> complex:
     """Oriented-spanning-tree partition function via the matrix-tree
     determinant: det(-Delta) after deleting the root row and column."""
-    lap = laplacian(g).minor(root, root).scaled(-1.0)
-    return complex_det(lap)
+    k = g.nodes.index(root)
+    return complex_det([{j - (j > k): -x for j, x in r.items() if j != k}
+                        for i, r in enumerate(laplacian(g)) if i != k])
 
 
-def complex_det(mat) -> complex:
-    """Determinant by Gaussian elimination with partial pivoting (modulus).
+def complex_det(rows: Sequence) -> complex:
+    """Determinant by sparse LU elimination: the sign of the row -> pivot
+    column permutation times the product of the pivots.
 
-    Accepts a ComplexMatrix or a plain sequence of row sequences.  The empty
-    0x0 determinant is 1; a pivot below 1e-13 in modulus makes the result 0.
+    `rows` holds dense row sequences or sparse rows (dicts column -> entry,
+    columns 0..n-1); both are copied, never changed.  Markowitz order with
+    threshold partial pivoting: the active column with the fewest entries,
+    then, of its entries of modulus >= 0.1 * the column's largest, the one
+    in the shortest row (the largest on a tie).  The 0x0 determinant is 1;
+    an empty pivot column, or one whose largest entry is below 1e-13 in
+    modulus, makes the result 0.
     """
-    rows = mat.rows if isinstance(mat, ComplexMatrix) else mat
-    a = [list(map(complex, r)) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    n = len(rows)
+    a: list[dict[int, complex]] = []
+    for r in rows:
+        if not isinstance(r, dict):
+            if len(r) != n:
+                raise ValueError("determinant of a non-square matrix")
+            r = {j: r[j] for j in compress(range(n), r)}
+        a.append({j: complex(x) for j, x in r.items() if x != 0})
+    if any(not 0 <= j < n for row in a for j in row):
         raise ValueError("determinant of a non-square matrix")
+    col_rows: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(a):
+        for j in row:
+            col_rows[j].add(i)
+    # lazy min-heap of (entries, column); stale items are skipped on pop
+    heap = [(len(s), j) for j, s in enumerate(col_rows)]
+    heapq.heapify(heap)
+    done = [False] * n
+    col_of_row = [0] * n
     det = 1.0 + 0j
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[piv][k]) < 1e-13:
+    for _ in range(n):
+        while True:
+            cnt, c = heapq.heappop(heap)
+            if not done[c] and cnt == len(col_rows[c]):
+                break
+        done[c] = True
+        cand = col_rows[c]
+        big = max((abs(a[i][c]) for i in cand), default=0.0)
+        if big < 1e-13:
             return 0j
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+        p = min((i for i in cand if abs(a[i][c]) >= 0.1 * big),
+                key=lambda i: (len(a[i]), -abs(a[i][c])))
+        col_of_row[p] = c
+        prow = a[p]
+        piv = prow.pop(c)
+        det *= piv
+        cand.discard(p)
+        for j in prow:
+            col_rows[j].discard(p)
+        for i in cand:
+            row = a[i]
+            f = row.pop(c) / piv
+            for j, x in prow.items():
+                if j in row:
+                    row[j] -= f * x
+                else:
+                    row[j] = -f * x
+                    col_rows[j].add(i)
+        for j in prow:
+            heapq.heappush(heap, (len(col_rows[j]), j))
+    # sign of the permutation row -> pivot column, one transposition at a time
+    for i in range(n):
+        while col_of_row[i] != i:
+            j = col_of_row[i]
+            col_of_row[i], col_of_row[j] = col_of_row[j], j
             det = -det
-        det *= a[k][k]
-        inv = 1.0 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f != 0:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
     return det
 
 
@@ -351,7 +377,7 @@ def det_cofactor(rows: Sequence[Sequence[complex]]) -> complex:
     if n == 1:
         return complex(rows[0][0])
     total = 0j
-    for j in range(n):
+    for j in compress(range(n), rows[0]):
         sub = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
         total += (-1) ** j * complex(rows[0][j]) * det_cofactor(sub)
     return total

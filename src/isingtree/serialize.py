@@ -90,9 +90,11 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     if [r["id"] for r in vertices] != list(range(len(vertices))):
         raise MapError("vertex ids must be 0..%d" % (len(vertices) - 1))
 
-    outer_dart = min_dart_of_face(sigma, data["outer_face"]) if n else None
-    m = PlanarMap(sigma, outer_dart)
-    # check the declared incidences against the reconstructed orbits
+    # orbits first, to check the declared incidences and find the outer face
+    m = PlanarMap(sigma, 0 if n else None)
+    outer = data["outer_face"] if n else None
+    if n and not 0 <= outer < len(m.faces):
+        raise MapError("no face with id %d" % outer)
     covered = len(m.vertices)
     if len(vertices) < covered:
         raise MapError("fewer vertices than sigma orbits")
@@ -110,8 +112,8 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
         tags = [r.get("tag") for r in vertices[:covered]]
     isolated = tuple(r.get("tag") for r in vertices[covered:])
 
-    m = PlanarMap(sigma, m.outer_dart, coords=coords, tags=tags,
-                  isolated_tags=isolated)
+    m = PlanarMap(sigma, m.faces[outer][0] if n else None, coords=coords,
+                  tags=tags, isolated_tags=isolated)
 
     exact = None
     if "angles" in data:
@@ -120,28 +122,6 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
             q = entry.get("pi_rational")
             exact[int(key)] = None if q is None else Fraction(q)
     return m, exact
-
-
-def min_dart_of_face(sigma: list[int], face_id: int) -> int:
-    """Minimal dart of the face with the given orbit index (orbits are
-    numbered by increasing minimal dart, matching PlanarMap)."""
-    n = len(sigma)
-    sigma_inv = [0] * n
-    for d, s in enumerate(sigma):
-        sigma_inv[s] = d
-    seen = [False] * n
-    fid = -1
-    for d0 in range(n):
-        if seen[d0]:
-            continue
-        fid += 1
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            d = sigma_inv[d ^ 1]
-        if fid == face_id:
-            return d0
-    raise MapError("no face with id %d" % face_id)
 
 
 def dumps_map(m: PlanarMap, theta=None, theta_exact=None) -> str:

@@ -1,16 +1,22 @@
 """The four-stage chain, checked stage by stage against the oracles.
 
 C3 and C4 are small enough to enumerate everything; the 3x3 grid joins in
-wherever determinants or matching enumeration suffice.
+wherever determinants or matching enumeration suffice.  Grid 10x10 and
+rhombic 10x10 (K of order 360) check the corner-graph determinant identities.
 """
 
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from isingtree import correspondence as co
+from isingtree.derived import quadri_tiling
+from isingtree.generators import grid, rhombic
+from isingtree.isoradial import boundary_angles, validate_isoradial
+from isingtree.kasteleyn import build_kasteleyn
 from isingtree.oracles import (TooLargeError, enumerate_matchings,
                                enumerate_osts, enumerate_spanning_trees,
                                matrix_tree_Z, ost_Z)
@@ -40,6 +46,23 @@ def test_corner_tree_determinant_is_det_K(pipelines):
         z = matrix_tree_Z(p.g0.graph, co.ROOT)
         assert z == pytest.approx(co.permutation_sign(p.m) * p.K.det(),
                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda: grid(10, 10),
+                                  lambda: rhombic(10, 10, Fraction(1, 6))],
+                         ids=["grid10x10", "rhombic10x10"])
+def test_corner_tree_identities_at_order_360(make):
+    m, exact = make()
+    iso = validate_isoradial(m, exact)
+    bnd = boundary_angles(iso)
+    gq = quadri_tiling(m)
+    K = build_kasteleyn(gq, iso, bnd)
+    g0 = co.build_G0(gq, K, m)
+    z0 = matrix_tree_Z(g0.graph, co.ROOT)
+    assert len(K.rows) == 360
+    assert z0 == pytest.approx(co.permutation_sign(m) * K.det(), rel=1e-9)
+    assert matrix_tree_Z(co.build_G(g0).graph, co.ROOT) == pytest.approx(
+        z0, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -1,6 +1,8 @@
 """Brute-force oracles: spins, matchings, determinants, spanning trees."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -97,13 +99,63 @@ def test_matrix_tree_with_complex_weights():
     assert matrix_tree_Z(g, "r") == pytest.approx(ost_Z(g, "r"))
 
 
-@given(st.lists(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
-                                            allow_infinity=False),
-                         min_size=4, max_size=4), min_size=4, max_size=4))
+# as many zeros as numbers: structurally sparse matrices, empty rows and
+# columns, and structurally singular ones all come up
+ENTRY = st.one_of(st.just(0j),
+                  st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                     allow_infinity=False))
+
+
+def square_matrices(n):
+    return st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+def sparse_rows(rows):
+    return [{j: x for j, x in enumerate(r) if x != 0} for r in rows]
+
+
+def permutation_sign(perm):
+    inversions = sum(1 for i in range(len(perm))
+                     for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+@given(st.integers(0, 7).flatmap(square_matrices))
 def test_complex_det_matches_cofactor_expansion(rows):
-    lhs = complex_det(rows)
     rhs = det_cofactor(rows)
-    assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(rhs)))
+    for lhs in (complex_det(rows), complex_det(sparse_rows(rows))):
+        assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(rhs)))
+
+
+def test_complex_det_of_permutation_matrices_is_their_exact_sign():
+    perms = list(itertools.permutations(range(5)))
+    perms.append(tuple(random.Random(7).sample(range(40), 40)))
+    for perm in perms:
+        n = len(perm)
+        rows = [[1.0 if j == perm[i] else 0.0 for j in range(n)]
+                for i in range(n)]
+        assert complex_det(rows) == permutation_sign(perm)
+        assert complex_det(sparse_rows(rows)) == permutation_sign(perm)
+
+
+def test_complex_det_is_zero_on_singular_matrices():
+    rank_two = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    empty_column = [[1, 0, 2], [3, 0, 4], [5, 0, 6]]
+    for rows in (rank_two, empty_column):
+        assert complex_det(rows) == 0j
+        assert complex_det(sparse_rows(rows)) == 0j
+    assert complex_det([{0: 1.0}, {0: 2.0}]) == 0j
+
+
+def test_complex_det_leaves_its_input_alone_and_rejects_non_square():
+    rows = [{0: 2.0, 1: 1.0}, {0: 1.0, 1: 3.0}]
+    assert complex_det(rows) == pytest.approx(5.0)
+    assert rows == [{0: 2.0, 1: 1.0}, {0: 1.0, 1: 3.0}]
+    with pytest.raises(ValueError):
+        complex_det([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        complex_det([{0: 1.0}, {2: 1.0}])
 
 
 @pytest.mark.parametrize("name,count", [("C3", 3), ("C4", 4), ("grid", 192)])
