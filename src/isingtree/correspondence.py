@@ -615,55 +615,53 @@ def tree_pair_weight(tp: TreePair, tw: TauWeights) -> complex:
     return p
 
 
-def _orient(ends: Mapping, edges: Iterable, root) -> list[tuple]:
-    """Orient a spanning edge-key set towards root: list of
-    (tail key, head key, edge key)."""
-    adj: dict = {}
-    for k in edges:
-        u, v = ends[k]
-        adj.setdefault(u, []).append((v, k))
-        adj.setdefault(v, []).append((u, k))
-    parent: dict = {root: None}
-    order = [root]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for v, k in adj.get(u, ()):
-            if v not in parent:
-                parent[v] = (u, k)
-                order.append(v)
-    return [(v, p[0], p[1]) for v, p in parent.items() if p is not None]
-
-
 def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
                   s_key: tuple) -> tuple[complex, int]:
     """Sum over spanning trees T of the extended primal graph of
     tau(T oriented to the root) * tau(dual complement oriented to s).
-    Returns (sum, number of trees)."""
+    Returns (sum, number of trees).
+
+    Each tree and its dual complement are oriented by a breadth-first
+    search from their roots that takes a vertex's edges in primal edge order
+    and multiplies the arc weights in discovery order, so the product order,
+    hence the last digits of the sum, depends on no hash order."""
     P, S = ext.primal, ext.dual
-    p_ends = {P.edge_key(e): tuple(P.vertex_key(v) for v in P.endpoints(e))
-              for e in range(P.n_edges)}
-    s_ends = {S.edge_key(e): tuple(S.vertex_key(v) for v in S.endpoints(e))
-              for e in range(S.n_edges)}
 
-    def dual_key(k: tuple) -> tuple:
-        return ("dual", k[1]) if k[0] == "e" else ("rim", k[1])
+    def incidences(g: PlanarMap, edge_of: list[int]) -> list[list[tuple]]:
+        # per vertex x of g, in primal edge order: (primal edge, the other
+        # end y, weight of the arc y -> x)
+        inc: list[list[tuple]] = [[] for _ in range(g.n_vertices)]
+        for e, ge in enumerate(edge_of):
+            key = g.edge_key(ge)
+            u, v = g.endpoints(ge)
+            ku, kv = g.vertex_key(u), g.vertex_key(v)
+            inc[u].append((e, v, tw.arc(key, kv, ku)))
+            inc[v].append((e, u, tw.arc(key, ku, kv)))
+        return inc
 
+    p_inc = incidences(P, list(range(P.n_edges)))
+    s_inc = incidences(S, [S.edge_id(("dual" if k[0] == "e" else "rim", k[1]))
+                           for k in P.edge_keys])
+    p_root, s_root = P.vertex_id(ROOT), S.vertex_id(s_key)
+    in_tree = [False] * P.n_edges
     total = 0j
     count = 0
-    all_keys = [P.edge_key(e) for e in range(P.n_edges)]
     for tree in enumerate_spanning_trees(P):
-        # orient from the ordered key list: the product order, hence the
-        # last digits of the sum, must not follow string hashing
-        keys = [P.edge_key(e) for e in tree]
-        tset = frozenset(keys)
+        for e in tree:
+            in_tree[e] = True
         w = 1.0 + 0j
-        for tail, head, key in _orient(p_ends, keys, ROOT):
-            w *= tw.arc(key, tail, head)
-        dual_keys = [dual_key(k) for k in all_keys if k not in tset]
-        for tail, head, key in _orient(s_ends, dual_keys, s_key):
-            w *= tw.arc(key, tail, head)
+        for inc, root, side in ((p_inc, p_root, True), (s_inc, s_root, False)):
+            seen = [False] * len(inc)
+            seen[root] = True
+            order = [root]
+            for u in order:
+                for e, v, a in inc[u]:
+                    if in_tree[e] == side and not seen[v]:
+                        seen[v] = True
+                        order.append(v)
+                        w *= a
+        for e in tree:
+            in_tree[e] = False
         total += w
         count += 1
     return total, count
@@ -685,6 +683,9 @@ def verify_main_theorem(m: PlanarMap,
     always, so every reported identity is still checked by two independent
     computations.
     """
+    s_key = ("u", s_dart) if s_dart is not None else double_root(m)
+    if s_key[1] not in m.outer_orbit:
+        raise ValueError("s must be an outer-orbit dart")
     rep = Report()
     iso = validate_isoradial(m, theta_exact)
     bnd = boundary_angles(iso)
@@ -743,9 +744,6 @@ def verify_main_theorem(m: PlanarMap,
 
     dd = extended_double(m)
     rho_star, tau2 = double_weights(iso, bnd, dd)
-    s_key = ("u", s_dart) if s_dart is not None else double_root(m)
-    if s_key[1] not in m.outer_orbit:
-        raise ValueError("s must be an outer-orbit dart")
     pref = class_prefactor(iso, bnd)
     zdd = dimer_Z(dd, tau2, skip_vertex=dd.vertex_id(s_key))
     rep.add(check("double-tree-sum-vs-split-tree", pref * zdd, zg_det, tol))

@@ -22,7 +22,6 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 
@@ -115,6 +114,10 @@ class PlanarMap:
         self._edge_index = (
             {k: i for i, k in enumerate(self.edge_keys)}
             if self.edge_keys is not None else None)
+        # filled by key_ends; set here so that filling it changes no key
+        # of the instance dict (a new key costs CPython 3.11 its fast
+        # attribute reads on this map)
+        self._key_ends: dict[Hashable, tuple[int, int]] | None = None
 
     # -- permutations ------------------------------------------------------
 
@@ -203,10 +206,13 @@ class PlanarMap:
     def edge_key(self, e: int) -> Hashable:
         return self.edge_keys[e] if self.edge_keys is not None else e
 
-    @cached_property
+    @property
     def key_ends(self) -> dict[Hashable, tuple[int, int]]:
         """Edge key -> endpoint vertex ids, built once; read-only."""
-        return {self.edge_key(e): self.endpoints(e) for e in range(self.n_edges)}
+        if self._key_ends is None:
+            self._key_ends = {self.edge_key(e): self.endpoints(e)
+                              for e in range(self.n_edges)}
+        return self._key_ends
 
     # -- global checks -----------------------------------------------------
 

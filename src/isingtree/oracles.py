@@ -3,12 +3,15 @@
 Everything here is deliberately elementary -- straight enumerations and
 one sparse LU kernel (:func:`complex_det`, Markowitz order with threshold
 pivoting) for det K and the matrix-tree minors -- so results can serve as
-ground truth for the structured constructions.  Enumerations guard against
-runaway inputs via two caps, overridable through the environment:
+ground truth for the structured constructions.  The matching and tree
+enumerations backtrack on explicit stacks over integer adjacency lists, and
+the sums over them multiply weights from per-edge (per-arc) lists, in the
+order the enumerations yield.  Two caps, overridable through the
+environment, guard against runaway inputs:
 
 * ``ISINGTREE_SPIN_CAP``  (default 2^24): max number of spin configurations;
 * ``ISINGTREE_STATE_CAP`` (default 10^7): max partial states explored by the
-  matching / tree backtracking.
+  matching / tree backtracking, one per node of its search tree.
 
 Exceeding a cap raises :class:`TooLargeError` rather than silently grinding.
 """
@@ -123,55 +126,75 @@ def enumerate_matchings(m: PlanarMap,
                         skip_vertex: int | None = None) -> Iterator[tuple[int, ...]]:
     """All perfect matchings (as sorted edge-id tuples), optionally of the
     graph minus one vertex.  Yields nothing when no perfect matching exists
-    (in particular for odd vertex counts)."""
-    n = m.n_vertices
-    active = [v for v in range(n) if v != skip_vertex]
-    if len(active) % 2 or m.n_isolated:
+    (in particular for odd vertex counts).
+
+    Backtracking on an explicit stack: the first unmatched vertex is matched
+    along each free incident edge in edge order; each partial state costs
+    one unit of the state cap."""
+    active = [v for v in range(m.n_vertices) if v != skip_vertex]
+    n = len(active)
+    if n % 2 or m.n_isolated:
         return
-    incid = {v: [] for v in active}
+    pos = {v: i for i, v in enumerate(active)}
+    incid: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in range(m.n_edges):
         u, v = m.endpoints(e)
-        if u in incid and v in incid and u != v:
-            incid[u].append((e, v))
-            incid[v].append((e, u))
-    matched = {v: False for v in active}
+        if u in pos and v in pos and u != v:
+            incid[pos[u]].append((e, pos[v]))
+            incid[pos[v]].append((e, pos[u]))
+    budget = state_cap() - 1
+    if budget < 0:
+        raise TooLargeError("matching enumeration exceeded the state cap")
+    if n == 0:
+        yield ()
+        return
+    matched = [False] * (n + 1)   # matched[n] stays False: a scan sentinel
+    matched[0] = True
     chosen: list[int] = []
-    budget = [state_cap()]
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise TooLargeError("matching enumeration exceeded the state cap")
-        v = None
-        for cand in active[start:]:
-            if not matched[cand]:
-                v = cand
+    partners: list[int] = []
+    # one frame (vertex, its incidences still to try) per matched pair;
+    # the first unmatched vertex is matched at each depth
+    stack = [(0, iter(incid[0]))]
+    while stack:
+        v, todo = stack[-1]
+        for e, o in todo:
+            if not matched[o]:
                 break
-        if v is None:
-            yield tuple(sorted(chosen))
-            return
-        matched[v] = True
-        for e, other in incid[v]:
-            if not matched[other]:
-                matched[other] = True
-                chosen.append(e)
-                yield from rec(start + 1)
+        else:
+            matched[v] = False
+            stack.pop()
+            if chosen:   # undo the pair that led to this frame
                 chosen.pop()
-                matched[other] = False
-        matched[v] = False
-
-    yield from rec(0)
+                matched[partners.pop()] = False
+            continue
+        matched[o] = True
+        chosen.append(e)
+        budget -= 1
+        if budget < 0:
+            raise TooLargeError("matching enumeration exceeded the state cap")
+        w = v + 1
+        while matched[w]:
+            w += 1
+        if w == n:
+            yield tuple(sorted(chosen))
+            chosen.pop()
+            matched[o] = False
+        else:
+            partners.append(o)
+            matched[w] = True
+            stack.append((w, iter(incid[w])))
 
 
 def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> complex:
     """Weighted dimer partition function: sum over perfect matchings of the
-    product of edge weights.  `weights` is keyed by edge key when the map
-    carries edge keys, else by edge id."""
+    product of edge weights.  `weights` holds every edge's weight, keyed by
+    edge key when the map carries edge keys, else by edge id."""
+    w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
     total = 0j
     for match in enumerate_matchings(m, skip_vertex):
         p = 1.0 + 0j
         for e in match:
-            p *= weights[m.edge_key(e)]
+            p *= w[e]
         total += p
     return total
 
@@ -224,47 +247,61 @@ class WeightedDigraph:
 def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ...]]:
     """All spanning trees oriented towards `root`: every non-root node keeps
     exactly one out-arc and following out-arcs always reaches the root.
-    Yields tuples of arc indices, one per non-root node in node order."""
-    others = [v for v in g.nodes if v != root]
-    out = g.out_map()
-    parent_arc: dict[Hashable, int] = {}
-    budget = [state_cap()]
+    Yields tuples of arc indices, one per non-root node in node order.
 
-    def acyclic_after(u: Hashable) -> bool:
-        seen = {u}
-        v = g.arcs[parent_arc[u]].head
-        while v != root and v in parent_arc:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = g.arcs[parent_arc[v]].head
-        return v == root or v not in parent_arc
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise TooLargeError("tree enumeration exceeded the state cap")
-        if i == len(others):
-            yield tuple(parent_arc[v] for v in others)
-            return
+    Backtracking on an explicit stack, one depth per non-root node; each
+    partial state costs one unit of the state cap."""
+    idx = {v: i for i, v in enumerate(g.nodes)}
+    others = [i for i, v in enumerate(g.nodes) if v != root]
+    out: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
+    for ai, a in enumerate(g.arcs):
+        out[idx[a.tail]].append((ai, idx[a.head]))
+    budget = state_cap() - 1
+    if budget < 0:
+        raise TooLargeError("tree enumeration exceeded the state cap")
+    depth = len(others)
+    if depth == 0:
+        yield ()
+        return
+    head = [-1] * len(g.nodes)   # head of a node's chosen arc, -1 if none
+    chosen = [0] * depth         # arc index per depth
+    # one iterator over the out-arcs still to try per depth
+    stack = [iter(out[others[0]])]
+    while stack:
+        i = len(stack) - 1
         u = others[i]
-        for ai in out[u]:
-            parent_arc[u] = ai
-            if acyclic_after(u):
-                yield from rec(i + 1)
-            del parent_arc[u]
-
-    yield from rec(0)
+        head[u] = -1
+        for ai, h0 in stack[-1]:
+            # the arcs chosen before u's form no cycle, so a cycle closed
+            # by u's arc is the only kind the walk from its head can find
+            h = h0
+            while h != u and head[h] >= 0:
+                h = head[h]
+            if h != u:
+                break
+        else:
+            stack.pop()
+            continue
+        head[u] = h0
+        chosen[i] = ai
+        budget -= 1
+        if budget < 0:
+            raise TooLargeError("tree enumeration exceeded the state cap")
+        if i + 1 == depth:
+            yield tuple(chosen)
+        else:
+            stack.append(iter(out[others[i + 1]]))
 
 
 def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
     """Partition function of oriented spanning trees rooted at `root`,
     by exhaustive enumeration."""
+    w = [a.weight for a in g.arcs]
     total = 0j
     for tree in enumerate_osts(g, root):
         p = 1.0 + 0j
         for ai in tree:
-            p *= g.arcs[ai].weight
+            p *= w[ai]
         total += p
     return total
 
@@ -387,31 +424,23 @@ def det_cofactor(rows: Sequence[Sequence[complex]]) -> complex:
 # undirected spanning trees and tree duality
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.p = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
+def _find(p: list[int], x: int) -> int:
+    """Root of x in the union-find parent list p, halving the path."""
+    while p[x] != x:
+        p[x] = p[p[x]]
+        x = p[x]
+    return x
 
 
 def is_spanning_tree(n_vertices: int,
                      edges: Iterable[tuple[int, int]]) -> bool:
-    uf = _UnionFind(n_vertices)
+    p = list(range(n_vertices))
     count = 0
     for u, v in edges:
-        if not uf.union(u, v):
+        ru, rv = _find(p, u), _find(p, v)
+        if ru == rv:
             return False
+        p[ru] = rv
         count += 1
     return count == n_vertices - 1
 
@@ -419,45 +448,49 @@ def is_spanning_tree(n_vertices: int,
 def enumerate_spanning_trees(m: PlanarMap) -> Iterator[tuple[int, ...]]:
     """All spanning trees of the underlying graph, as sorted edge-id tuples.
 
-    Include/exclude backtracking with a connectivity feasibility prune, so
-    the work stays proportional to the number of trees on corpus-sized
-    graphs.  Subject to the state cap."""
+    Include/exclude backtracking on an explicit stack with a connectivity
+    feasibility prune, so the work stays proportional to the number of trees
+    on corpus-sized graphs.  Each partial state costs one unit of the state
+    cap."""
     n, ne = m.n_vertices, m.n_edges
     ends = [m.endpoints(e) for e in range(ne)]
-    budget = [state_cap()]
+    budget = state_cap()
     chosen: list[int] = []
-
-    def feasible(uf: _UnionFind, idx: int) -> bool:
-        probe = _UnionFind(n)
-        probe.p = list(uf.p)
-        comps = n - len(chosen)
-        for e in range(idx, ne):
-            if probe.union(*ends[e]):
-                comps -= 1
-                if comps == 1:
-                    return True
-        return comps == 1
-
-    def rec(idx: int, uf: _UnionFind) -> Iterator[tuple[int, ...]]:
-        budget[0] -= 1
-        if budget[0] < 0:
+    # partial states (next edge, union-find parents, number of chosen
+    # edges to keep, edge to add or -1); the include child is pushed last,
+    # so it is popped first
+    stack = [(0, list(range(n)), 0, -1)]
+    while stack:
+        idx, p, kept, add = stack.pop()
+        del chosen[kept:]
+        if add >= 0:
+            chosen.append(add)
+        budget -= 1
+        if budget < 0:
             raise TooLargeError("spanning-tree enumeration exceeded the state cap")
         if len(chosen) == n - 1:
             yield tuple(chosen)
-            return
-        if idx == ne or not feasible(uf, idx):
-            return
+            continue
+        if idx == ne:
+            continue
+        probe = p[:]
+        comps = n - len(chosen)
+        for u, v in ends[idx:]:
+            ru, rv = _find(probe, u), _find(probe, v)
+            if ru != rv:
+                probe[ru] = rv
+                comps -= 1
+                if comps == 1:
+                    break
+        if comps != 1:
+            continue
+        stack.append((idx + 1, p, len(chosen), -1))
         u, v = ends[idx]
-        if uf.find(u) != uf.find(v):
-            child = _UnionFind(n)
-            child.p = list(uf.p)
-            child.union(u, v)
-            chosen.append(idx)
-            yield from rec(idx + 1, child)
-            chosen.pop()
-        yield from rec(idx + 1, uf)
-
-    yield from rec(0, _UnionFind(n))
+        ru, rv = _find(p, u), _find(p, v)
+        if ru != rv:
+            child = p[:]
+            child[ru] = rv
+            stack.append((idx + 1, child, len(chosen), idx))
 
 
 def dual_tree(m: PlanarMap, tree_edges: Iterable[int]) -> tuple[int, ...]:

@@ -204,3 +204,28 @@ def test_verify_json_does_not_depend_on_hash_seed():
             capture_output=True, timeout=120, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# sha256 of `verify --generator G --format json` with the default s,
+# recorded from the recursive enumerations and the dict-based tree
+# orientation; the flat loops must visit and multiply in the same order, so
+# every digit of every sum stays the same.
+VERIFY_DIGESTS = {
+    "cycle:3":
+        "4cf006bb3e6a1c95f2f1d8ac9a8f6c3ab6ca9f06c983c7597e3d789cbf71e091",
+    "cycle:6":
+        "b882109767bba18eecdbaa410c9d6f241f47e773f5fcbc6a1e2d111fe90a8ff9",
+    "cycle:7":
+        "d099d274fd2ee3d337f024671a9c9aaeee2358ba45b6b832ab2f064bd30dee07",
+    "grid:2,3":
+        "e32c74d64c92fc7742c33ee90d53bdd1f5ca31f0bec1bee678c2f03d9dcbe9e7",
+    "rhombic:2,4,1/6":
+        "3ac665e0f56ef91132dd46ff7e8f57179f6f39853d223d56b2f07c12ce0f2c40",
+}
+
+
+@pytest.mark.parametrize("generator", sorted(VERIFY_DIGESTS))
+def test_verify_json_matches_golden_digest(generator, capsys):
+    assert main(["verify", "--generator", generator, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[generator]

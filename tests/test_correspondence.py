@@ -297,11 +297,19 @@ def test_verify_accepts_any_outer_root(c3):
     assert rep.passed
 
 
-def test_verify_rejects_interior_root(grid33):
+def test_verify_rejects_interior_root(grid33, monkeypatch):
+    # s is checked before any brute-force sum runs
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration ran before s was checked")
+
+    for name in ("dimer_Z", "ising_Z", "ost_Z"):
+        monkeypatch.setattr(co, name, never)
     interior = next(d for d in range(len(grid33.m.sigma))
                     if not grid33.m.is_outer_dart(d))
-    with pytest.raises(ValueError):
-        co.verify_main_theorem(grid33.m, grid33.theta_exact, s_dart=interior)
+    for s_dart in (interior, 999):
+        with pytest.raises(ValueError):
+            co.verify_main_theorem(grid33.m, grid33.theta_exact,
+                                   s_dart=s_dart)
 
 
 def test_verify_budget_disables_enumeration_checks(c4):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from isingtree.derived import extended_double
 from isingtree.generators import cycle, grid
 from isingtree.maps import (DegreeTooLowError, DisconnectedError, MapError,
                             NonPlanarError, NotSimpleError,
@@ -184,3 +185,17 @@ def test_outer_face_choice_matters():
     assert rerooted.coords == m.coords
     assert rerooted.vertex_keys == m.vertex_keys
     assert rerooted.edge_keys == m.edge_keys
+
+
+def test_key_ends_adds_no_instance_attribute():
+    # a key added to the instance dict after __init__ slows every later
+    # attribute read on the map under CPython 3.11
+    dd = extended_double(grid(3, 3)[0])
+    names = set(vars(dd))
+    ends = dd.key_ends
+    assert set(vars(dd)) == names
+    assert dd.key_ends is ends
+    assert ends == {dd.edge_key(e): dd.endpoints(e) for e in range(dd.n_edges)}
+    moved = dd.with_outer_dart(dd.faces[0][0])
+    assert set(vars(moved)) == names
+    assert moved.key_ends == ends

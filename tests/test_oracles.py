@@ -1,5 +1,6 @@
 """Brute-force oracles: spins, matchings, determinants, spanning trees."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -8,7 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from isingtree.correspondence import ROOT, build_G0, double_root
+from isingtree.derived import extended_double, quadri_tiling
 from isingtree.generators import cycle, grid
+from isingtree.isoradial import boundary_angles, validate_isoradial
+from isingtree.kasteleyn import build_kasteleyn
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                complex_det, det_cofactor, dimer_Z, dual_tree,
                                enumerate_matchings, enumerate_osts,
@@ -192,3 +197,56 @@ def test_state_cap_enforced(monkeypatch, grid33):
     monkeypatch.setenv("ISINGTREE_STATE_CAP", "10")
     with pytest.raises(TooLargeError):
         list(enumerate_matchings(grid33.gq))
+
+
+def _quadri_grid23():
+    return enumerate_matchings(quadri_tiling(grid(2, 3)[0]))
+
+
+def _double_grid23():
+    m, _ = grid(2, 3)
+    dd = extended_double(m)
+    return enumerate_matchings(dd, skip_vertex=dd.vertex_id(double_root(m)))
+
+
+def _osts_g0_c5():
+    m, theta = cycle(5)
+    iso = validate_isoradial(m, theta)
+    gq = quadri_tiling(m)
+    g0 = build_G0(gq, build_kasteleyn(gq, iso, boundary_angles(iso)), m)
+    return enumerate_osts(g0.graph, ROOT)
+
+
+def _trees_grid33():
+    return enumerate_spanning_trees(grid(3, 3)[0])
+
+
+# enumeration -> (smallest ISINGTREE_STATE_CAP that lets it finish, number of
+# yields, sha256 of the repr of the list it yields), all recorded from the
+# recursive enumerations; one cap unit is one partial state
+ENUMERATIONS = {
+    "quadri_grid23": (_quadri_grid23, 2305, 530,
+                      "5a7af282493fca5310d4ee2249277b8f"
+                      "aeb1b3a8b6a951d4ea215c472ffe1da0"),
+    "double_grid23": (_double_grid23, 3271, 576,
+                      "78303acc823283bb9d6ee05ee5cc755e"
+                      "d748d21aa237a0b3b337d5fcdea6cf91"),
+    "osts_g0_c5": (_osts_g0_c5, 4254, 2101,
+                   "73b260249eb8a60f083c37f737c959c8"
+                   "2a71e39ed2e0a49b13796357525ad694"),
+    "trees_grid33": (_trees_grid33, 1139, 192,
+                     "08d44f8266e96190763774a5134ea09a"
+                     "2b7b9797e5f44c06bfb02d7b84285251"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumeration_state_cap_and_yield_order(name, monkeypatch):
+    enum, cap, n_yields, digest = ENUMERATIONS[name]
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", str(cap - 1))
+    with pytest.raises(TooLargeError):
+        list(enum())
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", str(cap))
+    seq = list(enum())
+    assert len(seq) == n_yields
+    assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
