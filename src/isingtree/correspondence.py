@@ -80,10 +80,11 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
     for d in range(len(m.sigma)):
         sd = m.sigma[d]
         row = K.rows[wi[("w", sd)]]
-        arcs.append(Arc(("c", d), ("c", sd), row[bi[("b", sd)]], "cos"))
-        arcs.append(Arc(("c", d), ("c", sd ^ 1), row[bi[("b", sd ^ 1)]], "sin"))
+        cos, sin = (row.get(bi[("b", x)], 0j) for x in (sd, sd ^ 1))
+        arcs.append(Arc(("c", d), ("c", sd), cos, "cos"))
+        arcs.append(Arc(("c", d), ("c", sd ^ 1), sin, "sin"))
         if m.is_outer_dart(d):
-            arcs.append(Arc(("c", d), ROOT, -sum(row), "root"))
+            arcs.append(Arc(("c", d), ROOT, -sum(row.values()), "root"))
     return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m, "corner")
 
 
@@ -710,7 +711,7 @@ def verify_main_theorem(m: PlanarMap,
     # boundary (absolute deviation aggregated over rows)
     dev = 0.0
     for i, w in enumerate(K.whites):
-        srow = sum(K.rows[i])
+        srow = sum(K.rows[i].values())
         delta = m.sigma_inv[w[1]]
         if m.is_outer_dart(delta):
             th = iso.theta[m.edge_of(w[1])]

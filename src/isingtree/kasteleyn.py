@@ -102,13 +102,11 @@ def check_flat(gq: PlanarMap, phases: Mapping,
 
 @dataclass(frozen=True)
 class KasteleynMatrix:
-    """White-by-black phased adjacency matrix of the quadri-tiling graph."""
+    """White-by-black phased adjacency matrix of the quadri-tiling graph;
+    row i maps the index of each black neighbour to its entry, ascending."""
     whites: tuple
     blacks: tuple
-    rows: tuple[tuple[complex, ...], ...]
-
-    def entry(self, white, black) -> complex:
-        return self.rows[self.whites.index(white)][self.blacks.index(black)]
+    rows: tuple[dict[int, complex], ...]
 
     def det(self) -> complex:
         return complex_det(self.rows)
@@ -116,7 +114,8 @@ class KasteleynMatrix:
 
 def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
                     phases: Mapping | None = None) -> KasteleynMatrix:
-    """K[w, b] = nu_wb e^{i phi_wb} over the quadri-tiling edges.
+    """K[w, b] = nu_wb e^{i phi_wb}, summed over the quadri-tiling edges in
+    edge order into one sparse row per white.
 
     If the supplied (or default) phasing is not flat a warning is printed and
     the matrix is still returned; |det K| then need not equal the dimer sum.
@@ -129,12 +128,11 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
         warnings.warn("phasing is not flat (max deviation %.3g); "
                       "|det K| need not equal the dimer partition function"
                       % flat.max_deviation)
-    m = iso.map
     whites = tuple(sorted(k for k in gq.vertex_keys if k[0] == "w"))
     blacks = tuple(sorted(k for k in gq.vertex_keys if k[0] == "b"))
     wi = {k: i for i, k in enumerate(whites)}
     bi = {k: i for i, k in enumerate(blacks)}
-    rows = [[0j] * len(blacks) for _ in whites]
+    rows: list[dict[int, complex]] = [{} for _ in whites]
     for e in range(gq.n_edges):
         key = gq.edge_key(e)
         ka, kb = (gq.vertex_key(v) for v in gq.endpoints(e))
@@ -146,15 +144,11 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
             mod = math.sin(iso.theta[d >> 1])
         else:
             mod = 1.0
-        rows[wi[wkey]][bi[bkey]] += mod * cmath.exp(1j * phases[key])
-    return KasteleynMatrix(whites=whites, blacks=blacks,
-                           rows=tuple(tuple(r) for r in rows))
-
-
-def dimer_Z_det(K: KasteleynMatrix) -> tuple[complex, float]:
-    """(det K, |det K|); with a flat phasing |det K| is the dimer sum."""
-    d = K.det()
-    return d, abs(d)
+        r, j = rows[wi[wkey]], bi[bkey]
+        r[j] = r.get(j, 0j) + mod * cmath.exp(1j * phases[key])
+    # quadri_tiling numbers the edges black by black in key order, so the
+    # keys of every row arrive in ascending column order
+    return KasteleynMatrix(whites=whites, blacks=blacks, rows=tuple(rows))
 
 
 def verify_squared_ising(m: PlanarMap, iso: IsoradialData,

@@ -372,11 +372,13 @@ def complex_det(rows: Sequence) -> complex:
                 break
         done[c] = True
         cand = col_rows[c]
-        big = max((abs(a[i][c]) for i in cand), default=0.0)
+        mods = [abs(a[i][c]) for i in cand]
+        big = max(mods, default=0.0)
         if big < 1e-13:
             return 0j
-        p = min((i for i in cand if abs(a[i][c]) >= 0.1 * big),
-                key=lambda i: (len(a[i]), -abs(a[i][c])))
+        # position k in the set's order keeps the first candidate on a tie
+        p = min((len(a[i]), -x, k, i) for k, (i, x) in
+                enumerate(zip(cand, mods)) if x >= 0.1 * big)[3]
         col_of_row[p] = c
         prow = a[p]
         piv = prow.pop(c)
@@ -473,17 +475,18 @@ def enumerate_spanning_trees(m: PlanarMap) -> Iterator[tuple[int, ...]]:
             continue
         if idx == ne:
             continue
-        probe = p[:]
-        comps = n - len(chosen)
-        for u, v in ends[idx:]:
-            ru, rv = _find(probe, u), _find(probe, v)
-            if ru != rv:
-                probe[ru] = rv
-                comps -= 1
-                if comps == 1:
-                    break
-        if comps != 1:
-            continue
+        if add < 0:   # an include child passes whenever its parent did
+            probe = p[:]
+            comps = n - len(chosen)
+            for u, v in ends[idx:]:
+                ru, rv = _find(probe, u), _find(probe, v)
+                if ru != rv:
+                    probe[ru] = rv
+                    comps -= 1
+                    if comps == 1:
+                        break
+            if comps != 1:
+                continue
         stack.append((idx + 1, p, len(chosen), -1))
         u, v = ends[idx]
         ru, rv = _find(p, u), _find(p, v)

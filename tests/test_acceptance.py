@@ -100,7 +100,7 @@ def test_criterion_04_white_neighbour_sums(pipelines):
         m, K = p.m, p.K
         sig_inv = {m.sigma[d]: d for d in range(len(m.sigma))}
         for i, (_, wd) in enumerate(K.whites):
-            rs = sum(K.rows[i])
+            rs = sum(K.rows[i].values())
             delta = sig_inv[wd]
             if m.is_outer_dart(delta):
                 want = (-1j * cmath.exp(-1j * p.iso.theta[wd >> 1])

@@ -2,15 +2,20 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from isingtree import correspondence as co
+from isingtree.derived import quadri_tiling
+from isingtree.generators import grid, rhombic
 from isingtree.kasteleyn import (assign_phases, build_kasteleyn, check_flat,
-                                 dimer_Z_det, verify_squared_ising)
-from isingtree.oracles import complex_det, dimer_Z
-from isingtree.isoradial import critical_couplings, dimer_weights
+                                 verify_squared_ising)
+from isingtree.oracles import complex_det, dimer_Z, matrix_tree_Z
+from isingtree.isoradial import (boundary_angles, critical_couplings,
+                                 dimer_weights, validate_isoradial)
 
 DETS = {"C3": -6.75, "C4": 9.0, "grid": 100.20826112068524}
 
@@ -34,8 +39,7 @@ def test_phasing_is_flat_on_every_face(pipelines):
 def test_determinant_equals_dimer_sum(pipelines):
     for p in pipelines.values():
         nu = dimer_weights(critical_couplings(p.iso), p.gq)
-        _, mod = dimer_Z_det(p.K)
-        assert mod == pytest.approx(abs(dimer_Z(p.gq, nu)), rel=1e-9)
+        assert abs(p.K.det()) == pytest.approx(abs(dimer_Z(p.gq, nu)), rel=1e-9)
 
 
 def test_white_row_sums(pipelines):
@@ -45,7 +49,7 @@ def test_white_row_sums(pipelines):
         m, K = p.m, p.K
         sig_inv = {m.sigma[d]: d for d in range(len(m.sigma))}
         for i, (_, wd) in enumerate(K.whites):
-            rs = sum(K.rows[i])
+            rs = sum(K.rows[i].values())
             delta = sig_inv[wd]
             if m.is_outer_dart(delta):
                 want = (-1j * cmath.exp(-1j * p.iso.theta[wd >> 1])
@@ -58,7 +62,7 @@ def test_white_row_sums(pipelines):
 def test_entries_have_prescribed_moduli(c4):
     for i, w in enumerate(c4.K.whites):
         for j, b in enumerate(c4.K.blacks):
-            x = c4.K.rows[i][j]
+            x = c4.K.rows[i].get(j, 0j)
             if x == 0:
                 continue
             mod = abs(x)
@@ -69,9 +73,54 @@ def test_entries_have_prescribed_moduli(c4):
 
 @given(st.floats(min_value=0.0, max_value=2.0 * math.pi))
 def test_gauge_phase_on_a_row_keeps_the_modulus(c3, phi):
-    rows = [list(r) for r in c3.K.rows]
-    rows[0] = [cmath.exp(1j * phi) * x for x in rows[0]]
+    rows = [dict(r) for r in c3.K.rows]
+    rows[0] = {j: cmath.exp(1j * phi) * x for j, x in rows[0].items()}
     assert abs(complex_det(rows)) == pytest.approx(abs(c3.K.det()), rel=1e-9)
+
+
+def _chain(m, exact):
+    iso = validate_isoradial(m, exact)
+    gq = quadri_tiling(m)
+    return gq, build_kasteleyn(gq, iso, boundary_angles(iso))
+
+
+# (det K, matrix_tree_Z(G0), matrix_tree_Z(G)), recorded from the dense K
+PINNED = {
+    "grid6x6": (grid(6, 6), (
+        complex(37021799.76674252, -3.372229543895937e-07),
+        complex(37021799.76674234, -8.453192732086122e-08),
+        complex(37021799.766742304, -1.0849376118575979e-07))),
+    "rhombic6x6": (rhombic(6, 6, Fraction(1, 6)), (
+        complex(8464940.202652773, -5.2714684838189603e-08),
+        complex(8464940.20265278, -1.2609087319426931e-08),
+        complex(8464940.202652767, -1.422319534489973e-08))),
+}
+
+
+def test_rows_are_sparse_and_det_is_unchanged(pipelines):
+    graphs = [(p.gq, p.K) for p in pipelines.values()]
+    graphs.append(_chain(*grid(10, 10)))
+    for gq, K in graphs:
+        blacks_of = {w: set() for w in K.whites}
+        for e in range(gq.n_edges):
+            ka, kb = sorted(gq.vertex_key(v) for v in gq.endpoints(e))
+            blacks_of[kb].add(ka)
+        for w, row in zip(K.whites, K.rows):
+            assert isinstance(row, dict)
+            assert list(row) == sorted(row)
+            assert all(x != 0 for x in row.values())
+            assert {K.blacks[j] for j in row} == blacks_of[w]
+        dense = [[row.get(j, 0j) for j in range(len(K.blacks))]
+                 for row in K.rows]
+        assert complex_det(dense) == K.det()
+    _, K = _chain(*grid(20, 20))
+    assert sum(map(len, K.rows)) <= 3 * len(K.rows)
+    for (m, exact), want in PINNED.values():
+        gq, K = _chain(m, exact)
+        g0 = co.build_G0(gq, K, m)
+        got = (K.det(), matrix_tree_Z(g0.graph, co.ROOT),
+               matrix_tree_Z(co.build_G(g0).graph, co.ROOT))
+        assert got == want
 
 
 def test_nonflat_phasing_warns(c3):

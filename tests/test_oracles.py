@@ -68,7 +68,8 @@ def test_quadri_tiling_matching_counts(pipelines, name, count):
 def test_matching_count_agrees_with_permanent(pipelines):
     for name in ("C3", "C4"):
         p = pipelines[name]
-        rows = [[1 if abs(x) > 1e-12 else 0 for x in row] for row in p.K.rows]
+        rows = [[1 if abs(row.get(j, 0j)) > 1e-12 else 0
+                 for j in range(len(p.K.blacks))] for row in p.K.rows]
         assert permanent01(rows) == sum(1 for _ in enumerate_matchings(p.gq))
 
 
