@@ -19,8 +19,8 @@ from .isoradial import (AngleOutOfRangeError, NotIsoradialError,
 from .kasteleyn import build_kasteleyn
 from .maps import MapError, dual_map, validate_simple_input
 from .oracles import TooLargeError
-from .serialize import (digraph_to_dot, digraph_to_json_dict, dumps_map,
-                        dumps_report, loads_map, map_to_dot, map_to_json_dict)
+from .serialize import (digraph_to_dot, dumps_digraph, dumps_map,
+                        dumps_report, loads_map, map_to_dot)
 
 EXPORT_TARGETS = ("primal", "dual", "quad", "quadri_tiling",
                   "extended_double", "G0", "G")
@@ -152,9 +152,7 @@ def cmd_export(args) -> int:
         if args.what == "G":
             model = build_G(model)
         if args.format == "json":
-            import json
-            text = json.dumps(digraph_to_json_dict(model.graph),
-                              indent=2, sort_keys=True) + "\n"
+            text = dumps_digraph(model.graph)
         else:
             text = digraph_to_dot(model.graph, name=args.what)
         _write(text, args.out)

@@ -301,40 +301,37 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
     """
     vertex_keys = list(rotations.keys())
     edge_keys: list[Hashable] = []
-    edge_index: dict[Hashable, int] = {}
-    # (vertex, position) slots per edge key, in scan order
-    slots: dict[Hashable, list[tuple[Hashable, int]]] = {}
+    # edge key -> its first-scanned dart 2e while the second is still to
+    # come, -1 once both are assigned (2e+1 goes to the second slot)
+    pending: dict[Hashable, int] = {}
+    darts_of: dict[Hashable, list[int]] = {}   # vertex key -> darts, ccw
     for v in vertex_keys:
-        for pos, ek in enumerate(rotations[v]):
-            if ek not in edge_index:
-                edge_index[ek] = len(edge_keys)
+        ds = []
+        for ek in rotations[v]:
+            d = pending.get(ek)
+            if d is None:
+                d = pending[ek] = 2 * len(edge_keys)
                 edge_keys.append(ek)
-                slots[ek] = []
-            slots[ek].append((v, pos))
-    for ek, occ in slots.items():
-        if len(occ) != 2:
-            raise MapError("edge key %r occurs %d times (want 2)" % (ek, len(occ)))
-
-    # dart at each (vertex, position): 2e for the first-scanned slot, 2e+1
-    # for the second.
-    dart_at: dict[tuple[Hashable, int], int] = {}
-    for ek, occ in slots.items():
-        e = edge_index[ek]
-        dart_at[occ[0]] = 2 * e
-        dart_at[occ[1]] = 2 * e + 1
+            elif d < 0:
+                _raise_bad_edge_count(rotations, vertex_keys)
+            else:
+                pending[ek] = -1
+                d += 1
+            ds.append(d)
+        darts_of[v] = ds
+    if any(d >= 0 for d in pending.values()):
+        _raise_bad_edge_count(rotations, vertex_keys)
 
     sigma = [0] * (2 * len(edge_keys))
-    for v in vertex_keys:
-        rot = rotations[v]
-        k = len(rot)
-        for pos in range(k):
-            sigma[dart_at[(v, pos)]] = dart_at[(v, (pos + 1) % k)]
+    for ds in darts_of.values():
+        for d, nxt in zip(ds, ds[1:] + ds[:1]):
+            sigma[d] = nxt
 
     outer_dart = None
     if outer is not None:
         ov, oe = outer[0], outer[1]
         occ_wanted = outer[2] if len(outer) > 2 else 0
-        hits = [dart_at[(ov, pos)] for pos, ek in enumerate(rotations[ov]) if ek == oe]
+        hits = [d for d, ek in zip(darts_of[ov], rotations[ov]) if ek == oe]
         if not hits:
             raise MapError("outer dart (%r, %r) not found" % (ov, oe))
         outer_dart = hits[occ_wanted]
@@ -344,9 +341,8 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
     # vertex ids follow sigma-orbit numbering (by minimal dart), which need
     # not match rotations order; each non-empty rotation is one orbit, so
     # order the keys by their minimal dart.
-    ordered_keys = sorted(
-        (v for v in vertex_keys if rotations[v]),
-        key=lambda v: min(dart_at[(v, pos)] for pos in range(len(rotations[v]))))
+    ordered_keys = [v for _, v in sorted(
+        (min(ds), v) for v, ds in darts_of.items() if ds)]
 
     coord_list = None
     if coords is not None:
@@ -361,6 +357,18 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
     return PlanarMap(sigma, outer_dart, coords=coord_list, tags=tag_list,
                      vertex_keys=ordered_keys, edge_keys=edge_keys,
                      isolated_tags=isolated_tags)
+
+
+def _raise_bad_edge_count(rotations, vertex_keys) -> None:
+    """Name the first edge key, in order of first appearance, that does
+    not occur exactly twice."""
+    counts: dict[Hashable, int] = {}
+    for v in vertex_keys:
+        for ek in rotations[v]:
+            counts[ek] = counts.get(ek, 0) + 1
+    for ek, c in counts.items():
+        if c != 2:
+            raise MapError("edge key %r occurs %d times (want 2)" % (ek, c))
 
 
 def build_map(edge_list: Sequence[tuple[Hashable, Hashable]],

@@ -190,6 +190,50 @@ def test_export_json_matches_golden_digest(generator, what, capsys):
             == EXPORT_DIGESTS[generator, what])
 
 
+# sha256 of `export <kind> --format dot`, recorded before map_to_dot and
+# digraph_to_dot wrote each line from one template; any change to a label,
+# style, position or line order changes these digests.
+DOT_DIGESTS = {
+    ("grid:3,3", "primal"):
+        "667636dcac2049de5966e924c6a85ffc5aff1bac6b521f4c6e5ee99d51977dfd",
+    ("grid:3,3", "dual"):
+        "964d41b55a2542fbc87d6253fb668f750d49e462205f462c4100096202914987",
+    ("grid:3,3", "quad"):
+        "024d87697d64edb6ea41016299d63a0eb3a40b3414955cf0afc2308e4bc93e57",
+    ("grid:3,3", "quadri_tiling"):
+        "80fbf179a2951e50baa9c496bc79674f5fbebbf63613097bee99a121b0e5db55",
+    ("grid:3,3", "extended_double"):
+        "8384b0f80a32de2e2c06c5781884e6db44fc88905d6b80e7bf61e275a2e61252",
+    ("grid:3,3", "G0"):
+        "b1bf49f93aff6d54b42ae5c3a7bce727d89041832dc199b3dbfe64414552841a",
+    ("grid:3,3", "G"):
+        "6f0e5b57c86397b0b9f65f24169b71c64996005ffadf158f06c96d4f1abeca99",
+    ("rhombic:3,3,1/6", "primal"):
+        "cd7eab9c4d83ba8f552053a7f4f7afb139745bca184f3926cfd2a642e841e878",
+    ("rhombic:3,3,1/6", "dual"):
+        "a138445e526e0f2bc34a78820fa42d6b807c6ffb96fd9701054517e240e59f47",
+    ("rhombic:3,3,1/6", "quad"):
+        "3bb8e4c7b1fc5463398949e11e0ce4c3eb6ca0a158a4aa19e7a31cf1a033826e",
+    ("rhombic:3,3,1/6", "quadri_tiling"):
+        "80fbf179a2951e50baa9c496bc79674f5fbebbf63613097bee99a121b0e5db55",
+    ("rhombic:3,3,1/6", "extended_double"):
+        "8384b0f80a32de2e2c06c5781884e6db44fc88905d6b80e7bf61e275a2e61252",
+    ("rhombic:3,3,1/6", "G0"):
+        "b1bf49f93aff6d54b42ae5c3a7bce727d89041832dc199b3dbfe64414552841a",
+    ("rhombic:3,3,1/6", "G"):
+        "6f0e5b57c86397b0b9f65f24169b71c64996005ffadf158f06c96d4f1abeca99",
+}
+
+
+@pytest.mark.parametrize("generator,what", sorted(DOT_DIGESTS))
+def test_export_dot_matches_golden_digest(generator, what, capsys):
+    assert main(["export", what, "--generator", generator,
+                 "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == DOT_DIGESTS[generator, what])
+
+
 def test_verify_json_does_not_depend_on_hash_seed():
     # The tree-pair sum multiplies arc weights in the order it orients its
     # tree; an order taken from a set of string keys would make the report's

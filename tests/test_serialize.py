@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from isingtree.derived import quad_graph
 from isingtree.generators import cycle, grid, rhombic
-from isingtree.maps import MapError, canonical_key, is_isomorphic
+from isingtree.maps import (MapError, PlanarMap, canonical_key, dual_map,
+                            is_isomorphic, restricted_dual)
+from isingtree.oracles import Arc, WeightedDigraph
 from isingtree.report import Report, check
 from isingtree.serialize import (digraph_to_dot, digraph_to_json_dict,
-                                 dumps_map, dumps_report, loads_map,
-                                 map_to_dot, map_to_json_dict,
-                                 weights_to_json_dict)
+                                 dumps_digraph, dumps_map, dumps_report,
+                                 loads_map, map_to_dot, map_to_json_dict)
 
 
 def test_map_round_trip_keeps_structure_and_coords(pipelines):
@@ -121,11 +123,71 @@ def test_digraph_exports(c3):
     assert kinds == {"cos", "sin", "root"}
 
 
-def test_weights_json_shape(c3):
-    data = weights_to_json_dict(c3.tau2)
-    assert len(data) == c3.dd.n_edges
-    for v in data.values():
-        assert set(v) == {"re", "im"}
+def _reference(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_map_text(m, theta=None, theta_exact=None):
+    assert (dumps_map(m, theta, theta_exact)
+            == _reference(map_to_json_dict(m, theta, theta_exact)))
+
+
+def test_dumps_map_equals_the_json_reference(pipelines):
+    for p in pipelines.values():
+        theta = dict(enumerate(p.iso.theta))
+        for t in (None, theta):
+            for q in (None, p.theta_exact):
+                _assert_map_text(p.m, t, q)
+        for derived in (dual_map(p.m), quad_graph(p.m), p.gq, p.dd):
+            _assert_map_text(derived)
+
+
+def test_dumps_map_partial_angles_sort_as_strings():
+    # seventeen edges: keys "10" to "16" sort before "2"; edge 3 has no angle
+    m, exact = rhombic(3, 4, Fraction(1, 6))
+    theta = {e: 0.5 for e in range(m.n_edges) if e != 3}
+    exact = {e: q for e, q in exact.items() if e % 2 == 0}
+    assert m.n_edges == 17
+    _assert_map_text(m, theta, exact)
+    _assert_map_text(m, None, exact)
+
+
+def test_dumps_map_edge_cases():
+    c3, _ = cycle(3)
+    odd = [complex(float("nan"), -0.0), complex(float("inf"), 1e-300),
+           complex(-float("inf"), 2.5e17)]
+    cases = [
+        PlanarMap(c3.sigma, c3.outer_dart),                # no coords
+        PlanarMap(c3.sigma, c3.outer_dart, coords=odd,
+                  tags=["caf\u00e9", 'q"uote', "tab\t"]),
+        restricted_dual(cycle(4)[0]),                      # isolated vertex
+        PlanarMap((), None),                               # no darts
+    ]
+    assert cases[2].n_isolated == 1 and not cases[3].sigma
+    for m in cases:
+        _assert_map_text(m)
+    assert '"darts": [],' in dumps_map(cases[3])
+    assert '"x": NaN' in dumps_map(cases[1])
+
+
+def test_dumps_digraph_equals_the_json_reference(pipelines):
+    for p in pipelines.values():
+        for g in (p.g0.graph, p.g.graph):
+            assert dumps_digraph(g) == _reference(digraph_to_json_dict(g))
+
+
+def test_dumps_digraph_edge_cases():
+    g = WeightedDigraph(
+        nodes=("a", ("b", 1), "\u00fcber"),
+        arcs=(Arc("a", ("b", 1), 1, None),             # int weight, no kind
+              Arc(("b", 1), "\u00fcber", 2.5 - 1j, "cos"),
+              Arc("\u00fcber", "a", complex(float("nan"), float("inf")))))
+    for h in (g, WeightedDigraph(nodes=(), arcs=())):
+        assert dumps_digraph(h) == _reference(digraph_to_json_dict(h))
+    assert '"re": 1,' in dumps_digraph(g)
+    assert '  n0 -> n1 [label=""];\n' in digraph_to_dot(g)
+    assert dumps_digraph(WeightedDigraph(nodes=(), arcs=())) == (
+        '{\n  "arcs": [],\n  "nodes": []\n}\n')
 
 
 def test_report_serialization_round_trip():
