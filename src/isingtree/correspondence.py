@@ -28,6 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .derived import ExtendedPair, extended_double, extended_pair, quadri_tiling
@@ -84,7 +86,9 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
         arcs.append(Arc(("c", d), ("c", sd), cos, "cos"))
         arcs.append(Arc(("c", d), ("c", sd ^ 1), sin, "sin"))
         if m.is_outer_dart(d):
-            arcs.append(Arc(("c", d), ROOT, -sum(row.values()), "root"))
+            # a left fold: the same digits under every interpreter
+            arcs.append(Arc(("c", d), ROOT, -reduce(add, row.values(), 0j),
+                            "root"))
     return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m, "corner")
 
 
@@ -711,7 +715,7 @@ def verify_main_theorem(m: PlanarMap,
     # boundary (absolute deviation aggregated over rows)
     dev = 0.0
     for i, w in enumerate(K.whites):
-        srow = sum(K.rows[i].values())
+        srow = reduce(add, K.rows[i].values(), 0j)
         delta = m.sigma_inv[w[1]]
         if m.is_outer_dart(delta):
             th = iso.theta[m.edge_of(w[1])]

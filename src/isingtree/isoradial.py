@@ -23,6 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Mapping
 
 from .maps import PlanarMap
@@ -176,7 +178,10 @@ def boundary_angles(iso: IsoradialData, tol: float = EPS_GEOM) -> BoundaryAngles
     exact: dict[int, Fraction | None] = {}
     max_mismatch = 0.0
     for x, corners in corners_at.items():
-        residual = math.pi - sum(iso.theta[m.edge_of(d)] for d in m.vertices[x])
+        # left folds: sum() compensates float adds from CPython 3.12 on,
+        # which would change the last digits of every boundary angle
+        residual = math.pi - reduce(
+            add, (iso.theta[m.edge_of(d)] for d in m.vertices[x]), 0.0)
         if residual <= tol:
             raise AngleOutOfRangeError(
                 "boundary vertex %d leaves no room for a boundary angle" % x)
@@ -190,7 +195,7 @@ def boundary_angles(iso: IsoradialData, tol: float = EPS_GEOM) -> BoundaryAngles
         else:
             # several boundary corners at one vertex: take each geometrically,
             # the closure then constrains only their sum
-            total = sum(geometric[d] for d in corners)
+            total = reduce(add, (geometric[d] for d in corners), 0.0)
             max_mismatch = max(max_mismatch, abs(residual - total))
             for delta in corners:
                 theta[delta] = geometric[delta]

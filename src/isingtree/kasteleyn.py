@@ -61,30 +61,6 @@ def assign_phases(gq: PlanarMap, iso: IsoradialData,
     return phases
 
 
-def curvature(gq: PlanarMap, phases: Mapping, face: int) -> complex:
-    """Alternating phase product around a face, read clockwise.
-
-    For a face of length 2k with clockwise vertex sequence
-    w1 b1 w2 b2 ... wk bk the curvature is
-    (-1)^(k-1) * prod e^{i phi(w_j b_j)} / prod e^{i phi(w_{j+1} b_j)},
-    i.e. numerator over white->black steps, denominator over black->white
-    steps of the clockwise walk.  A flat phasing has curvature 1 everywhere.
-    """
-    orb = gq.faces[face]
-    n = len(orb)
-    num, den = 1.0 + 0j, 1.0 + 0j
-    for i in reversed(range(n)):
-        a = gq.vertex_of(orb[(i + 1) % n])   # step a -> b, clockwise
-        e_key = gq.edge_key(gq.edge_of(orb[i]))
-        ph = cmath.exp(1j * phases[e_key])
-        if gq.tags[a] == "white":
-            num *= ph
-        else:
-            den *= ph
-    k = n // 2
-    return (-1) ** (k - 1) * num / den
-
-
 @dataclass(frozen=True)
 class FlatnessReport:
     curvatures: tuple[complex, ...]     # by face id
@@ -94,9 +70,43 @@ class FlatnessReport:
 
 def check_flat(gq: PlanarMap, phases: Mapping,
                tol: float = EPS_NUM) -> FlatnessReport:
-    curv = tuple(curvature(gq, phases, f) for f in range(len(gq.faces)))
+    """Curvature of every face, by face id, read clockwise.
+
+    For a face of length 2k with clockwise vertex sequence
+    w1 b1 w2 b2 ... wk bk the curvature is
+    (-1)^(k-1) * prod e^{i phi(w_j b_j)} / prod e^{i phi(w_{j+1} b_j)},
+    i.e. numerator over white->black steps, denominator over black->white
+    steps of the clockwise walk.  A flat phasing has curvature 1 everywhere.
+    Each e^{i phi} is computed once per edge (see `_unit_phases`).
+    """
+    return _flatness(gq, _unit_phases(gq, phases), tol)
+
+
+def _unit_phases(gq: PlanarMap, phases: Mapping) -> list[complex]:
+    """e^{i phi} per edge id of gq."""
+    return [cmath.exp(1j * phases[gq.edge_key(e)]) for e in range(gq.n_edges)]
+
+
+def _flatness(gq: PlanarMap, unit: list[complex],
+              tol: float) -> FlatnessReport:
+    """`check_flat` from the unit phases: each face's darts are folded in
+    reverse, a dart into the numerator when the origin of the next dart of
+    the face (the step's start, clockwise) is white."""
+    tags = gq.tags
+    white = [tags[gq.vertex_of(d)] == "white" for d in range(len(gq.sigma))]
+    curv = []
+    for orb in gq.faces:
+        num, den = 1.0 + 0j, 1.0 + 0j
+        nxt = orb[0]
+        for d in reversed(orb):
+            if white[nxt]:
+                num *= unit[d >> 1]
+            else:
+                den *= unit[d >> 1]
+            nxt = d
+        curv.append((-1) ** (len(orb) // 2 - 1) * num / den)
     dev = max(abs(c - 1.0) for c in curv)
-    return FlatnessReport(curvatures=curv, max_deviation=dev,
+    return FlatnessReport(curvatures=tuple(curv), max_deviation=dev,
                           flat=dev <= tol)
 
 
@@ -122,7 +132,8 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     """
     if phases is None:
         phases = assign_phases(gq, iso, bnd)
-    flat = check_flat(gq, phases)
+    unit = _unit_phases(gq, phases)
+    flat = _flatness(gq, unit, EPS_NUM)
     if not flat.flat:
         import warnings
         warnings.warn("phasing is not flat (max deviation %.3g); "
@@ -145,7 +156,7 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
         else:
             mod = 1.0
         r, j = rows[wi[wkey]], bi[bkey]
-        r[j] = r.get(j, 0j) + mod * cmath.exp(1j * phases[key])
+        r[j] = r.get(j, 0j) + mod * unit[e]
     # quadri_tiling numbers the edges black by black in key order, so the
     # keys of every row arrive in ascending column order
     return KasteleynMatrix(whites=whites, blacks=blacks, rows=tuple(rows))

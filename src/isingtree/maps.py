@@ -22,7 +22,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 
 class MapError(Exception):
@@ -62,6 +62,12 @@ class PlanarMap:
       graphs can be queried by provenance instead of by raw index.
     * ``isolated_tags``: tags for dartless vertices; these get the vertex ids
       after all sigma-orbit vertices.
+
+    The constructor walks the sigma-orbits and the phi-orbits once each,
+    numbering every dart's orbit during the walk; phi itself is sigma^{-1}
+    read with its even and odd darts swapped.  Attributes are always set in
+    the same order, so every map shares one instance layout (CPython 3.11
+    reads attributes faster then).
     """
 
     def __init__(self, sigma: Sequence[int], outer_dart: int | None,
@@ -74,7 +80,7 @@ class PlanarMap:
         n = len(sigma)
         if n % 2 != 0:
             raise MapError("odd number of darts")
-        if sorted(sigma) != list(range(n)):
+        if set(sigma) != set(range(n)):
             raise MapError("sigma is not a permutation of 0..%d" % (n - 1))
         self.sigma = sigma
         self.sigma_inv = tuple(_invert(sigma))
@@ -82,13 +88,13 @@ class PlanarMap:
         self.n_isolated = len(isolated_tags)
         self.isolated_tags = tuple(isolated_tags)
 
-        self._vertices = _orbits(sigma)
-        self._vertex_of = _orbit_index(self._vertices, n)
+        self._vertices, self._vertex_of = _orbits(sigma)
         # phi = sigma^{-1} o alpha: next dart along the face left of d.
-        phi = tuple(self.sigma_inv[d ^ 1] for d in range(n))
-        self._phi = phi
-        self._faces = _orbits(phi)
-        self._face_of = _orbit_index(self._faces, n)
+        phi = [0] * n
+        phi[0::2] = self.sigma_inv[1::2]
+        phi[1::2] = self.sigma_inv[0::2]
+        self._phi = phi = tuple(phi)
+        self._faces, self._face_of = _orbits(phi)
 
         if n == 0:
             # A dartless map still has one face (the whole plane); this keeps
@@ -109,10 +115,10 @@ class PlanarMap:
         self.vertex_keys = tuple(vertex_keys) if vertex_keys is not None else None
         self.edge_keys = tuple(edge_keys) if edge_keys is not None else None
         self._vertex_index = (
-            {k: i for i, k in enumerate(self.vertex_keys)}
+            dict(zip(self.vertex_keys, range(len(self.vertex_keys))))
             if self.vertex_keys is not None else None)
         self._edge_index = (
-            {k: i for i, k in enumerate(self.edge_keys)}
+            dict(zip(self.edge_keys, range(len(self.edge_keys))))
             if self.edge_keys is not None else None)
         # filled by key_ends; set here so that filling it changes no key
         # of the instance dict (a new key costs CPython 3.11 its fast
@@ -248,31 +254,27 @@ def _invert(perm: Sequence[int]) -> list[int]:
     return inv
 
 
-def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Orbits of a permutation, each starting at its minimal element,
-    listed in order of minimal element."""
+def _orbits(perm: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...],
+                                           tuple[int, ...]]:
+    """Orbits of a permutation, each starting at its minimal element and
+    listed in order of minimal element, and the orbit number of each
+    element, filled in one walk."""
     n = len(perm)
-    seen = [False] * n
+    index = [-1] * n
     out = []
     for start in range(n):
-        if seen[start]:
+        if index[start] >= 0:
             continue
-        orbit = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
+        k = len(out)
+        orbit = [start]
+        index[start] = k
+        d = perm[start]
+        while d != start:
+            index[d] = k
             orbit.append(d)
             d = perm[d]
         out.append(tuple(orbit))
-    return tuple(out)
-
-
-def _orbit_index(orbits: Iterable[tuple[int, ...]], n: int) -> tuple[int, ...]:
-    idx = [0] * n
-    for i, orb in enumerate(orbits):
-        for d in orb:
-            idx[d] = i
-    return tuple(idx)
+    return tuple(out), tuple(index)
 
 
 # ---------------------------------------------------------------------------

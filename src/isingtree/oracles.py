@@ -45,77 +45,21 @@ def state_cap() -> int:
 # ---------------------------------------------------------------------------
 
 def ising_Z(m: PlanarMap, J: Sequence[float]) -> float:
-    """Free-boundary Ising partition function by full spin enumeration."""
+    """Free-boundary Ising partition function by full spin enumeration:
+    bit v of the configuration number set means spin -1 at vertex v."""
+    n = m.n_vertices
+    if 2 ** n > spin_cap():
+        raise TooLargeError("2^%d spin configurations exceed the cap" % n)
     edges = [(*m.endpoints(e), J[e]) for e in range(m.n_edges)]
-    return _spin_sum(m.n_vertices, edges, frozenset())
-
-
-def ising_Z_plus(m: PlanarMap, J: Sequence[float]) -> float:
-    """Partition function with every boundary vertex's spin fixed to +1."""
-    fixed = frozenset(m.vertex_of(d) for d in m.outer_orbit)
-    edges = [(*m.endpoints(e), J[e]) for e in range(m.n_edges)]
-    return _spin_sum(m.n_vertices, edges, fixed)
-
-
-def _spin_sum(n: int, edges: list[tuple[int, int, float]],
-              fixed_plus: frozenset[int]) -> float:
-    free = [v for v in range(n) if v not in fixed_plus]
-    if 2 ** len(free) > spin_cap():
-        raise TooLargeError("2^%d spin configurations exceed the cap" % len(free))
-    pos = {v: i for i, v in enumerate(free)}
     total = 0.0
-    for bits in range(2 ** len(free)):
+    for bits in range(2 ** n):
         energy = 0.0
         for u, v, j in edges:
-            su = 1 if (u in fixed_plus or not (bits >> pos[u]) & 1) else -1
-            sv = 1 if (v in fixed_plus or not (bits >> pos[v]) & 1) else -1
+            su = -1 if (bits >> u) & 1 else 1
+            sv = -1 if (bits >> v) & 1 else 1
             energy += j * su * sv
         total += math.exp(energy)
     return total
-
-
-@dataclass(frozen=True)
-class ReducedGraph:
-    """Multigraph obtained by merging all boundary vertices into one hub.
-
-    ``names[i]`` is the provenance of vertex i; vertex 0 is always the hub.
-    Parallel edges are kept (they arise whenever an interior vertex has
-    several boundary neighbours).
-    """
-    n_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
-    names: tuple[Hashable, ...]
-
-
-def plus_boundary_reduce(m: PlanarMap, J: Sequence[float]) -> tuple[ReducedGraph, float]:
-    """Reduce the +boundary model to a free model on the merged graph.
-
-    Returns (G', c) with  Z_plus(G, J) = c * Z(G', J restricted), where G'
-    identifies all boundary vertices into a hub and drops each edge joining
-    two boundary vertices, and c = (1/2) * prod of exp(J_e) over the dropped
-    edges.  (For an all-boundary graph G' is a single vertex with Z = 2.)
-    """
-    boundary = frozenset(m.vertex_of(d) for d in m.outer_orbit)
-    names: list[Hashable] = [tuple(sorted(boundary))]
-    index = {}
-    for v in range(m.n_vertices):
-        if v not in boundary:
-            index[v] = len(names)
-            names.append(v)
-    edges = []
-    c = 0.5
-    for e in range(m.n_edges):
-        u, v = m.endpoints(e)
-        bu, bv = u in boundary, v in boundary
-        if bu and bv:
-            c *= math.exp(J[e])
-        else:
-            edges.append((0 if bu else index[u], 0 if bv else index[v], J[e]))
-    return ReducedGraph(len(names), tuple(edges), tuple(names)), c
-
-
-def ising_Z_reduced(rg: ReducedGraph) -> float:
-    return _spin_sum(rg.n_vertices, list(rg.edges), frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +285,10 @@ def complex_det(rows: Sequence) -> complex:
     columns 0..n-1); both are copied, never changed.  Markowitz order with
     threshold partial pivoting: the active column with the fewest entries,
     then, of its entries of modulus >= 0.1 * the column's largest, the one
-    in the shortest row (the largest on a tie).  The 0x0 determinant is 1;
-    an empty pivot column, or one whose largest entry is below 1e-13 in
-    modulus, makes the result 0.
+    in the shortest row (the largest on a tie, then the first in the
+    column's set order), chosen in one pass over the column.  The 0x0
+    determinant is 1; an empty pivot column, or one whose largest entry is
+    below 1e-13 in modulus, makes the result 0.
     """
     n = len(rows)
     a: list[dict[int, complex]] = []
@@ -376,9 +321,15 @@ def complex_det(rows: Sequence) -> complex:
         big = max(mods, default=0.0)
         if big < 1e-13:
             return 0j
-        # position k in the set's order keeps the first candidate on a tie
-        p = min((len(a[i]), -x, k, i) for k, (i, x) in
-                enumerate(zip(cand, mods)) if x >= 0.1 * big)[3]
+        # one pass in set order; only a strictly better candidate replaces
+        # the kept one, so a tie keeps the first
+        low = 0.1 * big
+        p, p_len, p_mod = -1, n + 1, 0.0
+        for i, x in zip(cand, mods):
+            if x >= low:
+                k = len(a[i])
+                if k < p_len or (k == p_len and x > p_mod):
+                    p, p_len, p_mod = i, k, x
         col_of_row[p] = c
         prow = a[p]
         piv = prow.pop(c)
@@ -386,15 +337,17 @@ def complex_det(rows: Sequence) -> complex:
         cand.discard(p)
         for j in prow:
             col_rows[j].discard(p)
+        pivot_items = list(prow.items())
         for i in cand:
             row = a[i]
             f = row.pop(c) / piv
-            for j, x in prow.items():
-                if j in row:
-                    row[j] -= f * x
-                else:
+            for j, x in pivot_items:
+                y = row.get(j)
+                if y is None:
                     row[j] = -f * x
                     col_rows[j].add(i)
+                else:
+                    row[j] = y - f * x
         for j in prow:
             heapq.heappush(heap, (len(col_rows[j]), j))
     # sign of the permutation row -> pivot column, one transposition at a time

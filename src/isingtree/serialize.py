@@ -62,12 +62,20 @@ def map_to_json_dict(m: PlanarMap,
 
 
 def _vertex_rows(m: PlanarMap):
-    """(id, x, y, tag) per vertex; x, y and tag are None when absent."""
-    coords, tags = m.coords, m.tags
-    for v in range(m.n_vertices):
-        z = coords[v] if coords is not None else None
-        yield (v, None if z is None else z.real, None if z is None else z.imag,
-               tags[v] if tags is not None else None)
+    """(id, x, y, tag) per vertex, isolated vertices last with their
+    isolated tags; x, y and tag are None when absent."""
+    coords = m.coords or ()
+    for v, tag in enumerate(_vertex_tags(m)):
+        if v < len(coords):
+            yield v, coords[v].real, coords[v].imag, tag
+        else:
+            yield v, None, None, tag
+
+
+def _vertex_tags(m: PlanarMap) -> tuple:
+    """Tag per vertex id, isolated vertices included; None when absent."""
+    tags = m.tags if m.tags is not None else (None,) * len(m.vertices)
+    return tags + m.isolated_tags
 
 
 def _angle_rows(m: PlanarMap, theta, theta_exact):
@@ -110,20 +118,10 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     if [r["id"] for r in vertices] != list(range(len(vertices))):
         raise MapError("vertex ids must be 0..%d" % (len(vertices) - 1))
 
-    # orbits first, to check the declared incidences and find the outer face
-    m = PlanarMap(sigma, 0 if n else None)
-    outer = data["outer_face"] if n else None
-    if n and not 0 <= outer < len(m.faces):
-        raise MapError("no face with id %d" % outer)
-    covered = len(m.vertices)
-    if len(vertices) < covered:
-        raise MapError("fewer vertices than sigma orbits")
-    for r in darts:
-        if m.vertex_of(r["id"]) != r["vertex"]:
-            raise MapError("dart %d: vertex %d does not match the rotation "
-                           "orbits (expected %d)"
-                           % (r["id"], r["vertex"], m.vertex_of(r["id"])))
-
+    # a valid document declares one vertex per sigma orbit, so the declared
+    # incidences give the orbit count before the map is built; the checks
+    # below reject every document where they do not
+    covered = len({r["vertex"] for r in darts})
     coords = None
     if all(r["x"] is not None and r["y"] is not None for r in vertices):
         coords = [complex(r["x"], r["y"]) for r in vertices[:covered]]
@@ -131,9 +129,21 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     if any(r.get("tag") is not None for r in vertices):
         tags = [r.get("tag") for r in vertices[:covered]]
     isolated = tuple(r.get("tag") for r in vertices[covered:])
+    m = PlanarMap(sigma, 0 if n else None, coords=coords, tags=tags,
+                  isolated_tags=isolated)
 
-    m = PlanarMap(sigma, m.faces[outer][0] if n else None, coords=coords,
-                  tags=tags, isolated_tags=isolated)
+    outer = data["outer_face"] if n else None
+    if n and not 0 <= outer < len(m.faces):
+        raise MapError("no face with id %d" % outer)
+    if len(vertices) < len(m.vertices):
+        raise MapError("fewer vertices than sigma orbits")
+    for r in darts:
+        if m.vertex_of(r["id"]) != r["vertex"]:
+            raise MapError("dart %d: vertex %d does not match the rotation "
+                           "orbits (expected %d)"
+                           % (r["id"], r["vertex"], m.vertex_of(r["id"])))
+    if n:
+        m = m.with_outer_dart(m.faces[outer][0])
 
     exact = None
     if "angles" in data:
@@ -202,13 +212,12 @@ _DOT_PLACED = _DOT_NODE[:-2] + ', pos="%.6f,%.6f!"];'
 def map_to_dot(m: PlanarMap, name: str = "g") -> str:
     lines = ["graph %s {" % name, "  layout=neato;",
              "  node [fontsize=10, fixedsize=false];"]
-    coords, tags = m.coords, m.tags
-    n_placed = len(coords) if coords is not None else 0
-    for v in range(m.n_vertices):
-        tag = tags[v] if tags is not None else None
+    coords = m.coords or ()
+    keys = m.vertex_keys or ()   # isolated vertices have none: their id
+    for v, tag in enumerate(_vertex_tags(m)):
         shape, fill, font = _TAG_STYLE.get(tag, ("circle", "white", "black"))
-        label = _label(m.vertex_key(v))
-        if v < n_placed:
+        label = _label(keys[v] if v < len(keys) else v)
+        if v < len(coords):
             z = coords[v]
             lines.append(_DOT_PLACED % (v, label, shape, fill, font,
                                         z.real, z.imag))

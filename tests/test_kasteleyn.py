@@ -1,6 +1,7 @@
 """Phased adjacency matrix of the quadri-tiling graph and its determinant."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -94,6 +95,15 @@ PINNED = {
         complex(8464940.202652773, -5.2714684838189603e-08),
         complex(8464940.20265278, -1.2609087319426931e-08),
         complex(8464940.202652767, -1.422319534489973e-08))),
+    # the det_chain sizes, recorded before the pivot step became one pass
+    "grid10x10": (grid(10, 10), (
+        complex(5.1296171857301235e+20, -17137664.0),
+        complex(5.1296171857301294e+20, 1066803.2878839213),
+        complex(5.129617185730112e+20, 744694.9635871055))),
+    "rhombic10x10": (rhombic(10, 10, Fraction(1, 6)), (
+        complex(5.894767587219229e+18, -160256.0),
+        complex(5.894767587219218e+18, -67072.0),
+        complex(5.894767587219191e+18, -65536.0))),
 }
 
 
@@ -121,6 +131,32 @@ def test_rows_are_sparse_and_det_is_unchanged(pipelines):
         got = (K.det(), matrix_tree_Z(g0.graph, co.ROOT),
                matrix_tree_Z(co.build_G(g0).graph, co.ROOT))
         assert got == want
+
+
+# (max deviation, sha256 of repr(curvatures)), recorded when each face
+# computed e^{i phi} for both its own darts; the unit-phase table must fold
+# the same factors in the same order
+FLATNESS = {
+    "C3": (6.661338147750939e-16,
+           "949c943386ab4ec6f2120f47c86008e472d525d345c95fc354212f1454c04a98"),
+    "C4": (7.550332863779061e-16,
+           "ea78a59286d6295e6b0e001ef0c0a7fb5a9380ebf67f1ee0a5101737c4064e37"),
+    "grid": (9.43689570931383e-16,
+             "ffadb9721776f50f3ba2e504614d00e747004e79b7418d963e51844b24c4d0df"),
+    "grid10x10": (1.5987211554602254e-14,
+                  "312b0ed2d60758a1c9251c97cfb4937ebcc68b0b303705f3ea66a0422241e1be"),
+}
+
+
+def test_flatness_is_pinned(pipelines):
+    chains = {name: (p.gq, p.iso, p.bnd) for name, p in pipelines.items()}
+    m, exact = grid(10, 10)
+    iso = validate_isoradial(m, exact)
+    chains["grid10x10"] = (quadri_tiling(m), iso, boundary_angles(iso))
+    for name, (gq, iso, bnd) in chains.items():
+        rep = check_flat(gq, assign_phases(gq, iso, bnd))
+        digest = hashlib.sha256(repr(rep.curvatures).encode()).hexdigest()
+        assert (rep.max_deviation, digest) == FLATNESS[name]
 
 
 def test_nonflat_phasing_warns(c3):

@@ -1,11 +1,13 @@
 """Combinatorial map construction, validation, duality, isomorphism."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isingtree.derived import extended_double
 from isingtree.generators import cycle, grid
 from isingtree.maps import (DegreeTooLowError, DisconnectedError, MapError,
-                            NonPlanarError, NotSimpleError,
+                            NonPlanarError, NotSimpleError, PlanarMap,
                             build_map, canonical_key, dual_map, is_isomorphic,
                             map_from_rotations, restricted_dual,
                             validate_simple_input)
@@ -199,3 +201,47 @@ def test_key_ends_adds_no_instance_attribute():
     moved = dd.with_outer_dart(dd.faces[0][0])
     assert set(vars(moved)) == names
     assert moved.key_ends == ends
+
+
+def _orbit_of(perm, start):
+    orbit, d = [start], perm[start]
+    while d != start:
+        orbit.append(d)
+        d = perm[d]
+    return tuple(orbit)
+
+
+permutations = st.integers(1, 12).flatmap(
+    lambda k: st.permutations(range(2 * k)))
+
+
+@given(permutations)
+def test_orbits_of_any_permutation(sigma):
+    m = PlanarMap(sigma, 0)
+    n = len(sigma)
+    assert m.sigma_inv == tuple(sorted(range(n), key=sigma.__getitem__))
+    phi = tuple(m.phi(d) for d in range(n))
+    assert phi == tuple(m.sigma_inv[d ^ 1] for d in range(n))
+    for perm, orbits, orbit_of in ((sigma, m.vertices, m.vertex_of),
+                                   (phi, m.faces, m.face_of)):
+        assert [orb[0] for orb in orbits] == sorted(orb[0] for orb in orbits)
+        assert all(orb[0] == min(orb) for orb in orbits)
+        assert sorted(d for orb in orbits for d in orb) == list(range(n))
+        for i, orb in enumerate(orbits):
+            assert orb == _orbit_of(perm, orb[0])
+            assert all(orbit_of(d) == i for d in orb)
+    assert m.outer_face == m.face_of(0)
+
+
+@given(permutations, st.data())
+def test_a_bad_sigma_entry_is_a_map_error(sigma, data):
+    n = len(sigma)
+    bad = list(sigma)
+    i = data.draw(st.integers(0, n - 1))
+    bad[i] = data.draw(st.one_of(
+        st.sampled_from([sigma[j] for j in range(n) if j != i]),  # duplicate
+        st.integers(n, 3 * n),                                     # too big
+        st.integers(-3 * n, -1)))                                  # negative
+    with pytest.raises(MapError, match="sigma is not a permutation of 0..%d"
+                       % (n - 1)):
+        PlanarMap(bad, 0)

@@ -18,9 +18,8 @@ from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                complex_det, det_cofactor, dimer_Z, dual_tree,
                                enumerate_matchings, enumerate_osts,
                                enumerate_spanning_trees, ising_Z,
-                               ising_Z_plus, ising_Z_reduced, is_spanning_tree,
-                               matrix_tree_Z, ost_Z, permanent01,
-                               plus_boundary_reduce)
+                               is_spanning_tree, matrix_tree_Z, ost_Z,
+                               permanent01)
 
 
 def test_triangle_ising_closed_form():
@@ -35,27 +34,6 @@ def test_square_ising_closed_form():
     J = 0.52
     assert ising_Z(m, (J,) * 4) == pytest.approx(
         2 * math.exp(4 * J) + 12 + 2 * math.exp(-4 * J))
-
-
-def test_plus_boundary_all_boundary_graph():
-    m, _ = cycle(3)
-    J = (0.4, 0.7, 0.2)
-    assert ising_Z_plus(m, J) == pytest.approx(math.exp(sum(J)))
-
-
-def test_plus_boundary_grid_closed_form():
-    m, _ = grid(3, 3)
-    J = 0.31
-    # 8 boundary-boundary edges all agree; only the centre spin is free
-    assert ising_Z_plus(m, (J,) * 12) == pytest.approx(
-        math.exp(8 * J) * (math.exp(4 * J) + math.exp(-4 * J)))
-
-
-def test_plus_boundary_reduction_identity(pipelines):
-    for p in pipelines.values():
-        J = tuple(0.2 + 0.05 * e for e in range(p.m.n_edges))
-        rg, c = plus_boundary_reduce(p.m, J)
-        assert c * ising_Z_reduced(rg) == pytest.approx(ising_Z_plus(p.m, J))
 
 
 @pytest.mark.parametrize("name,count", [("C3", 20), ("C4", 49), ("grid", 25416)])

@@ -1,5 +1,6 @@
 """JSON round trips, loader validation, DOT export, report shapes."""
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 
 from isingtree.derived import quad_graph
 from isingtree.generators import cycle, grid, rhombic
-from isingtree.maps import (MapError, PlanarMap, canonical_key, dual_map,
-                            is_isomorphic, restricted_dual)
+from isingtree.maps import (MapError, PlanarMap, build_map, canonical_key,
+                            dual_map, is_isomorphic, restricted_dual)
 from isingtree.oracles import Arc, WeightedDigraph
 from isingtree.report import Report, check
 from isingtree.serialize import (digraph_to_dot, digraph_to_json_dict,
@@ -103,6 +104,75 @@ def test_loader_rejects_out_of_range_dart_reference():
     data["darts"][0]["next"] = 99
     with pytest.raises(MapError):
         loads_map(json.dumps(data))
+
+
+def _all_darts_at_vertex_0(data):
+    for r in data["darts"]:
+        r["vertex"] = 0
+
+
+# one edit of the C3 document each, with the loader's message; recorded from
+# the loader that built a throwaway map to count orbits and find the outer
+# face, so one map build must keep every check and its wording
+LOADER_ERRORS = [
+    (lambda d: d["darts"][0].update(twin=2), "dart 0: twin must be 1"),
+    (lambda d: d["darts"][3].update(id=17), "dart ids must be 0..5"),
+    (lambda d: d["darts"][0].update(vertex=1),
+     "dart 0: vertex 1 does not match the rotation orbits (expected 0)"),
+    (lambda d: d["darts"][0].update(vertex=7),
+     "dart 0: vertex 7 does not match the rotation orbits (expected 0)"),
+    (_all_darts_at_vertex_0,
+     "dart 1: vertex 0 does not match the rotation orbits (expected 1)"),
+    (lambda d: d.update(outer_face=99), "no face with id 99"),
+    (lambda d: d["darts"][0].update(next=99),
+     "sigma is not a permutation of 0..5"),
+    (lambda d: d["vertices"].pop(), "fewer vertices than sigma orbits"),
+    (lambda d: d["darts"].pop(), "odd number of darts"),
+    (lambda d: d.clear(), "malformed graph document: 'darts'"),
+]
+
+
+@pytest.mark.parametrize("edit,message", LOADER_ERRORS)
+def test_loader_error_messages(edit, message):
+    data = map_to_json_dict(cycle(3)[0])
+    assert [r["vertex"] for r in data["darts"]] == [0, 1, 0, 2, 2, 1]
+    edit(data)
+    with pytest.raises(MapError) as exc:
+        loads_map(json.dumps(data))
+    assert str(exc.value) == message
+
+
+def _bowtie():
+    """A triangle and a square with the diagonal 3-5, sharing vertex 0."""
+    pos = {0: 0j, 1: -1 + 1j, 2: -1 - 1j, 3: 1 - 1j, 4: 2 + 0j, 5: 1 + 1j}
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 0), (3, 5)]
+
+    def angle(v, e):
+        u, w = edges[e]
+        return cmath.phase(pos[w if u == v else u] - pos[v])
+
+    rotations = {v: sorted((e for e, uv in enumerate(edges) if v in uv),
+                           key=lambda e: angle(v, e)) for v in pos}
+    m = build_map(edges, rotations, (0, 0))
+    return m.with_outer_dart(max(m.faces, key=len)[0])
+
+
+def test_writers_keep_isolated_vertices_of_a_tagged_map():
+    rd = restricted_dual(_bowtie())
+    assert (len(rd.vertices), rd.n_isolated, rd.n_edges) == (2, 1, 1)
+    back, _ = loads_map(dumps_map(rd))
+    assert back.sigma == rd.sigma
+    assert back.outer_face == rd.outer_face
+    assert back.tags == rd.tags == ("dual", "dual")
+    assert back.isolated_tags == rd.isolated_tags == ("dual",)
+    assert back.coords is None
+    _assert_map_text(rd)
+    assert json.loads(dumps_map(rd))["vertices"][2] == {
+        "id": 2, "tag": "dual", "x": None, "y": None}
+    nodes = [line for line in map_to_dot(rd).splitlines()
+             if line.startswith("  v") and " -- " not in line]
+    assert len(nodes) == rd.n_vertices == 3
+    assert all("shape=diamond" in line for line in nodes)
 
 
 def test_dot_export_of_quadri_tiling(c4):
