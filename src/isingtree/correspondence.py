@@ -36,8 +36,7 @@ from .derived import ExtendedPair, extended_double, extended_pair, quadri_tiling
 from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
                         boundary_angles, critical_couplings, dimer_weights,
                         double_weights, tree_weights_tau, validate_isoradial)
-from .kasteleyn import (KasteleynMatrix, assign_phases, build_kasteleyn,
-                        check_flat)
+from .kasteleyn import KasteleynMatrix, build_kasteleyn
 from .maps import PlanarMap
 from .oracles import (Arc, TooLargeError, WeightedDigraph, dimer_Z,
                       enumerate_spanning_trees, ising_Z, is_spanning_tree,
@@ -82,7 +81,8 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
     for d in range(len(m.sigma)):
         sd = m.sigma[d]
         row = K.rows[wi[("w", sd)]]
-        cos, sin = (row.get(bi[("b", x)], 0j) for x in (sd, sd ^ 1))
+        cos = row.get(bi[("b", sd)], 0j)
+        sin = row.get(bi[("b", sd ^ 1)], 0j)
         arcs.append(Arc(("c", d), ("c", sd), cos, "cos"))
         arcs.append(Arc(("c", d), ("c", sd ^ 1), sin, "sin"))
         if m.is_outer_dart(d):
@@ -695,11 +695,9 @@ def verify_main_theorem(m: PlanarMap,
     iso = validate_isoradial(m, theta_exact)
     bnd = boundary_angles(iso)
     gq = quadri_tiling(m)
-    phases = assign_phases(gq, iso, bnd)
-    flat = check_flat(gq, phases)
+    K = build_kasteleyn(gq, iso, bnd)
     rep.add(check("flat-phasing[max curvature deviation]",
-                  flat.max_deviation, 0.0, tol, absolute=True))
-    K = build_kasteleyn(gq, iso, bnd, phases)
+                  K.flatness.max_deviation, 0.0, tol, absolute=True))
     detK = K.det()
 
     J = critical_couplings(iso)

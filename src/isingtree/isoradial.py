@@ -68,10 +68,11 @@ def validate_isoradial(m: PlanarMap,
     if m.coords is None:
         raise NotIsoradialError("map carries no coordinates")
 
+    coords = m.coords
     theta = []
     for e in range(m.n_edges):
-        x, y = (m.coords[v] for v in m.endpoints(e))
-        half = abs(y - x) / 2.0
+        u, v = m.endpoints(e)
+        half = abs(coords[v] - coords[u]) / 2.0
         if half <= tol or half >= 1.0 - tol:
             raise AngleOutOfRangeError(
                 "edge %d has length %.12g; need theta in (0, pi/2)"

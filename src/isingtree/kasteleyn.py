@@ -84,7 +84,7 @@ def check_flat(gq: PlanarMap, phases: Mapping,
 
 def _unit_phases(gq: PlanarMap, phases: Mapping) -> list[complex]:
     """e^{i phi} per edge id of gq."""
-    return [cmath.exp(1j * phases[gq.edge_key(e)]) for e in range(gq.n_edges)]
+    return [cmath.exp(1j * phases[key]) for key in gq.edge_keys]
 
 
 def _flatness(gq: PlanarMap, unit: list[complex],
@@ -113,10 +113,13 @@ def _flatness(gq: PlanarMap, unit: list[complex],
 @dataclass(frozen=True)
 class KasteleynMatrix:
     """White-by-black phased adjacency matrix of the quadri-tiling graph;
-    row i maps the index of each black neighbour to its entry, ascending."""
+    row i maps the index of each black neighbour to its entry, ascending.
+    ``flatness`` is the `check_flat` report of the phasing the build used
+    (the same floats), so callers need not compute it a second time."""
     whites: tuple
     blacks: tuple
     rows: tuple[dict[int, complex], ...]
+    flatness: FlatnessReport
 
     def det(self) -> complex:
         return complex_det(self.rows)
@@ -127,8 +130,10 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     """K[w, b] = nu_wb e^{i phi_wb}, summed over the quadri-tiling edges in
     edge order into one sparse row per white.
 
-    If the supplied (or default) phasing is not flat a warning is printed and
-    the matrix is still returned; |det K| then need not equal the dimer sum.
+    The phasing's flatness is checked as `check_flat` does and kept as
+    ``K.flatness``.  If the supplied (or default) phasing is not flat a
+    warning is printed and the matrix is still returned; |det K| then need
+    not equal the dimer sum.
     """
     if phases is None:
         phases = assign_phases(gq, iso, bnd)
@@ -144,22 +149,23 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     wi = {k: i for i, k in enumerate(whites)}
     bi = {k: i for i, k in enumerate(blacks)}
     rows: list[dict[int, complex]] = [{} for _ in whites]
-    for e in range(gq.n_edges):
-        key = gq.edge_key(e)
-        ka, kb = (gq.vertex_key(v) for v in gq.endpoints(e))
-        wkey, bkey = (ka, kb) if ka[0] == "w" else (kb, ka)
-        kind, d = key
+    keys, theta = gq.vertex_keys, iso.theta
+    for e, (kind, d) in enumerate(gq.edge_keys):
+        u, v = gq.endpoints(e)
+        if keys[u][0] != "w":
+            u, v = v, u
+        r, j = rows[wi[keys[u]]], bi[keys[v]]
         if kind == "cp":
-            mod = math.cos(iso.theta[d >> 1])
+            mod = math.cos(theta[d >> 1])
         elif kind == "cd":
-            mod = math.sin(iso.theta[d >> 1])
+            mod = math.sin(theta[d >> 1])
         else:
             mod = 1.0
-        r, j = rows[wi[wkey]], bi[bkey]
         r[j] = r.get(j, 0j) + mod * unit[e]
     # quadri_tiling numbers the edges black by black in key order, so the
     # keys of every row arrive in ascending column order
-    return KasteleynMatrix(whites=whites, blacks=blacks, rows=tuple(rows))
+    return KasteleynMatrix(whites=whites, blacks=blacks, rows=tuple(rows),
+                           flatness=flat)
 
 
 def verify_squared_ising(m: PlanarMap, iso: IsoradialData,

@@ -207,7 +207,10 @@ class PlanarMap:
         return self._edge_index[key]
 
     def vertex_key(self, v: int) -> Hashable:
-        return self.vertex_keys[v] if self.vertex_keys is not None else v
+        """The caller's label of vertex v; v itself without keys or for an
+        isolated vertex (keys label only the sigma-orbit vertices)."""
+        keys = self.vertex_keys
+        return keys[v] if keys is not None and v < len(keys) else v
 
     def edge_key(self, e: int) -> Hashable:
         return self.edge_keys[e] if self.edge_keys is not None else e
@@ -325,9 +328,11 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
         _raise_bad_edge_count(rotations, vertex_keys)
 
     sigma = [0] * (2 * len(edge_keys))
-    for ds in darts_of.values():
-        for d, nxt in zip(ds, ds[1:] + ds[:1]):
-            sigma[d] = nxt
+    for ds in filter(None, darts_of.values()):   # empty rotations: no darts
+        prev = ds[-1]
+        for d in ds:
+            sigma[prev] = d
+            prev = d
 
     outer_dart = None
     if outer is not None:
@@ -456,7 +461,7 @@ def dual_map(m: PlanarMap) -> PlanarMap:
     """
     if not m.sigma:
         raise MapError("dual of a dartless map is undefined")
-    sigma_star = tuple(m.phi(d) for d in range(len(m.sigma)))
+    sigma_star = m._phi
     d0 = m.outer_dart
     coords = None
     if m.coords is not None:

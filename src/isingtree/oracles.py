@@ -23,9 +23,9 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import compress
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .maps import PlanarMap, dual_map
+from .maps import PlanarMap
 
 
 class TooLargeError(Exception):
@@ -168,8 +168,10 @@ def permanent01(rows: Sequence[Sequence[int]]) -> int:
 # weighted digraphs and oriented spanning trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
+    """Weighted arc tail -> head; `kind` is its corner-graph role ("cos",
+    "sin", "root", "b3w", "b3r") or "".  A named tuple (immutable, equal
+    and hashed by its fields) builds in half a frozen dataclass's time."""
     tail: Hashable
     head: Hashable
     weight: complex
@@ -376,7 +378,7 @@ def det_cofactor(rows: Sequence[Sequence[complex]]) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# undirected spanning trees and tree duality
+# undirected spanning trees
 # ---------------------------------------------------------------------------
 
 def _find(p: list[int], x: int) -> int:
@@ -448,20 +450,3 @@ def enumerate_spanning_trees(m: PlanarMap) -> Iterator[tuple[int, ...]]:
             child[ru] = rv
             stack.append((idx + 1, child, len(chosen), idx))
 
-
-def dual_tree(m: PlanarMap, tree_edges: Iterable[int]) -> tuple[int, ...]:
-    """Complementary spanning tree of the dual map.
-
-    Validates that `tree_edges` is a spanning tree of m, then returns the
-    remaining edge ids, which always form a spanning tree of dual_map(m)
-    (checked).  Raises ValueError on a non-tree input."""
-    tset = frozenset(tree_edges)
-    if not is_spanning_tree(m.n_vertices,
-                            [m.endpoints(e) for e in sorted(tset)]):
-        raise ValueError("input edges do not form a spanning tree")
-    rest = tuple(e for e in range(m.n_edges) if e not in tset)
-    dual = dual_map(m)
-    if not is_spanning_tree(dual.n_vertices,
-                            [dual.endpoints(e) for e in rest]):
-        raise ValueError("complement fails to span the dual map")
-    return rest

@@ -213,10 +213,9 @@ def map_to_dot(m: PlanarMap, name: str = "g") -> str:
     lines = ["graph %s {" % name, "  layout=neato;",
              "  node [fontsize=10, fixedsize=false];"]
     coords = m.coords or ()
-    keys = m.vertex_keys or ()   # isolated vertices have none: their id
     for v, tag in enumerate(_vertex_tags(m)):
         shape, fill, font = _TAG_STYLE.get(tag, ("circle", "white", "black"))
-        label = _label(keys[v] if v < len(keys) else v)
+        label = _label(m.vertex_key(v))
         if v < len(coords):
             z = coords[v]
             lines.append(_DOT_PLACED % (v, label, shape, fill, font,
@@ -243,7 +242,7 @@ def digraph_to_dot(g: WeightedDigraph, name: str = "g") -> str:
 
 def _label(key) -> str:
     if isinstance(key, tuple):
-        return ",".join(str(k) for k in key)
+        return ",".join(map(str, key))
     return str(key)
 
 
@@ -286,7 +285,14 @@ def _json_list(records: list[str]) -> str:
 
 
 def _json_scalar(x) -> str:
-    """One JSON leaf, as ``json.dumps`` writes it."""
+    """One JSON leaf, as ``json.dumps`` writes it.  Finite floats, the
+    commonest leaf, are tested first."""
+    if isinstance(x, float):
+        if -inf < x < inf:
+            return float.__repr__(x)
+        if x != x:
+            return "NaN"
+        return "Infinity" if x > 0 else "-Infinity"
     if isinstance(x, str):
         return _json_str(x)
     if x is None:
@@ -297,12 +303,6 @@ def _json_scalar(x) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x in (inf, -inf):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
     raise TypeError("Object of type %s is not JSON serializable"
                     % type(x).__name__)
 

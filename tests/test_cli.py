@@ -139,6 +139,24 @@ def test_export_directed_stages(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("digraph")
 
 
+def test_verify_calls_in_one_process_share_no_options(capsys):
+    assert main(["verify", "--generator", "cycle:4",
+                 "--tolerance", "1e-300"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["verify", "--generator", "cycle:4"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_export_without_out_after_one_with_out_writes_stdout(tmp_path,
+                                                             capsys):
+    path = tmp_path / "g0.json"
+    argv = ["export", "G0", "--generator", "cycle:4", "--format", "json"]
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
 def test_export_unknown_target_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["export", "octagon", "--generator", "cycle:3"])

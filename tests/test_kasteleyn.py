@@ -165,6 +165,19 @@ def test_nonflat_phasing_warns(c3):
         build_kasteleyn(c3.gq, c3.iso, c3.bnd, phases=zero)
 
 
+def test_build_keeps_the_flatness_report_of_its_phasing(pipelines):
+    # the same floats as check_flat on the same phasing, flat or not
+    for p in pipelines.values():
+        assert p.K.flatness == check_flat(p.gq, assign_phases(p.gq, p.iso,
+                                                              p.bnd))
+    c3 = pipelines["C3"]
+    zero = {k: 0.0 for k in c3.gq.edge_keys}
+    with pytest.warns(UserWarning):
+        K = build_kasteleyn(c3.gq, c3.iso, c3.bnd, phases=zero)
+    assert K.flatness == check_flat(c3.gq, zero)
+    assert not K.flatness.flat
+
+
 @pytest.mark.parametrize("name", ["C3", "C4", "grid"])
 def test_squared_ising_identity(pipelines, name):
     p = pipelines[name]

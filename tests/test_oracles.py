@@ -1,6 +1,7 @@
 """Brute-force oracles: spins, matchings, determinants, spanning trees."""
 
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from isingtree.generators import cycle, grid
 from isingtree.isoradial import boundary_angles, validate_isoradial
 from isingtree.kasteleyn import build_kasteleyn
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
-                               complex_det, det_cofactor, dimer_Z, dual_tree,
+                               complex_det, det_cofactor, dimer_Z,
                                enumerate_matchings, enumerate_osts,
                                enumerate_spanning_trees, ising_Z,
                                is_spanning_tree, matrix_tree_Z, ost_Z,
@@ -154,15 +155,22 @@ def test_is_spanning_tree_rejects_cycles_and_forests():
     assert not is_spanning_tree(4, [(0, 1), (1, 2), (2, 0)])  # cycle, misses 3
 
 
-def test_dual_tree_complement(grid33):
-    m = grid33.m
-    for tree in enumerate_spanning_trees(m):
-        rest = dual_tree(m, tree)
-        assert len(rest) == m.n_edges - len(tree)
-        assert not set(rest) & set(tree)
-        break
-    with pytest.raises(ValueError):
-        dual_tree(m, range(m.n_vertices - 1))  # edges 0..7 contain a cycle
+def test_arc_record_contract():
+    params = inspect.signature(Arc).parameters
+    assert list(params) == ["tail", "head", "weight", "kind"]
+    assert [p.default for p in params.values()] == [
+        inspect.Parameter.empty] * 3 + [""]
+    a = Arc(("c", 0), ("r",), 1 + 2j, "cos")
+    assert (a.tail, a.head, a.weight, a.kind) == (("c", 0), ("r",), 1 + 2j,
+                                                  "cos")
+    assert Arc(1, 0, 2.0).kind == ""
+    for field in ("tail", "head", "weight", "kind"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+    b = Arc(("c", 0), ("r",), 1 + 2j, "cos")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Arc(("c", 0), ("r",), 1 + 2j)
+    assert Arc(tail=1, head=0, weight=2.0) == Arc(1, 0, 2.0, "")
 
 
 def test_spin_cap_enforced(monkeypatch):

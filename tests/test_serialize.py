@@ -13,9 +13,10 @@ from isingtree.maps import (MapError, PlanarMap, build_map, canonical_key,
                             dual_map, is_isomorphic, restricted_dual)
 from isingtree.oracles import Arc, WeightedDigraph
 from isingtree.report import Report, check
-from isingtree.serialize import (digraph_to_dot, digraph_to_json_dict,
-                                 dumps_digraph, dumps_map, dumps_report,
-                                 loads_map, map_to_dot, map_to_json_dict)
+from isingtree.serialize import (_json_scalar, digraph_to_dot,
+                                 digraph_to_json_dict, dumps_digraph,
+                                 dumps_map, dumps_report, loads_map,
+                                 map_to_dot, map_to_json_dict)
 
 
 def test_map_round_trip_keeps_structure_and_coords(pipelines):
@@ -175,6 +176,16 @@ def test_writers_keep_isolated_vertices_of_a_tagged_map():
     assert all("shape=diamond" in line for line in nodes)
 
 
+def test_vertex_key_of_an_isolated_vertex_is_its_id():
+    rd = restricted_dual(_bowtie())
+    assert rd.vertex_keys == (("f", 2), ("f", 3))
+    assert [rd.vertex_key(v) for v in range(rd.n_vertices)] == [
+        ("f", 2), ("f", 3), 2]
+    labels = [line.split('"')[1] for line in map_to_dot(rd).splitlines()
+              if line.startswith("  v") and " -- " not in line]
+    assert labels == ["f,2", "f,3", "2"]
+
+
 def test_dot_export_of_quadri_tiling(c4):
     dot = map_to_dot(c4.gq)
     assert dot.count("shape=") >= 16  # one styled node per vertex
@@ -258,6 +269,18 @@ def test_dumps_digraph_edge_cases():
     assert '  n0 -> n1 [label=""];\n' in digraph_to_dot(g)
     assert dumps_digraph(WeightedDigraph(nodes=(), arcs=())) == (
         '{\n  "arcs": [],\n  "nodes": []\n}\n')
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 5e-324, -5e-324, 1e308, 0.1, -2.5e17, float("nan"),
+    float("inf"), -float("inf"), _Float(1.5), _Float(float("-inf")),
+    True, False, None, 0, -7, 2 ** 70, "", "caf\u00e9 \"q\"\t"])
+def test_json_scalar_equals_json_dumps(x):
+    assert _json_scalar(x) == json.dumps(x)
 
 
 def test_report_serialization_round_trip():
