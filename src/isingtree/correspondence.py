@@ -52,11 +52,6 @@ class DirectedModel:
     together with the primal map its corners refer to."""
     graph: WeightedDigraph
     map: PlanarMap
-    stage: str  # "corner" | "split"
-
-    @property
-    def root(self):
-        return ROOT
 
 
 def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
@@ -89,7 +84,7 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
             # a left fold: the same digits under every interpreter
             arcs.append(Arc(("c", d), ROOT, -reduce(add, row.values(), 0j),
                             "root"))
-    return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m, "corner")
+    return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m)
 
 
 def permutation_sign(m: PlanarMap) -> int:
@@ -132,7 +127,7 @@ def build_G(g0: DirectedModel) -> DirectedModel:
             split = rho0 / (w0[(d, "cos")] + w0[(d, "sin")])
             arcs.append(Arc(("b", d), ("w", d), 1.0 + 0j, "b3w"))
             arcs.append(Arc(("b", d), ROOT, split, "b3r"))
-    return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m, "split")
+    return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m)
 
 
 # ---------------------------------------------------------------------------

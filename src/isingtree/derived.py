@@ -38,24 +38,16 @@ from .maps import MapError, PlanarMap, map_from_rotations
 # diamond graph
 # ---------------------------------------------------------------------------
 
-def quad_graph(m: PlanarMap, restricted: bool = False) -> PlanarMap:
+def quad_graph(m: PlanarMap) -> PlanarMap:
     """Diamond graph: vertices of m plus its faces, one edge per corner.
 
-    With ``restricted=True`` the outer face vertex and every corner incident
-    to it are dropped; faces in the full mode are the rhombi of the isoradial
-    embedding plus one outer quadrangle.  The full diamond's outer face is
-    designated as the quadrangle of the minimal boundary corner; in
-    restricted mode, as the unique face of maximal length (the boundary
-    face), ties broken by smallest id.
+    Its faces are the rhombi of the isoradial embedding plus one outer
+    quadrangle, the quadrangle of the minimal boundary corner.
     """
     rotations: dict[Hashable, list[Hashable]] = {}
     for v in range(len(m.vertices)):
-        rot = [("c", d) for d in m.vertices[v]
-               if not (restricted and m.is_outer_dart(d))]
-        rotations[("p", v)] = rot
+        rotations[("p", v)] = [("c", d) for d in m.vertices[v]]
     for f in range(len(m.faces)):
-        if restricted and f == m.outer_face:
-            continue
         rotations[("f", f)] = [("c", d) for d in m.faces[f]]
 
     coords = None
@@ -64,19 +56,9 @@ def quad_graph(m: PlanarMap, restricted: bool = False) -> PlanarMap:
         for f in range(len(m.faces)):
             pts = [m.coords[m.vertex_of(d)] for d in m.faces[f]]
             coords[("f", f)] = sum(pts) / len(pts)
-        coords = {k: coords[k] for k in rotations}
     tags = {k: ("primal" if k[0] == "p" else "dual") for k in rotations}
 
     d0 = min(m.outer_orbit)
-    if restricted:
-        # corner alpha(d0) is always kept (its left face is inner); use it
-        # provisionally, then move the outer face to the max-length face.
-        q = map_from_rotations(
-            rotations, (("p", m.vertex_of(d0 ^ 1)), ("c", d0 ^ 1)),
-            coords=coords, tags=tags)
-        best = max(range(len(q.faces)), key=lambda f: (len(q.faces[f]), -f))
-        return q.with_outer_dart(q.faces[best][0])
-
     q = map_from_rotations(rotations, (("p", m.vertex_of(d0)), ("c", d0)),
                            coords=coords, tags=tags)
     # outer face := the quadrangle of the edge carrying the minimal outer

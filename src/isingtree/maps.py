@@ -48,11 +48,13 @@ class NotSimpleError(MapError):
 class PlanarMap:
     """Immutable rotation system with a designated outer face.
 
-    Not validated on construction beyond structural consistency; the planarity
-    / connectivity / simplicity / degree invariants are enforced by
-    :func:`build_map` for *input* graphs.  Derived constructions (duals,
-    quadri-tilings, doubles) legitimately produce multigraphs, degree-1
-    vertices or isolated vertices and therefore use this constructor directly.
+    A map has at least one dart, and every vertex is a sigma-orbit, so no
+    vertex is isolated.  Not validated on construction beyond structural
+    consistency; the planarity / connectivity / simplicity / degree
+    invariants are enforced by :func:`build_map` for *input* graphs.
+    Derived constructions (duals, quadri-tilings, doubles) legitimately
+    produce multigraphs or degree-1 vertices and therefore use this
+    constructor directly.
 
     Optional decorations:
 
@@ -60,8 +62,6 @@ class PlanarMap:
     * ``tags``: one string per vertex (vertex class of derived graphs).
     * ``vertex_keys`` / ``edge_keys``: the caller's labels, kept so derived
       graphs can be queried by provenance instead of by raw index.
-    * ``isolated_tags``: tags for dartless vertices; these get the vertex ids
-      after all sigma-orbit vertices.
 
     The constructor walks the sigma-orbits and the phi-orbits once each,
     numbering every dart's orbit during the walk; phi itself is sigma^{-1}
@@ -74,19 +74,18 @@ class PlanarMap:
                  coords: Sequence[complex] | None = None,
                  tags: Sequence[str] | None = None,
                  vertex_keys: Sequence[Hashable] | None = None,
-                 edge_keys: Sequence[Hashable] | None = None,
-                 isolated_tags: Sequence[str] = ()):
+                 edge_keys: Sequence[Hashable] | None = None):
         sigma = tuple(sigma)
         n = len(sigma)
         if n % 2 != 0:
             raise MapError("odd number of darts")
         if set(sigma) != set(range(n)):
             raise MapError("sigma is not a permutation of 0..%d" % (n - 1))
+        if outer_dart is None:
+            raise MapError("outer face dart required")
         self.sigma = sigma
         self.sigma_inv = tuple(_invert(sigma))
         self.n_edges = n // 2
-        self.n_isolated = len(isolated_tags)
-        self.isolated_tags = tuple(isolated_tags)
 
         self._vertices, self._vertex_of = _orbits(sigma)
         # phi = sigma^{-1} o alpha: next dart along the face left of d.
@@ -95,21 +94,10 @@ class PlanarMap:
         phi[1::2] = self.sigma_inv[0::2]
         self._phi = phi = tuple(phi)
         self._faces, self._face_of = _orbits(phi)
-
-        if n == 0:
-            # A dartless map still has one face (the whole plane); this keeps
-            # Euler bookkeeping for things like restricted_dual(C4) honest.
-            self.outer_dart = None
-            self.outer_face = 0
-            self.n_faces = 1
-        else:
-            if outer_dart is None:
-                raise MapError("outer face dart required")
-            self.outer_dart = outer_dart
-            self.outer_face = self._face_of[outer_dart]
-            self.n_faces = len(self._faces)
-
-        self.n_vertices = len(self._vertices) + self.n_isolated
+        self.outer_dart = outer_dart
+        self.outer_face = self._face_of[outer_dart]
+        self.n_faces = len(self._faces)
+        self.n_vertices = len(self._vertices)
         self.coords = tuple(coords) if coords is not None else None
         self.tags = tuple(tags) if tags is not None else None
         self.vertex_keys = tuple(vertex_keys) if vertex_keys is not None else None
@@ -127,22 +115,15 @@ class PlanarMap:
 
     # -- permutations ------------------------------------------------------
 
-    @staticmethod
-    def alpha(d: int) -> int:
-        return d ^ 1
-
     def phi(self, d: int) -> int:
         """Next dart along the face left of d (ccw on inner faces)."""
         return self._phi[d]
-
-    def phi_inv(self, d: int) -> int:
-        return self.sigma[d] ^ 1
 
     # -- incidences --------------------------------------------------------
 
     @property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        """Sigma-orbits (ccw dart lists), one per non-isolated vertex."""
+        """Sigma-orbits (ccw dart lists), one per vertex."""
         return self._vertices
 
     @property
@@ -158,8 +139,6 @@ class PlanarMap:
         return self._face_of[d]
 
     def degree(self, v: int) -> int:
-        if v >= len(self._vertices):
-            return 0
         return len(self._vertices[v])
 
     @staticmethod
@@ -171,17 +150,10 @@ class PlanarMap:
 
     @property
     def outer_orbit(self) -> tuple[int, ...]:
-        return self._faces[self.outer_face] if self._faces else ()
+        return self._faces[self.outer_face]
 
     def is_outer_dart(self, d: int) -> bool:
         return self._face_of[d] == self.outer_face
-
-    def is_boundary_edge(self, e: int) -> bool:
-        return (self._face_of[2 * e] == self.outer_face
-                or self._face_of[2 * e + 1] == self.outer_face)
-
-    def boundary_edges(self) -> tuple[int, ...]:
-        return tuple(e for e in range(self.n_edges) if self.is_boundary_edge(e))
 
     def with_outer_dart(self, d: int) -> PlanarMap:
         """The same map, orbits included, with the face left of dart d as
@@ -207,10 +179,8 @@ class PlanarMap:
         return self._edge_index[key]
 
     def vertex_key(self, v: int) -> Hashable:
-        """The caller's label of vertex v; v itself without keys or for an
-        isolated vertex (keys label only the sigma-orbit vertices)."""
-        keys = self.vertex_keys
-        return keys[v] if keys is not None and v < len(keys) else v
+        """The caller's label of vertex v; v itself without keys."""
+        return self.vertex_keys[v] if self.vertex_keys is not None else v
 
     def edge_key(self, e: int) -> Hashable:
         return self.edge_keys[e] if self.edge_keys is not None else e
@@ -230,10 +200,6 @@ class PlanarMap:
 
     def is_connected(self) -> bool:
         n = len(self.sigma)
-        if n == 0:
-            return self.n_vertices <= 1
-        if self.n_isolated:
-            return False
         seen = [False] * n
         stack = [0]
         seen[0] = True
@@ -285,24 +251,23 @@ def _orbits(perm: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...],
 # ---------------------------------------------------------------------------
 
 def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
-                       outer: tuple[Hashable, Hashable] | tuple[Hashable, Hashable, int] | None,
+                       outer: tuple[Hashable, Hashable] | tuple[Hashable, Hashable, int],
                        coords: Mapping[Hashable, complex] | None = None,
-                       tags: Mapping[Hashable, str] | str | None = None,
-                       isolated_tags: Sequence[str] = ()) -> PlanarMap:
+                       tags: Mapping[Hashable, str] | str | None = None) -> PlanarMap:
     """Build a PlanarMap from per-vertex ccw edge-key rotations.
 
     Args:
       rotations: vertex key -> cyclic sequence of edge keys in ccw order.
         Every edge key must occur exactly twice overall (twice at the same
-        vertex for a loop).  Vertex ids are assigned in iteration order of
-        this mapping, edge ids in order of first appearance.
+        vertex for a loop).  A vertex with an empty rotation has no dart and
+        is left out of the map.  Vertex ids follow the sigma-orbit numbering
+        (by minimal dart), edge ids the order of first appearance.
       outer: ``(vertex key, edge key)`` or ``(vertex key, edge key, k)``
         naming the dart originating at that vertex along that edge (k-th
         occurrence at the vertex, for loops/repeats) whose *left* face is the
-        outer face.  May be None only for a dartless map.
+        outer face.
       coords: optional vertex key -> complex embedding.
       tags: optional vertex key -> tag, or a single tag for all vertices.
-      isolated_tags: tags of extra dartless vertices.
     """
     vertex_keys = list(rotations.keys())
     edge_keys: list[Hashable] = []
@@ -334,16 +299,12 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
             sigma[prev] = d
             prev = d
 
-    outer_dart = None
-    if outer is not None:
-        ov, oe = outer[0], outer[1]
-        occ_wanted = outer[2] if len(outer) > 2 else 0
-        hits = [d for d, ek in zip(darts_of[ov], rotations[ov]) if ek == oe]
-        if not hits:
-            raise MapError("outer dart (%r, %r) not found" % (ov, oe))
-        outer_dart = hits[occ_wanted]
-    elif edge_keys:
-        raise MapError("outer face designation required")
+    ov, oe = outer[0], outer[1]
+    occ_wanted = outer[2] if len(outer) > 2 else 0
+    hits = [d for d, ek in zip(darts_of[ov], rotations[ov]) if ek == oe]
+    if not hits:
+        raise MapError("outer dart (%r, %r) not found" % (ov, oe))
+    outer_dart = hits[occ_wanted]
 
     # vertex ids follow sigma-orbit numbering (by minimal dart), which need
     # not match rotations order; each non-empty rotation is one orbit, so
@@ -362,8 +323,7 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
             tag_list = [tags[k] for k in ordered_keys]
 
     return PlanarMap(sigma, outer_dart, coords=coord_list, tags=tag_list,
-                     vertex_keys=ordered_keys, edge_keys=edge_keys,
-                     isolated_tags=isolated_tags)
+                     vertex_keys=ordered_keys, edge_keys=edge_keys)
 
 
 def _raise_bad_edge_count(rotations, vertex_keys) -> None:
@@ -417,8 +377,8 @@ def validate_simple_input(m: PlanarMap) -> PlanarMap:
 
     Used for graphs loaded from files, which bypass build_map.  Raises the
     same errors: NotSimpleError on loops/parallel edges, DegreeTooLowError
-    below degree 2 or on isolated vertices, DisconnectedError,
-    NonPlanarError when Euler's formula fails.
+    below degree 2, DisconnectedError, NonPlanarError when Euler's formula
+    fails.  A map has no isolated vertex (see :class:`PlanarMap`).
     """
     seen_pairs = set()
     for e in range(m.n_edges):
@@ -429,8 +389,6 @@ def validate_simple_input(m: PlanarMap) -> PlanarMap:
         if pair in seen_pairs:
             raise NotSimpleError("parallel edge between %d and %d" % (u, v))
         seen_pairs.add(pair)
-    if m.n_isolated:
-        raise DegreeTooLowError("isolated vertex")
     for v in range(m.n_vertices):
         if m.degree(v) < 2:
             raise DegreeTooLowError("vertex %d has degree %d" % (v, m.degree(v)))
@@ -459,8 +417,6 @@ def dual_map(m: PlanarMap) -> PlanarMap:
     sigma'' = alpha o sigma o alpha and outer dart alpha(d0), i.e. the
     alpha-relabeling of m with the *same* outer face.
     """
-    if not m.sigma:
-        raise MapError("dual of a dartless map is undefined")
     sigma_star = m._phi
     d0 = m.outer_dart
     coords = None
@@ -478,42 +434,6 @@ def dual_map(m: PlanarMap) -> PlanarMap:
     return dual
 
 
-def restricted_dual(m: PlanarMap) -> PlanarMap:
-    """Dual minus the outer-face vertex and the duals of boundary edges.
-
-    Inner faces that end up with no surviving dual edge become isolated
-    vertices (e.g. the restricted dual of a cycle is one isolated vertex).
-    """
-    inner_faces = [f for f in range(len(m.faces)) if f != m.outer_face]
-    kept_edges = [e for e in range(m.n_edges) if not m.is_boundary_edge(e)]
-    kept = set(kept_edges)
-    rotations: dict[Hashable, list[Hashable]] = {}
-    touched = set()
-    for f in inner_faces:
-        rot = [("re", m.edge_of(d)) for d in m.faces[f] if m.edge_of(d) in kept]
-        if rot:
-            rotations[("f", f)] = rot
-            touched.add(f)
-    isolated = tuple("dual" for f in inner_faces if f not in touched)
-    if not rotations:
-        return PlanarMap((), None, isolated_tags=isolated)
-    # outer face of the restricted dual: the face left over along the old
-    # boundary; pick it as the face of the dual dart lying on the outer side
-    # of the minimal kept edge adjacent to a dropped region.  For corpus
-    # graphs the restricted dual is a small inner object; the face containing
-    # the dart alpha-side of the minimal kept edge works and is deterministic.
-    first = ("re", kept_edges[0])
-    owner = next(v for v, rot in rotations.items() if first in rot)
-    sub = map_from_rotations(rotations, (owner, first), tags="dual",
-                             isolated_tags=isolated)
-    # Prefer the true unbounded face: the one with maximal orbit length
-    # (ties: smallest id).
-    best = max(range(len(sub.faces)), key=lambda f: (len(sub.faces[f]), -f))
-    if best != sub.outer_face:
-        sub = sub.with_outer_dart(sub.faces[best][0])
-    return sub
-
-
 # ---------------------------------------------------------------------------
 # canonical form / isomorphism (test helper)
 # ---------------------------------------------------------------------------
@@ -526,8 +446,6 @@ def canonical_key(m: PlanarMap, include_outer: bool = True) -> tuple:
     which face is outer.  Quadratic in the dart count -- test-sized inputs only.
     """
     n = len(m.sigma)
-    if n == 0:
-        return (m.n_isolated,)
     best = None
     for anchor in range(n):
         labels = {anchor: 0}
@@ -549,7 +467,7 @@ def canonical_key(m: PlanarMap, include_outer: bool = True) -> tuple:
         key = tuple(enc)
         if best is None or key < best:
             best = key
-    return (m.n_isolated,) + best
+    return best
 
 
 def is_isomorphic(a: PlanarMap, b: PlanarMap, include_outer: bool = True) -> bool:

@@ -77,7 +77,7 @@ def enumerate_matchings(m: PlanarMap,
     one unit of the state cap."""
     active = [v for v in range(m.n_vertices) if v != skip_vertex]
     n = len(active)
-    if n % 2 or m.n_isolated:
+    if n % 2:
         return
     pos = {v: i for i, v in enumerate(active)}
     incid: list[list[tuple[int, int]]] = [[] for _ in range(n)]

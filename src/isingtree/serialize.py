@@ -62,20 +62,18 @@ def map_to_json_dict(m: PlanarMap,
 
 
 def _vertex_rows(m: PlanarMap):
-    """(id, x, y, tag) per vertex, isolated vertices last with their
-    isolated tags; x, y and tag are None when absent."""
-    coords = m.coords or ()
+    """(id, x, y, tag) per vertex; x, y and tag are None when absent."""
+    coords = m.coords
     for v, tag in enumerate(_vertex_tags(m)):
-        if v < len(coords):
+        if coords is not None:
             yield v, coords[v].real, coords[v].imag, tag
         else:
             yield v, None, None, tag
 
 
 def _vertex_tags(m: PlanarMap) -> tuple:
-    """Tag per vertex id, isolated vertices included; None when absent."""
-    tags = m.tags if m.tags is not None else (None,) * len(m.vertices)
-    return tags + m.isolated_tags
+    """Tag per vertex id; None when absent."""
+    return m.tags if m.tags is not None else (None,) * m.n_vertices
 
 
 def _angle_rows(m: PlanarMap, theta, theta_exact):
@@ -100,9 +98,10 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
                                             dict[int, Fraction] | None]:
     """Rebuild a map (and its exact angles, if stored) from the schema.
 
-    Validates structural consistency -- twin pairing, sigma being a
-    permutation, dart/vertex incidence matching the sigma orbits -- but not
-    simplicity or degrees: derived multigraph exports round-trip too.  Use
+    Validates structural consistency -- at least one dart, twin pairing,
+    sigma being a permutation, one vertex per sigma orbit, dart/vertex
+    incidence matching the sigma orbits -- but not simplicity or degrees:
+    derived multigraph exports round-trip too.  Use
     maps.validate_simple_input on graphs meant as model input.
     """
     darts = sorted(data["darts"], key=lambda r: r["id"])
@@ -118,32 +117,27 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     if [r["id"] for r in vertices] != list(range(len(vertices))):
         raise MapError("vertex ids must be 0..%d" % (len(vertices) - 1))
 
-    # a valid document declares one vertex per sigma orbit, so the declared
-    # incidences give the orbit count before the map is built; the checks
-    # below reject every document where they do not
-    covered = len({r["vertex"] for r in darts})
     coords = None
     if all(r["x"] is not None and r["y"] is not None for r in vertices):
-        coords = [complex(r["x"], r["y"]) for r in vertices[:covered]]
+        coords = [complex(r["x"], r["y"]) for r in vertices]
     tags = None
     if any(r.get("tag") is not None for r in vertices):
-        tags = [r.get("tag") for r in vertices[:covered]]
-    isolated = tuple(r.get("tag") for r in vertices[covered:])
-    m = PlanarMap(sigma, 0 if n else None, coords=coords, tags=tags,
-                  isolated_tags=isolated)
+        tags = [r.get("tag") for r in vertices]
+    m = PlanarMap(sigma, 0 if n else None, coords=coords, tags=tags)
 
-    outer = data["outer_face"] if n else None
-    if n and not 0 <= outer < len(m.faces):
+    outer = data["outer_face"]
+    if not 0 <= outer < len(m.faces):
         raise MapError("no face with id %d" % outer)
     if len(vertices) < len(m.vertices):
         raise MapError("fewer vertices than sigma orbits")
+    if len(vertices) > len(m.vertices):
+        raise MapError("more vertices than sigma orbits")
     for r in darts:
         if m.vertex_of(r["id"]) != r["vertex"]:
             raise MapError("dart %d: vertex %d does not match the rotation "
                            "orbits (expected %d)"
                            % (r["id"], r["vertex"], m.vertex_of(r["id"])))
-    if n:
-        m = m.with_outer_dart(m.faces[outer][0])
+    m = m.with_outer_dart(m.faces[outer][0])
 
     exact = None
     if "angles" in data:
@@ -212,11 +206,11 @@ _DOT_PLACED = _DOT_NODE[:-2] + ', pos="%.6f,%.6f!"];'
 def map_to_dot(m: PlanarMap, name: str = "g") -> str:
     lines = ["graph %s {" % name, "  layout=neato;",
              "  node [fontsize=10, fixedsize=false];"]
-    coords = m.coords or ()
+    coords = m.coords
     for v, tag in enumerate(_vertex_tags(m)):
         shape, fill, font = _TAG_STYLE.get(tag, ("circle", "white", "black"))
         label = _label(m.vertex_key(v))
-        if v < len(coords):
+        if coords is not None:
             z = coords[v]
             lines.append(_DOT_PLACED % (v, label, shape, fill, font,
                                         z.real, z.imag))

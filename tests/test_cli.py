@@ -101,6 +101,14 @@ def test_shapeless_json_input_fails_cleanly(tmp_path, capsys):
     path.write_text('{"not": "a map"}')
     assert main(["verify", "--input", str(path)]) == 1
     assert "malformed graph document" in capsys.readouterr().err
+    # a vertex that no dart reaches
+    main(["generate", "cycle", "3", "--out", str(path)])
+    data = json.loads(path.read_text())
+    data["vertices"].append(dict(data["vertices"][0], id=3))
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: more vertices than sigma orbits\n"
 
 
 def test_export_is_deterministic(capsys):

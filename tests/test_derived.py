@@ -18,12 +18,6 @@ def test_quad_graph_of_square():
     assert Counter(q.tags) == {"primal": 4, "dual": 2}
 
 
-def test_restricted_quad_graph_of_square_is_a_star():
-    m, _ = cycle(4)
-    q = quad_graph(m, restricted=True)
-    assert (q.n_vertices, q.n_edges, len(q.faces)) == (5, 4, 1)
-
-
 def test_quadri_tiling_is_cubic_and_bipartite(pipelines):
     sizes = {"C3": (12, 18), "C4": (16, 24), "grid": (48, 72)}
     for p in pipelines.values():

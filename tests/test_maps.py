@@ -9,8 +9,7 @@ from isingtree.generators import cycle, grid
 from isingtree.maps import (DegreeTooLowError, DisconnectedError, MapError,
                             NonPlanarError, NotSimpleError, PlanarMap,
                             build_map, canonical_key, dual_map, is_isomorphic,
-                            map_from_rotations, restricted_dual,
-                            validate_simple_input)
+                            map_from_rotations, validate_simple_input)
 
 
 def square(edge_order=(0, 1, 2, 3)):
@@ -39,15 +38,14 @@ def test_triangle_counts():
 def test_grid_counts():
     m, _ = grid(3, 3)
     assert (m.n_vertices, m.n_edges, len(m.faces)) == (9, 12, 5)
-    assert len(m.boundary_edges()) == 8
+    assert len({d >> 1 for d in m.outer_orbit}) == 8
 
 
 def test_involution_and_orbit_consistency(pipelines):
     for p in pipelines.values():
         m = p.m
         for d in range(2 * m.n_edges):
-            assert m.alpha(m.alpha(d)) == d
-            assert m.phi_inv(m.phi(d)) == d
+            assert m.sigma[m.phi(d)] ^ 1 == d
             # phi keeps the face, sigma keeps the vertex
             assert m.face_of(m.phi(d)) == m.face_of(d)
             assert m.vertex_of(m.sigma[d]) == m.vertex_of(d)
@@ -147,22 +145,6 @@ def test_dual_of_grid():
 def test_dual_is_an_involution(pipelines):
     for p in pipelines.values():
         assert is_isomorphic(dual_map(dual_map(p.m)), p.m)
-
-
-def test_restricted_dual_of_cycles():
-    for n in (3, 4):
-        m, _ = cycle(n)
-        rd = restricted_dual(m)
-        assert (rd.n_vertices, rd.n_edges) == (1, 0)
-        assert rd.n_isolated == 1
-        assert rd.isolated_tags == ("dual",)
-
-
-def test_restricted_dual_of_grid_is_a_four_cycle():
-    m, _ = grid(3, 3)
-    rd = restricted_dual(m)
-    assert (rd.n_vertices, rd.n_edges) == (4, 4)
-    assert is_isomorphic(rd, cycle(4)[0], include_outer=False)
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)])

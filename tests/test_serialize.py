@@ -1,6 +1,5 @@
 """JSON round trips, loader validation, DOT export, report shapes."""
 
-import cmath
 import json
 import math
 from fractions import Fraction
@@ -8,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from isingtree.derived import quad_graph
-from isingtree.generators import cycle, grid, rhombic
-from isingtree.maps import (MapError, PlanarMap, build_map, canonical_key,
-                            dual_map, is_isomorphic, restricted_dual)
+from isingtree.generators import cycle, rhombic
+from isingtree.maps import (MapError, PlanarMap, canonical_key,
+                            dual_map, is_isomorphic)
 from isingtree.oracles import Arc, WeightedDigraph
 from isingtree.report import Report, check
 from isingtree.serialize import (_json_scalar, digraph_to_dot,
@@ -128,6 +127,9 @@ LOADER_ERRORS = [
     (lambda d: d["darts"][0].update(next=99),
      "sigma is not a permutation of 0..5"),
     (lambda d: d["vertices"].pop(), "fewer vertices than sigma orbits"),
+    (lambda d: d["vertices"].append(dict(d["vertices"][0], id=3)),
+     "more vertices than sigma orbits"),
+    (lambda d: d["darts"].clear(), "outer face dart required"),
     (lambda d: d["darts"].pop(), "odd number of darts"),
     (lambda d: d.clear(), "malformed graph document: 'darts'"),
 ]
@@ -141,49 +143,6 @@ def test_loader_error_messages(edit, message):
     with pytest.raises(MapError) as exc:
         loads_map(json.dumps(data))
     assert str(exc.value) == message
-
-
-def _bowtie():
-    """A triangle and a square with the diagonal 3-5, sharing vertex 0."""
-    pos = {0: 0j, 1: -1 + 1j, 2: -1 - 1j, 3: 1 - 1j, 4: 2 + 0j, 5: 1 + 1j}
-    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 0), (3, 5)]
-
-    def angle(v, e):
-        u, w = edges[e]
-        return cmath.phase(pos[w if u == v else u] - pos[v])
-
-    rotations = {v: sorted((e for e, uv in enumerate(edges) if v in uv),
-                           key=lambda e: angle(v, e)) for v in pos}
-    m = build_map(edges, rotations, (0, 0))
-    return m.with_outer_dart(max(m.faces, key=len)[0])
-
-
-def test_writers_keep_isolated_vertices_of_a_tagged_map():
-    rd = restricted_dual(_bowtie())
-    assert (len(rd.vertices), rd.n_isolated, rd.n_edges) == (2, 1, 1)
-    back, _ = loads_map(dumps_map(rd))
-    assert back.sigma == rd.sigma
-    assert back.outer_face == rd.outer_face
-    assert back.tags == rd.tags == ("dual", "dual")
-    assert back.isolated_tags == rd.isolated_tags == ("dual",)
-    assert back.coords is None
-    _assert_map_text(rd)
-    assert json.loads(dumps_map(rd))["vertices"][2] == {
-        "id": 2, "tag": "dual", "x": None, "y": None}
-    nodes = [line for line in map_to_dot(rd).splitlines()
-             if line.startswith("  v") and " -- " not in line]
-    assert len(nodes) == rd.n_vertices == 3
-    assert all("shape=diamond" in line for line in nodes)
-
-
-def test_vertex_key_of_an_isolated_vertex_is_its_id():
-    rd = restricted_dual(_bowtie())
-    assert rd.vertex_keys == (("f", 2), ("f", 3))
-    assert [rd.vertex_key(v) for v in range(rd.n_vertices)] == [
-        ("f", 2), ("f", 3), 2]
-    labels = [line.split('"')[1] for line in map_to_dot(rd).splitlines()
-              if line.startswith("  v") and " -- " not in line]
-    assert labels == ["f,2", "f,3", "2"]
 
 
 def test_dot_export_of_quadri_tiling(c4):
@@ -241,13 +200,9 @@ def test_dumps_map_edge_cases():
         PlanarMap(c3.sigma, c3.outer_dart),                # no coords
         PlanarMap(c3.sigma, c3.outer_dart, coords=odd,
                   tags=["caf\u00e9", 'q"uote', "tab\t"]),
-        restricted_dual(cycle(4)[0]),                      # isolated vertex
-        PlanarMap((), None),                               # no darts
     ]
-    assert cases[2].n_isolated == 1 and not cases[3].sigma
     for m in cases:
         _assert_map_text(m)
-    assert '"darts": [],' in dumps_map(cases[3])
     assert '"x": NaN' in dumps_map(cases[1])
 
 
