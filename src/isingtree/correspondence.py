@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .derived import ExtendedPair, extended_double, extended_pair, quadri_tiling
 from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
@@ -46,8 +45,7 @@ from .report import Report, check
 ROOT = ("r",)
 
 
-@dataclass(frozen=True)
-class DirectedModel:
+class DirectedModel(NamedTuple):
     """A weighted digraph whose oriented spanning trees the chain counts,
     together with the primal map its corners refer to."""
     graph: WeightedDigraph
@@ -327,8 +325,7 @@ def tree_to_matching(dd: PlanarMap, s_key: tuple,
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class CompatClass:
+class CompatClass(NamedTuple):
     """Tree class of one matching: all rule-compliant completions of M."""
     matching: frozenset
     trees: tuple[frozenset, ...]
@@ -408,8 +405,7 @@ def matching_to_trees(dd: PlanarMap, m: PlanarMap, matching: frozenset,
 # superposition parity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CycleParity:
+class CycleParity(NamedTuple):
     """Vertex classification of one alternating cycle.
 
     Whites on the cycle split by the kinds of their two black neighbours
@@ -434,8 +430,7 @@ class CycleParity:
         return self.n4 + self.n5
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     cycles: tuple[CycleParity, ...]
 
 
@@ -529,8 +524,7 @@ def _strictly_inside(dd: PlanarMap, cycle_keys: frozenset) -> set[int]:
 # stage 3 -> stage 4: splitting matched edges (the tree/dual-tree pair)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreePair:
+class TreePair(NamedTuple):
     primal_arcs: tuple[tuple, ...]    # (tail key, head key, edge key)
     dual_arcs: tuple[tuple, ...]
 

@@ -28,8 +28,7 @@ Vertex and edge keys record provenance:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from .maps import MapError, PlanarMap, map_from_rotations
 
@@ -127,8 +126,7 @@ def quadri_tiling(m: PlanarMap) -> PlanarMap:
 # extended primal / dual pair
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtendedPair:
+class ExtendedPair(NamedTuple):
     """Extended primal graph, extended dual graph, and the primal root.
 
     ``primal`` has vertex keys ('p', v) and ('r',); the root r is joined to

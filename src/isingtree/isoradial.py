@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .maps import PlanarMap
 
@@ -40,8 +39,7 @@ class AngleOutOfRangeError(Exception):
     """A rhombus half-angle or boundary angle leaves its open range."""
 
 
-@dataclass(frozen=True)
-class IsoradialData:
+class IsoradialData(NamedTuple):
     """Validated isoradial structure of an embedded map.
 
     theta[e] is the rhombus half-angle of edge e; theta_exact[e] its exact
@@ -152,8 +150,7 @@ def _in_closed_polygon(pt: complex, poly: list[complex], tol: float) -> bool:
 # boundary angles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryAngles:
+class BoundaryAngles(NamedTuple):
     """Boundary angle per boundary corner (keyed by outer-orbit dart).
 
     theta[delta] is the closure value (primary), exact[delta] its Fraction-
@@ -266,8 +263,7 @@ def dimer_weights(J: tuple[float, ...], gq: PlanarMap) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class TauWeights:
+class TauWeights(NamedTuple):
     """Directed weights on the extended pair.
 
     Primal edges carry tan theta_e in both directions; the boundary spoke

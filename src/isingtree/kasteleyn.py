@@ -25,8 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .derived import quadri_tiling
 from .isoradial import (BoundaryAngles, IsoradialData, boundary_angles,
@@ -61,8 +60,7 @@ def assign_phases(gq: PlanarMap, iso: IsoradialData,
     return phases
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     curvatures: tuple[complex, ...]     # by face id
     max_deviation: float
     flat: bool
@@ -110,8 +108,7 @@ def _flatness(gq: PlanarMap, unit: list[complex],
                           flat=dev <= tol)
 
 
-@dataclass(frozen=True)
-class KasteleynMatrix:
+class KasteleynMatrix(NamedTuple):
     """White-by-black phased adjacency matrix of the quadri-tiling graph;
     row i maps the index of each black neighbour to its entry, ascending.
     ``flatness`` is the `check_flat` report of the phasing the build used

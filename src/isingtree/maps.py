@@ -79,12 +79,16 @@ class PlanarMap:
         n = len(sigma)
         if n % 2 != 0:
             raise MapError("odd number of darts")
-        if set(sigma) != set(range(n)):
+        inv = _invert(sigma)
+        if inv is None:
             raise MapError("sigma is not a permutation of 0..%d" % (n - 1))
         if outer_dart is None:
             raise MapError("outer face dart required")
+        if not 0 <= outer_dart < n:
+            raise MapError("outer dart %r is not in 0..%d"
+                           % (outer_dart, n - 1))
         self.sigma = sigma
-        self.sigma_inv = tuple(_invert(sigma))
+        self.sigma_inv = inv
         self.n_edges = n // 2
 
         self._vertices, self._vertex_of = _orbits(sigma)
@@ -216,11 +220,22 @@ class PlanarMap:
             self.n_vertices, self.n_edges, self.n_faces, self.outer_face)
 
 
-def _invert(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
+def _invert(perm: Sequence[int]) -> tuple[int, ...] | None:
+    """The inverse of perm, or None unless perm permutes 0..len(perm)-1.
+
+    The range is checked first, with C-level min and max, since a negative
+    entry would index from the end; then a -1 left in the inverse marks a
+    value that no entry took, so some other value was repeated."""
+    n = len(perm)
+    try:
+        if n and (min(perm) < 0 or max(perm) >= n):
+            return None
+        inv = [-1] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+    except TypeError:   # an entry that is not an integer
+        return None
+    return None if -1 in inv else tuple(inv)
 
 
 def _orbits(perm: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...],

@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass
 from itertools import compress
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -170,16 +169,15 @@ def permanent01(rows: Sequence[Sequence[int]]) -> int:
 
 class Arc(NamedTuple):
     """Weighted arc tail -> head; `kind` is its corner-graph role ("cos",
-    "sin", "root", "b3w", "b3r") or "".  A named tuple (immutable, equal
-    and hashed by its fields) builds in half a frozen dataclass's time."""
+    "sin", "root", "b3w", "b3r") or "".  Like every record of the package
+    it is a named tuple: immutable, equal and hashed by its fields."""
     tail: Hashable
     head: Hashable
     weight: complex
     kind: str = ""
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
+class WeightedDigraph(NamedTuple):
     nodes: tuple[Hashable, ...]
     arcs: tuple[Arc, ...]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def rel_err(lhs: complex, rhs: complex) -> float:
@@ -10,8 +10,7 @@ def rel_err(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     lhs: complex
     rhs: complex
@@ -39,10 +38,12 @@ def check(name: str, lhs: complex, rhs: complex, tol: float,
                        err=err, passed=(err <= tol), note=note)
 
 
-@dataclass
 class Report:
-    checks: list[CheckResult] = field(default_factory=list)
-    constants: dict = field(default_factory=dict)
+    """The checks one verifier ran, in order, and the constants it read."""
+
+    def __init__(self) -> None:
+        self.checks: list[CheckResult] = []
+        self.constants: dict = {}
 
     def add(self, result: CheckResult) -> CheckResult:
         self.checks.append(result)

@@ -176,9 +176,11 @@ def dumps_map(m: PlanarMap, theta=None, theta_exact=None) -> str:
 
 
 def loads_map(text: str) -> tuple[PlanarMap, dict[int, Fraction] | None]:
+    data = json.loads(text)
     try:
-        return map_from_json_dict(json.loads(text))
-    except (KeyError, IndexError, TypeError) as exc:
+        return map_from_json_dict(data)
+    except (KeyError, IndexError, TypeError, ValueError,
+            ArithmeticError) as exc:   # e.g. an angle "1/0" or "abc"
         raise MapError("malformed graph document: %s" % exc)
 
 

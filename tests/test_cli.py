@@ -111,6 +111,18 @@ def test_shapeless_json_input_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == "error: more vertices than sigma orbits\n"
 
 
+def test_zero_denominator_angle_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "c4.json"
+    main(["generate", "cycle", "4", "--out", str(path)])
+    data = json.loads(path.read_text())
+    data["angles"]["0"]["pi_rational"] = "1/0"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: malformed graph document: ")
+
+
 def test_export_is_deterministic(capsys):
     assert main(["export", "extended_double", "--generator", "cycle:4",
                  "--format", "json"]) == 0

@@ -227,3 +227,19 @@ def test_a_bad_sigma_entry_is_a_map_error(sigma, data):
     with pytest.raises(MapError, match="sigma is not a permutation of 0..%d"
                        % (n - 1)):
         PlanarMap(bad, 0)
+
+
+@pytest.mark.parametrize("sigma", [
+    (1, "a"), (None, 0), (1.5, 0), (0.0, 1.0), ((0,), 1)])
+def test_a_non_integer_sigma_entry_is_a_map_error(sigma):
+    with pytest.raises(MapError, match="sigma is not a permutation of 0..1"):
+        PlanarMap(sigma, 0)
+
+
+def test_outer_dart_must_be_a_dart():
+    for sigma, outer in [((), 0), ((1, 0), 5), ((1, 0), 2), ((1, 0), -1)]:
+        with pytest.raises(MapError, match="outer dart %d is not in 0..%d"
+                           % (outer, len(sigma) - 1)):
+            PlanarMap(sigma, outer)
+    m = PlanarMap((1, 0), 1)   # the last dart
+    assert m.outer_face == m.face_of(1) != m.face_of(0)

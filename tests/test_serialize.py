@@ -135,6 +135,30 @@ LOADER_ERRORS = [
 ]
 
 
+# malformed exact angles on the C4 document: a zero denominator, no
+# fraction at all, an infinite float, a key that is not an edge id
+BAD_ANGLES = {
+    "zero-denominator": lambda d: d["angles"]["0"].update(pi_rational="1/0"),
+    "not-a-fraction": lambda d: d["angles"]["0"].update(pi_rational="abc"),
+    "infinite": lambda d: d["angles"]["0"].update(pi_rational=math.inf),
+    "key-not-an-int": lambda d: d["angles"].update(x=d["angles"].pop("0")),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_ANGLES.values(), ids=BAD_ANGLES)
+def test_loader_rejects_malformed_angles(edit):
+    m, exact = cycle(4)
+    data = json.loads(dumps_map(m, theta_exact=exact))
+    edit(data)
+    with pytest.raises(MapError, match="^malformed graph document: "):
+        loads_map(json.dumps(data))
+
+
+def test_loader_leaves_json_syntax_errors_alone():
+    with pytest.raises(json.JSONDecodeError):
+        loads_map('{"darts": ')
+
+
 @pytest.mark.parametrize("edit,message", LOADER_ERRORS)
 def test_loader_error_messages(edit, message):
     data = map_to_json_dict(cycle(3)[0])
