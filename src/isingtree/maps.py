@@ -164,6 +164,9 @@ class PlanarMap:
         the outer face.  Attributes are set one by one, not through
         ``__dict__`` as ``copy.copy`` does: that keeps CPython's fast
         attribute layout (reads on a ``copy.copy`` took 1.7x as long)."""
+        if not 0 <= d < len(self.sigma):
+            raise MapError("outer dart %r is not in 0..%d"
+                           % (d, len(self.sigma) - 1))
         m = PlanarMap.__new__(PlanarMap)
         for name, value in vars(self).items():
             setattr(m, name, value)
@@ -242,7 +245,7 @@ def _orbits(perm: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...],
                                            tuple[int, ...]]:
     """Orbits of a permutation, each starting at its minimal element and
     listed in order of minimal element, and the orbit number of each
-    element, filled in one walk."""
+    element, filled in one walk; MapError if two elements share an image."""
     n = len(perm)
     index = [-1] * n
     out = []
@@ -253,10 +256,12 @@ def _orbits(perm: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...],
         orbit = [start]
         index[start] = k
         d = perm[start]
-        while d != start:
+        while index[d] < 0:
             index[d] = k
             orbit.append(d)
             d = perm[d]
+        if d != start:
+            raise MapError("%d is the image of two elements" % d)
         out.append(tuple(orbit))
     return tuple(out), tuple(index)
 

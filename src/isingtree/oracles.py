@@ -254,27 +254,29 @@ def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
 # Laplacians, determinants, the matrix-tree route
 # ---------------------------------------------------------------------------
 
-def laplacian(g: WeightedDigraph) -> list[dict[int, complex]]:
-    """Directed weighted Laplacian as sparse rows (column -> entry), rows
-    and columns in ``g.nodes`` order: entry (x, y) is the total arc weight
-    x -> y for x != y, and -(total weight out of x) on the diagonal, so
-    every row sums to zero."""
-    idx = {v: i for i, v in enumerate(g.nodes)}
-    rows: list[dict[int, complex]] = [{} for _ in g.nodes]
-    for a in g.arcs:
-        i, j = idx[a.tail], idx[a.head]
-        r = rows[i]
-        r[j] = r.get(j, 0j) + a.weight
-        r[i] = r.get(i, 0j) - a.weight
+def laplacian(g: WeightedDigraph, root: Hashable) -> list[dict[int, complex]]:
+    """Reduced Laplacian D - A at `root` (its row and column deleted) as
+    sparse rows, other nodes in ``g.nodes`` order, built in one pass: an
+    arc adds its weight to its tail's diagonal and subtracts it at its
+    head's column."""
+    k = g.nodes.index(root)
+    idx = {v: i - (i > k) for i, v in enumerate(g.nodes)}
+    idx[root] = -1
+    rows: list[dict[int, complex]] = [{} for _ in range(len(g.nodes) - 1)]
+    for tail, head, w, _ in g.arcs:
+        i, j = idx[tail], idx[head]
+        if i >= 0:
+            r = rows[i]
+            if j >= 0:
+                r[j] = r.get(j, 0j) - w
+            r[i] = r.get(i, 0j) + w
     return rows
 
 
 def matrix_tree_Z(g: WeightedDigraph, root: Hashable) -> complex:
     """Oriented-spanning-tree partition function via the matrix-tree
-    determinant: det(-Delta) after deleting the root row and column."""
-    k = g.nodes.index(root)
-    return complex_det([{j - (j > k): -x for j, x in r.items() if j != k}
-                        for i, r in enumerate(laplacian(g)) if i != k])
+    determinant: det of the reduced Laplacian at `root`."""
+    return complex_det(laplacian(g, root))
 
 
 def complex_det(rows: Sequence) -> complex:
@@ -285,10 +287,12 @@ def complex_det(rows: Sequence) -> complex:
     columns 0..n-1); both are copied, never changed.  Markowitz order with
     threshold partial pivoting: the active column with the fewest entries,
     then, of its entries of modulus >= 0.1 * the column's largest, the one
-    in the shortest row (the largest on a tie, then the first in the
-    column's set order), chosen in one pass over the column.  The 0x0
-    determinant is 1; an empty pivot column, or one whose largest entry is
-    below 1e-13 in modulus, makes the result 0.
+    in the shortest row, chosen in one pass over the column in set order.
+    On a tie in row length a later entry wins only with over 1.5 times the
+    kept one's modulus: near-equal moduli keep set order, which costs less
+    fill, and a clearly larger pivot still wins, which keeps growth low.
+    The 0x0 determinant is 1; an empty pivot column, or one whose largest
+    entry is below 1e-13 in modulus, makes the result 0.
     """
     n = len(rows)
     a: list[dict[int, complex]] = []
@@ -321,14 +325,14 @@ def complex_det(rows: Sequence) -> complex:
         big = max(mods, default=0.0)
         if big < 1e-13:
             return 0j
-        # one pass in set order; only a strictly better candidate replaces
-        # the kept one, so a tie keeps the first
+        # one pass in set order; a candidate replaces the kept one only if
+        # its row is shorter, or as short with over 1.5 times the modulus
         low = 0.1 * big
         p, p_len, p_mod = -1, n + 1, 0.0
         for i, x in zip(cand, mods):
             if x >= low:
                 k = len(a[i])
-                if k < p_len or (k == p_len and x > p_mod):
+                if k < p_len or (k == p_len and x > 1.5 * p_mod):
                     p, p_len, p_mod = i, k, x
         col_of_row[p] = c
         prow = a[p]

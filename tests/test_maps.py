@@ -8,8 +8,9 @@ from isingtree.derived import extended_double
 from isingtree.generators import cycle, grid
 from isingtree.maps import (DegreeTooLowError, DisconnectedError, MapError,
                             NonPlanarError, NotSimpleError, PlanarMap,
-                            build_map, canonical_key, dual_map, is_isomorphic,
-                            map_from_rotations, validate_simple_input)
+                            _orbits, build_map, canonical_key, dual_map,
+                            is_isomorphic, map_from_rotations,
+                            validate_simple_input)
 
 
 def square(edge_order=(0, 1, 2, 3)):
@@ -243,3 +244,16 @@ def test_outer_dart_must_be_a_dart():
             PlanarMap(sigma, outer)
     m = PlanarMap((1, 0), 1)   # the last dart
     assert m.outer_face == m.face_of(1) != m.face_of(0)
+    m = PlanarMap((1, 0), 0)
+    for d in (-1, 2, 5):
+        with pytest.raises(MapError, match="outer dart %d is not in 0..1" % d):
+            m.with_outer_dart(d)
+    assert m.with_outer_dart(1).outer_face == m.face_of(1)
+
+
+def test_orbits_of_a_non_permutation_raise_instead_of_looping():
+    # 0 -> 1 -> 1 never returns to 0: a walk that waited for it never ends
+    with pytest.raises(MapError, match="1 is the image of two elements"):
+        _orbits((1, 1))
+    with pytest.raises(MapError, match="2 is the image of two elements"):
+        _orbits((1, 2, 2, 0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isingtree.correspondence import ROOT, build_G0, double_root
+from isingtree.correspondence import ROOT, build_G, build_G0, double_root
 from isingtree.derived import extended_double, quadri_tiling
 from isingtree.generators import cycle, grid
 from isingtree.isoradial import boundary_angles, validate_isoradial
@@ -19,8 +19,8 @@ from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                complex_det, det_cofactor, dimer_Z,
                                enumerate_matchings, enumerate_osts,
                                enumerate_spanning_trees, ising_Z,
-                               is_spanning_tree, matrix_tree_Z, ost_Z,
-                               permanent01)
+                               is_spanning_tree, laplacian, matrix_tree_Z,
+                               ost_Z, permanent01)
 
 
 def test_triangle_ising_closed_form():
@@ -91,8 +91,14 @@ ENTRY = st.one_of(st.just(0j),
                                      allow_infinity=False))
 
 
-def square_matrices(n):
-    return st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+# few values of few moduli: ties in row length and in modulus between
+# pivot candidates are the common case, and 2 outweighs 1 by more than the
+# factor that lets a larger modulus break a tie
+TIE_ENTRY = st.sampled_from([0j, 1, -1, 1j, -1j, 0.5 + 0.5j, 0.5 - 0.5j, 2])
+
+
+def square_matrices(n, entry=ENTRY):
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
                     min_size=n, max_size=n)
 
 
@@ -111,6 +117,52 @@ def test_complex_det_matches_cofactor_expansion(rows):
     rhs = det_cofactor(rows)
     for lhs in (complex_det(rows), complex_det(sparse_rows(rows))):
         assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(rhs)))
+
+
+@given(st.integers(0, 7).flatmap(lambda n: square_matrices(n, TIE_ENTRY)))
+def test_complex_det_on_tied_pivots_matches_cofactor_expansion(rows):
+    rhs = det_cofactor(rows)
+    sparse = sparse_rows(rows)
+    dense_copy, sparse_copy = [r[:] for r in rows], [dict(r) for r in sparse]
+    for lhs in (complex_det(rows), complex_det(sparse)):
+        assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
+    assert rows == dense_copy
+    assert sparse == sparse_copy
+
+
+def reference_minor(g, root):
+    """-Delta without the root's row and column, the long way: the directed
+    Laplacian (entry (x, y) the arc weight x -> y, minus the weight out of x
+    on the diagonal), then the root's row and column deleted, then every
+    entry negated."""
+    idx = {v: i for i, v in enumerate(g.nodes)}
+    lap = [{} for _ in g.nodes]
+    for a in g.arcs:
+        i, j = idx[a.tail], idx[a.head]
+        lap[i][j] = lap[i].get(j, 0j) + a.weight
+        lap[i][i] = lap[i].get(i, 0j) - a.weight
+    k = idx[root]
+    return [{j - (j > k): -x for j, x in r.items() if j != k}
+            for i, r in enumerate(lap) if i != k]
+
+
+def test_reduced_laplacian_is_the_negated_minor_bit_for_bit(pipelines):
+    # -(a + b) == (-a) + (-b) in IEEE arithmetic, so the one-pass rows hold
+    # the same entries, the elimination takes the same pivots and every
+    # digit agrees
+    m, theta = grid(10, 10)
+    iso = validate_isoradial(m, theta)
+    gq = quadri_tiling(m)
+    g0 = build_G0(gq, build_kasteleyn(gq, iso, boundary_angles(iso)), m)
+    graphs = [g0.graph, build_G(g0).graph]
+    for p in pipelines.values():
+        graphs += [p.g0.graph, p.g.graph]
+    graphs.append(three_node_digraph())
+    for g in graphs:
+        for root in (ROOT,) if ROOT in g.nodes else g.nodes:
+            want = reference_minor(g, root)
+            assert laplacian(g, root) == want
+            assert matrix_tree_Z(g, root) == complex_det(want)
 
 
 def test_complex_det_of_permutation_matrices_is_their_exact_sign():
