@@ -134,11 +134,8 @@ def cmd_verify(args) -> int:
         sys.stdout.write(dumps_report(rep))
     else:
         for c in rep.checks:
-            line = "[%s] %-52s rel_err=%.3e" % (
-                "ok  " if c.passed else "FAIL", c.name, c.err)
-            if c.note:
-                line += "  (%s)" % c.note
-            print(line)
+            print("[%s] %-52s rel_err=%.3e" % (
+                "ok  " if c.passed else "FAIL", c.name, c.err))
         print("%d/%d identities hold" % (
             sum(c.passed for c in rep.checks), len(rep.checks)))
     if args.out:

@@ -43,6 +43,9 @@ from .oracles import (Arc, TooLargeError, WeightedDigraph, dimer_Z,
 from .report import Report, check
 
 ROOT = ("r",)
+# verify_main_theorem enumerates the corner graph's oriented spanning trees
+# only when the product of its out-degrees is at most this
+OST_ENUM_BUDGET = 200000
 
 
 class DirectedModel(NamedTuple):
@@ -67,15 +70,14 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
     of the row permutation sigma, which is (-1)^V.
     """
     # gq is not read; the parameter keeps the (gq, K, m) order callers use.
+    # Row and column d of K are white ('w', d) and black ('b', d).
     nodes = [("c", d) for d in range(len(m.sigma))] + [ROOT]
-    wi = {w: i for i, w in enumerate(K.whites)}
-    bi = {b: i for i, b in enumerate(K.blacks)}
     arcs = []
     for d in range(len(m.sigma)):
         sd = m.sigma[d]
-        row = K.rows[wi[("w", sd)]]
-        cos = row.get(bi[("b", sd)], 0j)
-        sin = row.get(bi[("b", sd ^ 1)], 0j)
+        row = K.rows[sd]
+        cos = row.get(sd, 0j)
+        sin = row.get(sd ^ 1, 0j)
         arcs.append(Arc(("c", d), ("c", sd), cos, "cos"))
         arcs.append(Arc(("c", d), ("c", sd ^ 1), sin, "sin"))
         if m.is_outer_dart(d):
@@ -668,14 +670,13 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
 def verify_main_theorem(m: PlanarMap,
                         theta_exact: Mapping | None = None,
                         tol: float = 1e-9,
-                        s_dart: int | None = None,
-                        enum_budget: int = 200000) -> Report:
+                        s_dart: int | None = None) -> Report:
     """Run the whole chain on one isoradial map and check every identity.
 
-    Exhaustive enumerations (tree sets, rule-tree sets) run only when their
-    predicted size fits the budget; the determinant / aggregated routes run
-    always, so every reported identity is still checked by two independent
-    computations.
+    The corner graph's oriented spanning trees are enumerated only when the
+    product of its out-degrees is at most OST_ENUM_BUDGET; the determinant /
+    aggregated routes run always, so every reported identity is still
+    checked by two independent computations.
     """
     s_key = ("u", s_dart) if s_dart is not None else double_root(m)
     if s_key[1] not in m.outer_orbit:
@@ -701,11 +702,11 @@ def verify_main_theorem(m: PlanarMap,
     # white row sums: zero inside, i e^{-i theta}(1 - e^{-i theta_bd}) on the
     # boundary (absolute deviation aggregated over rows)
     dev = 0.0
-    for i, w in enumerate(K.whites):
-        srow = reduce(add, K.rows[i].values(), 0j)
-        delta = m.sigma_inv[w[1]]
+    for w, row in enumerate(K.rows):   # row w is the white ('w', w)
+        srow = reduce(add, row.values(), 0j)
+        delta = m.sigma_inv[w]
         if m.is_outer_dart(delta):
-            th = iso.theta[m.edge_of(w[1])]
+            th = iso.theta[m.edge_of(w)]
             tb = bnd.theta[delta]
             want = (1j * complex(math.cos(th), -math.sin(th))
                     * (1 - complex(math.cos(tb), -math.sin(tb))))
@@ -724,9 +725,9 @@ def verify_main_theorem(m: PlanarMap,
     for node, arcs in g0.graph.out_map().items():
         if node != ROOT:
             out_prod *= max(len(arcs), 1)
-        if out_prod > enum_budget:
+        if out_prod > OST_ENUM_BUDGET:
             break
-    if out_prod <= enum_budget:
+    if out_prod <= OST_ENUM_BUDGET:
         z0_enum = ost_Z(g0.graph, ROOT)
         rep.add(check("corner-tree-enumeration-vs-det", z0_enum, z0_det, tol))
 

@@ -27,16 +27,16 @@ def cycle(n: int) -> tuple[PlanarMap, dict[int, Fraction]]:
 
     The single inner face is the circumscribed polygon itself; edge length
     2 sin(pi/n) gives theta_e = pi/2 - pi/n for every edge.  n = 2 would be a
-    doubled edge and raises NotSimpleError (via build_map), n < 2 likewise.
+    doubled edge and raises NotSimpleError, n < 2 likewise.  Edge k joins
+    vertices k and k + 1 (mod n).
     """
     if n < 3:
         raise NotSimpleError("cycle(%d) is not a simple graph" % n)
-    edge_list = [(k, (k + 1) % n) for k in range(n)]
     rotations: dict[Hashable, list[int]] = {
         k: [(k - 1) % n, k] for k in range(n)}
     coords = {k: cmath.exp(1j * TWO_PI * k / n) for k in range(n)}
     # walking 0 -> n-1 runs clockwise along the polygon, outside on the left
-    m = build_map(edge_list, rotations, (0, n - 1), coords=coords)
+    m = build_map(rotations, (0, n - 1), coords=coords)
     theta = {m.edge_id(e): Fraction(n - 2, 2 * n) for e in range(n)}
     return m, theta
 
@@ -69,19 +69,18 @@ def rhombic(w: int, h: int,
 
     dx = 2.0 * cmath.cos(beta_rad)
     dy = 2.0 * cmath.sin(beta_rad)
-    edge_list: list[tuple[Hashable, Hashable]] = []
-    edge_frac: dict[int, Fraction | None] = {}
+    # input edge k: ("h", i, j) joins (i, j) to (i + 1, j), ("v", i, j)
+    # joins (i, j) to (i, j + 1); edge_frac[k] is its exact angle
+    edge_frac: list[Fraction | None] = []
     index: dict[tuple[str, int, int], int] = {}
     for j in range(h):
         for i in range(w - 1):
-            index[("h", i, j)] = len(edge_list)
-            edge_frac[len(edge_list)] = frac_h
-            edge_list.append(((i, j), (i + 1, j)))
+            index[("h", i, j)] = len(edge_frac)
+            edge_frac.append(frac_h)
     for j in range(h - 1):
         for i in range(w):
-            index[("v", i, j)] = len(edge_list)
-            edge_frac[len(edge_list)] = frac_v
-            edge_list.append(((i, j), (i, j + 1)))
+            index[("v", i, j)] = len(edge_frac)
+            edge_frac.append(frac_v)
 
     rotations: dict[Hashable, list[int]] = {}
     for j in range(h):
@@ -98,7 +97,6 @@ def rhombic(w: int, h: int,
             rotations[(i, j)] = rot
     coords = {(i, j): complex(i * dx, j * dy) for j in range(h) for i in range(w)}
     # at (0,0) the dart along ("v",0,0) points north with the outside on its left
-    m = build_map(edge_list, rotations, ((0, 0), index[("v", 0, 0)]),
-                  coords=coords)
-    # edge_frac is keyed by input edge index; re-key by internal edge id
-    return m, {m.edge_id(k): v for k, v in edge_frac.items()}
+    m = build_map(rotations, ((0, 0), index[("v", 0, 0)]), coords=coords)
+    # edge_frac is indexed by input edge; re-key by internal edge id
+    return m, {m.edge_id(k): v for k, v in enumerate(edge_frac)}

@@ -55,9 +55,10 @@ class IsoradialData(NamedTuple):
 
 
 def validate_isoradial(m: PlanarMap,
-                       theta_exact: Mapping[int, Fraction | None] | None = None,
-                       tol: float = EPS_GEOM) -> IsoradialData:
-    """Check the embedding of m is isoradial and extract its angles.
+                       theta_exact: Mapping[int, Fraction | None] | None = None
+                       ) -> IsoradialData:
+    """Check the embedding of m is isoradial, to EPS_GEOM, and extract its
+    angles.
 
     Raises NotIsoradialError when some inner face has no common unit-distance
     center for its vertices (or an exact angle disagrees with the geometry),
@@ -71,7 +72,7 @@ def validate_isoradial(m: PlanarMap,
     for e in range(m.n_edges):
         u, v = m.endpoints(e)
         half = abs(coords[v] - coords[u]) / 2.0
-        if half <= tol or half >= 1.0 - tol:
+        if half <= EPS_GEOM or half >= 1.0 - EPS_GEOM:
             raise AngleOutOfRangeError(
                 "edge %d has length %.12g; need theta in (0, pi/2)"
                 % (e, 2 * half))
@@ -82,7 +83,7 @@ def validate_isoradial(m: PlanarMap,
         for e, q in theta_exact.items():
             if q is None:
                 continue
-            if abs(theta[e] - math.pi * float(q)) > max(tol, 1e-12):
+            if abs(theta[e] - math.pi * float(q)) > EPS_GEOM:
                 raise NotIsoradialError(
                     "edge %d: exact angle pi*%s disagrees with geometry %.12g"
                     % (e, q, theta[e]))
@@ -94,18 +95,18 @@ def validate_isoradial(m: PlanarMap,
         if f == m.outer_face:
             continue
         pts = [m.coords[m.vertex_of(d)] for d in m.faces[f]]
-        c = _circumcenter_unit(pts, tol)
+        c = _circumcenter_unit(pts)
         if c is None:
             raise NotIsoradialError("face %d is not inscribed in a unit circle" % f)
         centers[f] = c
-        if not _in_closed_polygon(c, pts, tol):
+        if not _in_closed_polygon(c, pts):
             regular = False
 
     return IsoradialData(map=m, theta=tuple(theta), theta_exact=tuple(exact),
                          centers=centers, regular=regular)
 
 
-def _circumcenter_unit(pts: list[complex], tol: float) -> complex | None:
+def _circumcenter_unit(pts: list[complex]) -> complex | None:
     """Common point at distance 1 from all of pts, or None.
 
     Uses the two intersection candidates of the unit circles around the
@@ -114,25 +115,25 @@ def _circumcenter_unit(pts: list[complex], tol: float) -> complex | None:
     a, b = pts[0], pts[1]
     chord = b - a
     half = abs(chord) / 2.0
-    if half > 1.0 + tol:
+    if half > 1.0 + EPS_GEOM:
         return None
     h2 = max(1.0 - half * half, 0.0)
     n = 1j * chord / abs(chord)
     mid = (a + b) / 2.0
     for cand in (mid + n * math.sqrt(h2), mid - n * math.sqrt(h2)):
-        if all(abs(abs(p - cand) - 1.0) <= tol for p in pts):
+        if all(abs(abs(p - cand) - 1.0) <= EPS_GEOM for p in pts):
             return cand
     return None
 
 
-def _in_closed_polygon(pt: complex, poly: list[complex], tol: float) -> bool:
+def _in_closed_polygon(pt: complex, poly: list[complex]) -> bool:
     # distance to boundary segments first: "closure" with tolerance
     n = len(poly)
     for i in range(n):
         a, b = poly[i], poly[(i + 1) % n]
         t = ((pt - a) / (b - a)).real if b != a else 0.0
         t = min(max(t, 0.0), 1.0)
-        if abs(pt - (a + t * (b - a))) <= tol:
+        if abs(pt - (a + t * (b - a))) <= EPS_GEOM:
             return True
     inside = False
     x, y = pt.real, pt.imag
@@ -163,7 +164,7 @@ class BoundaryAngles(NamedTuple):
     max_mismatch: float
 
 
-def boundary_angles(iso: IsoradialData, tol: float = EPS_GEOM) -> BoundaryAngles:
+def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
     m = iso.map
     corners_at: dict[int, list[int]] = {}
     for delta in m.outer_orbit:
@@ -180,7 +181,7 @@ def boundary_angles(iso: IsoradialData, tol: float = EPS_GEOM) -> BoundaryAngles
         # which would change the last digits of every boundary angle
         residual = math.pi - reduce(
             add, (iso.theta[m.edge_of(d)] for d in m.vertices[x]), 0.0)
-        if residual <= tol:
+        if residual <= EPS_GEOM:
             raise AngleOutOfRangeError(
                 "boundary vertex %d leaves no room for a boundary angle" % x)
         fracs = [iso.theta_exact[m.edge_of(d)] for d in m.vertices[x]]
@@ -198,7 +199,7 @@ def boundary_angles(iso: IsoradialData, tol: float = EPS_GEOM) -> BoundaryAngles
             for delta in corners:
                 theta[delta] = geometric[delta]
                 exact[delta] = None
-    if max_mismatch > max(tol, 1e-7):
+    if max_mismatch > 1e-7:
         raise NotIsoradialError(
             "closure and reflected-center boundary angles disagree by %.3g"
             % max_mismatch)

@@ -66,18 +66,18 @@ class FlatnessReport(NamedTuple):
     flat: bool
 
 
-def check_flat(gq: PlanarMap, phases: Mapping,
-               tol: float = EPS_NUM) -> FlatnessReport:
+def check_flat(gq: PlanarMap, phases: Mapping) -> FlatnessReport:
     """Curvature of every face, by face id, read clockwise.
 
     For a face of length 2k with clockwise vertex sequence
     w1 b1 w2 b2 ... wk bk the curvature is
     (-1)^(k-1) * prod e^{i phi(w_j b_j)} / prod e^{i phi(w_{j+1} b_j)},
     i.e. numerator over white->black steps, denominator over black->white
-    steps of the clockwise walk.  A flat phasing has curvature 1 everywhere.
-    Each e^{i phi} is computed once per edge (see `_unit_phases`).
+    steps of the clockwise walk.  A flat phasing has curvature 1 everywhere
+    (up to EPS_NUM).  Each e^{i phi} is computed once per edge (see
+    `_unit_phases`).
     """
-    return _flatness(gq, _unit_phases(gq, phases), tol)
+    return _flatness(gq, _unit_phases(gq, phases))
 
 
 def _unit_phases(gq: PlanarMap, phases: Mapping) -> list[complex]:
@@ -85,8 +85,7 @@ def _unit_phases(gq: PlanarMap, phases: Mapping) -> list[complex]:
     return [cmath.exp(1j * phases[key]) for key in gq.edge_keys]
 
 
-def _flatness(gq: PlanarMap, unit: list[complex],
-              tol: float) -> FlatnessReport:
+def _flatness(gq: PlanarMap, unit: list[complex]) -> FlatnessReport:
     """`check_flat` from the unit phases: each face's darts are folded in
     reverse, a dart into the numerator when the origin of the next dart of
     the face (the step's start, clockwise) is white."""
@@ -105,14 +104,16 @@ def _flatness(gq: PlanarMap, unit: list[complex],
         curv.append((-1) ** (len(orb) // 2 - 1) * num / den)
     dev = max(abs(c - 1.0) for c in curv)
     return FlatnessReport(curvatures=tuple(curv), max_deviation=dev,
-                          flat=dev <= tol)
+                          flat=dev <= EPS_NUM)
 
 
 class KasteleynMatrix(NamedTuple):
     """White-by-black phased adjacency matrix of the quadri-tiling graph;
     row i maps the index of each black neighbour to its entry, ascending.
-    ``flatness`` is the `check_flat` report of the phasing the build used
-    (the same floats), so callers need not compute it a second time."""
+    Row i is the white ``('w', i)`` and column j the black ``('b', j)``:
+    ``whites`` and ``blacks`` list those keys by index.  ``flatness`` is
+    the `check_flat` report of the phasing the build used (the same
+    floats), so callers need not compute it a second time."""
     whites: tuple
     blacks: tuple
     rows: tuple[dict[int, complex], ...]
@@ -125,7 +126,9 @@ class KasteleynMatrix(NamedTuple):
 def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
                     phases: Mapping | None = None) -> KasteleynMatrix:
     """K[w, b] = nu_wb e^{i phi_wb}, summed over the quadri-tiling edges in
-    edge order into one sparse row per white.
+    edge order into one sparse row per white.  Each edge key names its
+    entry: ``('cp', d)`` is (w(d), b(d)), ``('cd', d)`` is (w(d), b(alpha d))
+    and ``('ex', d)`` is (w(sigma d), b(d)).
 
     The phasing's flatness is checked as `check_flat` does and kept as
     ``K.flatness``.  If the supplied (or default) phasing is not flat a
@@ -135,47 +138,40 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     if phases is None:
         phases = assign_phases(gq, iso, bnd)
     unit = _unit_phases(gq, phases)
-    flat = _flatness(gq, unit, EPS_NUM)
+    flat = _flatness(gq, unit)
     if not flat.flat:
         import warnings
         warnings.warn("phasing is not flat (max deviation %.3g); "
                       "|det K| need not equal the dimer partition function"
                       % flat.max_deviation)
-    whites = tuple(sorted(k for k in gq.vertex_keys if k[0] == "w"))
-    blacks = tuple(sorted(k for k in gq.vertex_keys if k[0] == "b"))
-    wi = {k: i for i, k in enumerate(whites)}
-    bi = {k: i for i, k in enumerate(blacks)}
-    rows: list[dict[int, complex]] = [{} for _ in whites]
-    keys, theta = gq.vertex_keys, iso.theta
+    sigma, theta = iso.map.sigma, iso.theta
+    n = len(sigma)
+    rows: list[dict[int, complex]] = [{} for _ in range(n)]
     for e, (kind, d) in enumerate(gq.edge_keys):
-        u, v = gq.endpoints(e)
-        if keys[u][0] != "w":
-            u, v = v, u
-        r, j = rows[wi[keys[u]]], bi[keys[v]]
         if kind == "cp":
-            mod = math.cos(theta[d >> 1])
+            i, j, mod = d, d, math.cos(theta[d >> 1])
         elif kind == "cd":
-            mod = math.sin(theta[d >> 1])
+            i, j, mod = d, d ^ 1, math.sin(theta[d >> 1])
         else:
-            mod = 1.0
+            i, j, mod = sigma[d], d, 1.0
+        r = rows[i]
         r[j] = r.get(j, 0j) + mod * unit[e]
     # quadri_tiling numbers the edges black by black in key order, so the
     # keys of every row arrive in ascending column order
-    return KasteleynMatrix(whites=whites, blacks=blacks, rows=tuple(rows),
-                           flatness=flat)
+    return KasteleynMatrix(whites=tuple(("w", d) for d in range(n)),
+                           blacks=tuple(("b", d) for d in range(n)),
+                           rows=tuple(rows), flatness=flat)
 
 
-def verify_squared_ising(m: PlanarMap, iso: IsoradialData,
-                         n_samples: int = 3, seed: int = 11,
-                         tol: float = EPS_NUM) -> Report:
+def verify_squared_ising(m: PlanarMap, iso: IsoradialData) -> Report:
     """Check Z_Ising(G, J)^2 = 2^|V| prod_e cosh(2 J_e) * Z_dimer(G^Q, nu(J))
-    by exhaustive enumeration of both sides, at the critical couplings and at
-    `n_samples` seeded positive coupling vectors."""
+    to EPS_NUM by exhaustive enumeration of both sides, at the critical
+    couplings and at three positive coupling vectors drawn from seed 11."""
     gq = quadri_tiling(m)
-    rng = random.Random(seed)
+    rng = random.Random(11)
     rep = Report()
     trials = [("critical", critical_couplings(iso))]
-    for k in range(n_samples):
+    for k in range(3):
         trials.append(("sample-%d" % (k + 1),
                        tuple(rng.uniform(0.15, 1.2) for _ in range(m.n_edges))))
     for label, J in trials:
@@ -185,5 +181,5 @@ def verify_squared_ising(m: PlanarMap, iso: IsoradialData,
         lhs = zi * zi
         rhs = (2 ** m.n_vertices
                * math.prod(math.cosh(2.0 * j) for j in J) * zd)
-        rep.add(check("squared-ising[%s]" % label, lhs, rhs, tol))
+        rep.add(check("squared-ising[%s]" % label, lhs, rhs, EPS_NUM))
     return rep

@@ -271,9 +271,9 @@ def _orbits(perm: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...],
 # ---------------------------------------------------------------------------
 
 def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
-                       outer: tuple[Hashable, Hashable] | tuple[Hashable, Hashable, int],
+                       outer: tuple[Hashable, Hashable],
                        coords: Mapping[Hashable, complex] | None = None,
-                       tags: Mapping[Hashable, str] | str | None = None) -> PlanarMap:
+                       tags: Mapping[Hashable, str] | None = None) -> PlanarMap:
     """Build a PlanarMap from per-vertex ccw edge-key rotations.
 
     Args:
@@ -282,12 +282,11 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
         vertex for a loop).  A vertex with an empty rotation has no dart and
         is left out of the map.  Vertex ids follow the sigma-orbit numbering
         (by minimal dart), edge ids the order of first appearance.
-      outer: ``(vertex key, edge key)`` or ``(vertex key, edge key, k)``
-        naming the dart originating at that vertex along that edge (k-th
-        occurrence at the vertex, for loops/repeats) whose *left* face is the
-        outer face.
+      outer: ``(vertex key, edge key)`` naming the dart originating at that
+        vertex along that edge (its first occurrence in the vertex's
+        rotation, for a loop) whose *left* face is the outer face.
       coords: optional vertex key -> complex embedding.
-      tags: optional vertex key -> tag, or a single tag for all vertices.
+      tags: optional vertex key -> tag.
     """
     vertex_keys = list(rotations.keys())
     edge_keys: list[Hashable] = []
@@ -319,12 +318,11 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
             sigma[prev] = d
             prev = d
 
-    ov, oe = outer[0], outer[1]
-    occ_wanted = outer[2] if len(outer) > 2 else 0
-    hits = [d for d, ek in zip(darts_of[ov], rotations[ov]) if ek == oe]
-    if not hits:
+    ov, oe = outer
+    outer_dart = next((d for d, ek in zip(darts_of[ov], rotations[ov])
+                       if ek == oe), None)
+    if outer_dart is None:
         raise MapError("outer dart (%r, %r) not found" % (ov, oe))
-    outer_dart = hits[occ_wanted]
 
     # vertex ids follow sigma-orbit numbering (by minimal dart), which need
     # not match rotations order; each non-empty rotation is one orbit, so
@@ -337,10 +335,7 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
         coord_list = [complex(coords[k]) for k in ordered_keys]
     tag_list = None
     if tags is not None:
-        if isinstance(tags, str):
-            tag_list = [tags] * len(ordered_keys)
-        else:
-            tag_list = [tags[k] for k in ordered_keys]
+        tag_list = [tags[k] for k in ordered_keys]
 
     return PlanarMap(sigma, outer_dart, coords=coord_list, tags=tag_list,
                      vertex_keys=ordered_keys, edge_keys=edge_keys)
@@ -358,17 +353,17 @@ def _raise_bad_edge_count(rotations, vertex_keys) -> None:
             raise MapError("edge key %r occurs %d times (want 2)" % (ek, c))
 
 
-def build_map(edge_list: Sequence[tuple[Hashable, Hashable]],
-              rotations: Mapping[Hashable, Sequence[int]],
-              outer: tuple[Hashable, int] | tuple[Hashable, int, int],
+def build_map(rotations: Mapping[Hashable, Sequence[Hashable]],
+              outer: tuple[Hashable, Hashable],
               coords: Mapping[Hashable, complex] | None = None) -> PlanarMap:
-    """Validated map construction for input graphs.
+    """Validated map construction for input graphs: :func:`map_from_rotations`
+    followed by :func:`validate_simple_input`.
 
     Args:
-      edge_list: edges as vertex-key pairs; edge i is referred to by index i.
-      rotations: vertex key -> ccw cyclic order of incident edge *indices*.
-      outer: (vertex key, edge index[, occurrence]) naming the dart whose
-        left face is outer, as in :func:`map_from_rotations`.
+      rotations: vertex key -> ccw cyclic order of incident edge keys; each
+        edge key occurs at both of its ends.
+      outer: (vertex key, edge key) naming the dart whose left face is
+        outer, as in :func:`map_from_rotations`.
       coords: optional embedding.
 
     Raises:
@@ -377,15 +372,6 @@ def build_map(edge_list: Sequence[tuple[Hashable, Hashable]],
       DisconnectedError: more than one component.
       NonPlanarError: Euler's formula fails for the designated rotation.
     """
-    seen_pairs = set()
-    for (u, v) in edge_list:
-        if u == v:
-            raise NotSimpleError("loop at %r" % (u,))
-        pair = frozenset((u, v))
-        if pair in seen_pairs:
-            raise NotSimpleError("parallel edge %r-%r" % (u, v))
-        seen_pairs.add(pair)
-
     m = map_from_rotations(rotations, outer, coords=coords)
     if len(rotations) != len(m.vertices):
         raise DegreeTooLowError("isolated vertex in rotation data")
@@ -458,12 +444,12 @@ def dual_map(m: PlanarMap) -> PlanarMap:
 # canonical form / isomorphism (test helper)
 # ---------------------------------------------------------------------------
 
-def canonical_key(m: PlanarMap, include_outer: bool = True) -> tuple:
+def canonical_key(m: PlanarMap) -> tuple:
     """Canonical invariant of a connected map under dart relabeling.
 
     Breadth-first relabeling from every possible anchor dart; the minimal
-    encoding wins.  Encodes sigma and alpha in the new labels plus (optionally)
-    which face is outer.  Quadratic in the dart count -- test-sized inputs only.
+    encoding wins.  Encodes sigma and alpha in the new labels plus which
+    face is outer.  Quadratic in the dart count -- test-sized inputs only.
     """
     n = len(m.sigma)
     best = None
@@ -482,13 +468,13 @@ def canonical_key(m: PlanarMap, include_outer: bool = True) -> tuple:
         for d in order:
             enc.append(labels[m.sigma[d]])
             enc.append(labels[d ^ 1])
-        if include_outer:
-            enc.append(min(labels[d] for d in m.outer_orbit))
+        enc.append(min(labels[d] for d in m.outer_orbit))
         key = tuple(enc)
         if best is None or key < best:
             best = key
     return best
 
 
-def is_isomorphic(a: PlanarMap, b: PlanarMap, include_outer: bool = True) -> bool:
-    return canonical_key(a, include_outer) == canonical_key(b, include_outer)
+def is_isomorphic(a: PlanarMap, b: PlanarMap) -> bool:
+    """Same map, outer face included, up to dart relabeling."""
+    return canonical_key(a) == canonical_key(b)

@@ -130,8 +130,9 @@ def enumerate_matchings(m: PlanarMap,
 
 def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> complex:
     """Weighted dimer partition function: sum over perfect matchings of the
-    product of edge weights.  `weights` holds every edge's weight, keyed by
-    edge key when the map carries edge keys, else by edge id."""
+    product of edge weights (of m minus `skip_vertex`, when given).
+    `weights` holds every edge's weight, keyed by edge key when the map
+    carries edge keys, else by edge id."""
     w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
     total = 0j
     for match in enumerate_matchings(m, skip_vertex):
@@ -279,15 +280,16 @@ def matrix_tree_Z(g: WeightedDigraph, root: Hashable) -> complex:
     return complex_det(laplacian(g, root))
 
 
-def complex_det(rows: Sequence) -> complex:
+def complex_det(rows: Sequence[Mapping[int, complex]]) -> complex:
     """Determinant by sparse LU elimination: the sign of the row -> pivot
     column permutation times the product of the pivots.
 
-    `rows` holds dense row sequences or sparse rows (dicts column -> entry,
-    columns 0..n-1); both are copied, never changed.  Markowitz order with
-    threshold partial pivoting: the active column with the fewest entries,
-    then, of its entries of modulus >= 0.1 * the column's largest, the one
-    in the shortest row, chosen in one pass over the column in set order.
+    `rows` holds one sparse row per matrix row: a dict column -> entry,
+    columns 0..n-1, zero entries allowed; rows are copied, never changed.
+    Markowitz order with threshold partial pivoting: the active column with
+    the fewest entries, then, of its entries of modulus >= 0.1 * the
+    column's largest, the one in the shortest row, chosen in one pass over
+    the column in set order.
     On a tie in row length a later entry wins only with over 1.5 times the
     kept one's modulus: near-equal moduli keep set order, which costs less
     fill, and a clearly larger pivot still wins, which keeps growth low.
@@ -295,13 +297,7 @@ def complex_det(rows: Sequence) -> complex:
     entry is below 1e-13 in modulus, makes the result 0.
     """
     n = len(rows)
-    a: list[dict[int, complex]] = []
-    for r in rows:
-        if not isinstance(r, dict):
-            if len(r) != n:
-                raise ValueError("determinant of a non-square matrix")
-            r = {j: r[j] for j in compress(range(n), r)}
-        a.append({j: complex(x) for j, x in r.items() if x != 0})
+    a = [{j: complex(x) for j, x in r.items() if x != 0} for r in rows]
     if any(not 0 <= j < n for row in a for j in row):
         raise ValueError("determinant of a non-square matrix")
     col_rows: list[set[int]] = [set() for _ in range(n)]

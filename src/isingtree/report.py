@@ -16,26 +16,23 @@ class CheckResult(NamedTuple):
     rhs: complex
     err: float
     passed: bool
-    note: str = ""
 
     def to_dict(self) -> dict:
         def _num(z: complex):
             z = complex(z)
             return z.real if z.imag == 0.0 else {"re": z.real, "im": z.imag}
-        d = {"name": self.name, "lhs": _num(self.lhs), "rhs": _num(self.rhs),
-             "rel_err": self.err, "pass": self.passed}
-        if self.note:
-            d["note"] = self.note
-        return d
+        return {"name": self.name, "lhs": _num(self.lhs),
+                "rhs": _num(self.rhs), "rel_err": self.err,
+                "pass": self.passed}
 
 
 def check(name: str, lhs: complex, rhs: complex, tol: float,
-          absolute: bool = False, note: str = "") -> CheckResult:
+          absolute: bool = False) -> CheckResult:
     """Build a CheckResult; `absolute` compares |lhs - rhs| directly instead
     of relatively (for identities whose exact value is 0)."""
     err = abs(lhs - rhs) if absolute else rel_err(lhs, rhs)
     return CheckResult(name=name, lhs=complex(lhs), rhs=complex(rhs),
-                       err=err, passed=(err <= tol), note=note)
+                       err=err, passed=(err <= tol))
 
 
 class Report:

@@ -143,8 +143,12 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     if "angles" in data:
         exact = {}
         for key, entry in data["angles"].items():
+            e = int(key)
+            if not 0 <= e < m.n_edges:
+                raise MapError("angle key %r is not an edge id in 0..%d"
+                               % (key, m.n_edges - 1))
             q = entry.get("pi_rational")
-            exact[int(key)] = None if q is None else Fraction(q)
+            exact[e] = None if q is None else Fraction(q)
     return m, exact
 
 
@@ -176,11 +180,14 @@ def dumps_map(m: PlanarMap, theta=None, theta_exact=None) -> str:
 
 
 def loads_map(text: str) -> tuple[PlanarMap, dict[int, Fraction] | None]:
-    data = json.loads(text)
+    """`map_from_json_dict` of a JSON text; any text that is not a graph
+    document raises MapError."""
     try:
-        return map_from_json_dict(data)
-    except (KeyError, IndexError, TypeError, ValueError,
-            ArithmeticError) as exc:   # e.g. an angle "1/0" or "abc"
+        return map_from_json_dict(json.loads(text))
+    # text that is not JSON (a ValueError), nesting too deep for the
+    # decoder, a missing field, an angle "1/0" or "abc"
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError,
+            RecursionError) as exc:
         raise MapError("malformed graph document: %s" % exc)
 
 

@@ -59,7 +59,7 @@ def test_criterion_01_squared_ising_partition_identity(pipelines):
     t0 = time.perf_counter()
     worst = 0.0
     for p in pipelines.values():
-        rep = verify_squared_ising(p.m, p.iso, n_samples=3, tol=TOL)
+        rep = verify_squared_ising(p.m, p.iso)   # 3 samples, EPS_NUM = TOL
         assert len(rep.checks) == 4
         worst = max(worst, max(c.err for c in rep.checks))
     elapsed = time.perf_counter() - t0

@@ -123,6 +123,35 @@ def test_zero_denominator_angle_fails_cleanly(tmp_path, capsys):
         "error: malformed graph document: ")
 
 
+def _angle_key(key):
+    def edit(text):
+        data = json.loads(text)
+        data["angles"][key] = data["angles"]["0"]
+        return json.dumps(data)
+    return edit
+
+
+# C4 documents that loads_map must turn into MapError
+MALFORMED = {
+    "angle-key-999": _angle_key("999"),
+    "angle-key-minus-1": _angle_key("-1"),
+    "not-json": lambda text: text[:len(text) // 2],
+    "too-deep": lambda text: "[" * 100000,
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_fails_cleanly(edit, tmp_path, capsys):
+    path = tmp_path / "c4.json"
+    main(["generate", "cycle", "4", "--out", str(path)])
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_export_is_deterministic(capsys):
     assert main(["export", "extended_double", "--generator", "cycle:4",
                  "--format", "json"]) == 0

@@ -312,8 +312,9 @@ def test_verify_rejects_interior_root(grid33, monkeypatch):
                                    s_dart=s_dart)
 
 
-def test_verify_budget_disables_enumeration_checks(c4):
-    rep = co.verify_main_theorem(c4.m, c4.theta_exact, enum_budget=1)
+def test_verify_budget_disables_enumeration_checks(c4, monkeypatch):
+    monkeypatch.setattr(co, "OST_ENUM_BUDGET", 1)
+    rep = co.verify_main_theorem(c4.m, c4.theta_exact)
     names = tuple(c.name for c in rep.checks)
     assert "corner-tree-enumeration-vs-det" not in names
     assert rep.passed

@@ -115,18 +115,17 @@ def permutation_sign(perm):
 @given(st.integers(0, 7).flatmap(square_matrices))
 def test_complex_det_matches_cofactor_expansion(rows):
     rhs = det_cofactor(rows)
-    for lhs in (complex_det(rows), complex_det(sparse_rows(rows))):
-        assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(rhs)))
+    lhs = complex_det(sparse_rows(rows))
+    assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(rhs)))
 
 
 @given(st.integers(0, 7).flatmap(lambda n: square_matrices(n, TIE_ENTRY)))
 def test_complex_det_on_tied_pivots_matches_cofactor_expansion(rows):
     rhs = det_cofactor(rows)
     sparse = sparse_rows(rows)
-    dense_copy, sparse_copy = [r[:] for r in rows], [dict(r) for r in sparse]
-    for lhs in (complex_det(rows), complex_det(sparse)):
-        assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
-    assert rows == dense_copy
+    sparse_copy = [dict(r) for r in sparse]
+    lhs = complex_det(sparse)
+    assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
     assert sparse == sparse_copy
 
 
@@ -172,7 +171,6 @@ def test_complex_det_of_permutation_matrices_is_their_exact_sign():
         n = len(perm)
         rows = [[1.0 if j == perm[i] else 0.0 for j in range(n)]
                 for i in range(n)]
-        assert complex_det(rows) == permutation_sign(perm)
         assert complex_det(sparse_rows(rows)) == permutation_sign(perm)
 
 
@@ -180,7 +178,6 @@ def test_complex_det_is_zero_on_singular_matrices():
     rank_two = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     empty_column = [[1, 0, 2], [3, 0, 4], [5, 0, 6]]
     for rows in (rank_two, empty_column):
-        assert complex_det(rows) == 0j
         assert complex_det(sparse_rows(rows)) == 0j
     assert complex_det([{0: 1.0}, {0: 2.0}]) == 0j
 
@@ -189,8 +186,6 @@ def test_complex_det_leaves_its_input_alone_and_rejects_non_square():
     rows = [{0: 2.0, 1: 1.0}, {0: 1.0, 1: 3.0}]
     assert complex_det(rows) == pytest.approx(5.0)
     assert rows == [{0: 2.0, 1: 1.0}, {0: 1.0, 1: 3.0}]
-    with pytest.raises(ValueError):
-        complex_det([[1, 2], [3]])
     with pytest.raises(ValueError):
         complex_det([{0: 1.0}, {2: 1.0}])
 

@@ -18,8 +18,8 @@ from isingtree.kasteleyn import FlatnessReport, KasteleynMatrix
 from isingtree.oracles import Arc, WeightedDigraph
 from isingtree.report import CheckResult, Report
 
-# every record class with its fields in order; only CheckResult.note and
-# Arc.kind have a default, ""
+# every record class with its fields in order; only Arc.kind has a
+# default, ""
 RECORDS = {
     DirectedModel: ("graph", "map"),
     CompatClass: ("matching", "trees", "weight_sum", "closed_form",
@@ -35,10 +35,10 @@ RECORDS = {
     FlatnessReport: ("curvatures", "max_deviation", "flat"),
     KasteleynMatrix: ("whites", "blacks", "rows", "flatness"),
     WeightedDigraph: ("nodes", "arcs"),
-    CheckResult: ("name", "lhs", "rhs", "err", "passed", "note"),
+    CheckResult: ("name", "lhs", "rhs", "err", "passed"),
     Arc: ("tail", "head", "weight", "kind"),
 }
-DEFAULTS = {(CheckResult, "note"): "", (Arc, "kind"): ""}
+DEFAULTS = {(Arc, "kind"): ""}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

@@ -154,9 +154,30 @@ def test_loader_rejects_malformed_angles(edit):
         loads_map(json.dumps(data))
 
 
-def test_loader_leaves_json_syntax_errors_alone():
-    with pytest.raises(json.JSONDecodeError):
-        loads_map('{"darts": ')
+# text that is not a graph document: cut off, not JSON at all, or nested
+# past the decoder's recursion limit
+NOT_A_DOCUMENT = {
+    "truncated": '{"darts": ',
+    "not-json": "darts: []",
+    "too-deep": "[" * 100000,
+}
+
+
+@pytest.mark.parametrize("text", NOT_A_DOCUMENT.values(), ids=NOT_A_DOCUMENT)
+def test_loader_rejects_text_that_is_not_a_document(text):
+    with pytest.raises(MapError, match="^malformed graph document: "):
+        loads_map(text)
+
+
+@pytest.mark.parametrize("key", ["999", "4", "-1"])
+def test_loader_rejects_angle_keys_that_are_not_edge_ids(key):
+    # a negative key would index the edge list from its end
+    m, exact = cycle(4)
+    data = json.loads(dumps_map(m, theta_exact=exact))
+    data["angles"][key] = data["angles"]["0"]
+    with pytest.raises(MapError) as exc:
+        loads_map(json.dumps(data))
+    assert str(exc.value) == "angle key %r is not an edge id in 0..3" % key
 
 
 @pytest.mark.parametrize("edit,message", LOADER_ERRORS)
