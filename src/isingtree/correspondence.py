@@ -683,6 +683,8 @@ def verify_main_theorem(m: PlanarMap,
         raise ValueError("s must be an outer-orbit dart")
     rep = Report()
     iso = validate_isoradial(m, theta_exact)
+    J = critical_couplings(iso)
+    zi = ising_Z(m, J)   # first: its 2^V cap fails fast on a large graph
     bnd = boundary_angles(iso)
     gq = quadri_tiling(m)
     K = build_kasteleyn(gq, iso, bnd)
@@ -690,12 +692,10 @@ def verify_main_theorem(m: PlanarMap,
                   K.flatness.max_deviation, 0.0, tol, absolute=True))
     detK = K.det()
 
-    J = critical_couplings(iso)
     nu = dimer_weights(J, gq)
     zq = dimer_Z(gq, nu)
     rep.add(check("dimer-sum-vs-det[quadri-tiling]", zq, abs(detK), tol))
 
-    zi = ising_Z(m, J)
     rhs = (2 ** m.n_vertices) * math.prod(math.cosh(2 * j) for j in J) * zq
     rep.add(check("squared-ising[critical]", zi * zi, rhs, tol))
 

@@ -1,10 +1,11 @@
 """Graphs derived from a planar map: diamond graph, quadri-tiling graph,
 extended primal/dual pair, and the extended double graph.
 
-Each construction calls :func:`map_from_rotations` once, on a provisional
-outer dart, and then names its designated outer face with
-:meth:`PlanarMap.with_outer_dart`, which keeps the dart and vertex numbering.
-Vertex and edge keys record provenance:
+The quadri-tiling and the extended double number their darts in closed
+form and build the map in one call; the diamond graph and the extended pair
+call :func:`map_from_rotations` on a provisional outer dart and name their
+outer face with :meth:`PlanarMap.with_outer_dart`, which keeps the
+numbering.  Vertex and edge keys record provenance:
 
 * diamond graph: vertices ``('p', v)`` / ``('f', F)``, one edge ``('c', d)``
   per corner dart d joining v(d) to the face left of d;
@@ -31,6 +32,10 @@ from __future__ import annotations
 from typing import Hashable, NamedTuple
 
 from .maps import MapError, PlanarMap, map_from_rotations
+
+# vertex tag by key kind, for the maps built without map_from_rotations
+_TAG = {"b": "black", "w": "white", "p": "black-primal", "f": "black-dual",
+        "u": "black-dual", "we": "white", "wb": "white"}
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +72,9 @@ def quad_graph(m: PlanarMap) -> PlanarMap:
     return q.with_outer_dart(q.faces[_face_with_keys(q, want)][0])
 
 
-def _face_keys(m: PlanarMap, f: int) -> frozenset:
-    return frozenset(m.edge_key(m.edge_of(d)) for d in m.faces[f])
-
-
 def _face_with_keys(m: PlanarMap, keys: frozenset) -> int:
-    hits = [f for f in range(len(m.faces)) if _face_keys(m, f) == keys]
+    hits = [f for f, orb in enumerate(m.faces)
+            if frozenset(m.edge_key(d >> 1) for d in orb) == keys]
     if len(hits) != 1:
         raise MapError("face with key set %r not unique: %r" % (keys, hits))
     return hits[0]
@@ -97,29 +99,30 @@ def quadri_tiling(m: PlanarMap) -> PlanarMap:
     Faces then split into one quadrangle per edge of m, one face per vertex
     (length 2 deg) and one per face of m (length 2 x face degree); the
     designated outer face is the one of m's outer face.
+
+    Numbering: black d owns edges 3d, 3d+1, 3d+2 (``('cp', d)``,
+    ``('cd', alpha d)``, ``('ex', d)``) by its even darts 6d, 6d+2, 6d+4 in
+    ccw order; white d owns the odd darts 6 sigma^{-1}(d)+5, 6 alpha(d)+3,
+    6d+1 in ccw order.  Vertices are numbered by smallest dart; the outer
+    dart is 6 d0+5, for d0 the smallest outer dart of m.
     """
     n = len(m.sigma)
-    rotations: dict[Hashable, list[Hashable]] = {}
-    tags: dict[Hashable, str] = {}
+    sigma_inv = m.sigma_inv
+    sigma = [0] * (6 * n)
+    first: list = [None] * (6 * n)   # vertex key at its smallest dart
+    edge_keys: list[tuple] = []
     for d in range(n):
-        rotations[("b", d)] = [("cp", d), ("cd", d ^ 1), ("ex", d)]
-        tags[("b", d)] = "black"
-    for d in range(n):
-        rotations[("w", d)] = [("ex", m.sigma_inv[d]), ("cd", d), ("cp", d)]
-        tags[("w", d)] = "white"
-
-    d0 = min(m.outer_orbit)
-    q = map_from_rotations(rotations, (("b", d0), ("ex", d0)), tags=tags)
-    # the external edge at boundary corner d0 borders the vertex-face of
-    # v(d0) (which contains ('cp', d0)) and the outer face: designate the
-    # side away from ('cp', d0).
-    e_id = q.edge_id(("ex", d0))
-    darts = (2 * e_id, 2 * e_id + 1)
-    sides = [f for f in (q.face_of(darts[0]), q.face_of(darts[1]))
-             if ("cp", d0) not in _face_keys(q, f)]
-    if len(sides) != 1:
-        raise MapError("outer face of the quadri-tiling graph is ambiguous")
-    return q.with_outer_dart(next(d for d in q.faces[sides[0]] if d in darts))
+        b = 6 * d
+        sigma[b], sigma[b + 2], sigma[b + 4] = b + 2, b + 4, b
+        first[b] = ("b", d)
+        x, y, z = 6 * sigma_inv[d] + 5, 6 * (d ^ 1) + 3, b + 1
+        sigma[x], sigma[y], sigma[z] = y, z, x
+        first[min(x, y, z)] = ("w", d)
+        edge_keys += (("cp", d), ("cd", d ^ 1), ("ex", d))
+    keys = [k for k in first if k is not None]
+    return PlanarMap(sigma, 6 * min(m.outer_orbit) + 5,
+                     tags=[_TAG[k[0]] for k in keys],
+                     vertex_keys=keys, edge_keys=edge_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -218,36 +221,50 @@ def extended_double(m: PlanarMap) -> PlanarMap:
     face alternates rim halves around the boundary.
     """
     boundary = m.outer_orbit
-    rotations: dict[Hashable, list[Hashable]] = {}
-    tags: dict[Hashable, str] = {}
+    # the odd dart of each half-edge (its end at the white), by dart of m
+    hp, hd, hb, hr0, hr1 = ([0] * len(m.sigma) for _ in range(5))
+    # the blacks take the even darts in turn, each black the next ones in
+    # ccw order: sigma steps 2k -> 2k+2, closed at the end of every black
+    sigma = [0] * (4 * len(m.sigma) + 6 * len(boundary))
+    sigma[0::2] = range(2, len(sigma) + 1, 2)
+    first: list = [None] * len(sigma)   # vertex key at its smallest dart
+    edge_keys: list[tuple] = []
 
-    for v in range(len(m.vertices)):
-        rot = []
-        for d in m.vertices[v]:
-            rot.append(("hp", d))
+    def close(key: tuple, start: int) -> None:
+        sigma[2 * len(edge_keys) - 2] = start
+        first[start] = key
+
+    for v, rot in enumerate(m.vertices):
+        start = 2 * len(edge_keys)
+        for d in rot:
+            hp[d] = 2 * len(edge_keys) + 1
+            edge_keys.append(("hp", d))
             if m.is_outer_dart(d):
-                rot.append(("hb", d))
-        rotations[("p", v)] = rot
-        tags[("p", v)] = "black-primal"
-    for f in range(len(m.faces)):
-        if f == m.outer_face:
-            continue
-        rotations[("f", f)] = [("hd", x) for x in m.faces[f]]
-        tags[("f", f)] = "black-dual"
+                hb[d] = 2 * len(edge_keys) + 1
+                edge_keys.append(("hb", d))
+        close(("p", v), start)
+    for f, rot in enumerate(m.faces):
+        if f != m.outer_face:
+            start = 2 * len(edge_keys)
+            for x in rot:
+                hd[x] = 2 * len(edge_keys) + 1
+                edge_keys.append(("hd", x))
+            close(("f", f), start)
     for delta in boundary:
-        rotations[("u", delta)] = [("hr", delta, 1), ("hd", delta),
-                                   ("hr", m.phi(delta), 0)]
-        tags[("u", delta)] = "black-dual"
+        k = 2 * len(edge_keys)
+        hr1[delta], hd[delta], hr0[m.phi(delta)] = k + 1, k + 3, k + 5
+        edge_keys += (("hr", delta, 1), ("hd", delta), ("hr", m.phi(delta), 0))
+        close(("u", delta), k)
     for e in range(m.n_edges):
-        d = 2 * e
-        rotations[("we", e)] = [("hp", d ^ 1), ("hd", d), ("hp", d),
-                                ("hd", d ^ 1)]
-        tags[("we", e)] = "white"
+        w0, w1, w2, w3 = hp[2 * e + 1], hd[2 * e], hp[2 * e], hd[2 * e + 1]
+        sigma[w0], sigma[w1], sigma[w2], sigma[w3] = w1, w2, w3, w0
+        first[min(w0, w1, w2, w3)] = ("we", e)
     for delta in boundary:
-        rotations[("wb", delta)] = [("hr", delta, 0), ("hb", delta),
-                                    ("hr", delta, 1)]
-        tags[("wb", delta)] = "white"
-
-    d0 = min(boundary)
-    dd = map_from_rotations(rotations, (("wb", d0), ("hr", d0, 0)), tags=tags)
-    return dd.with_outer_dart(dd.faces[_face_of_kind(dd, "hr")][0])
+        w0, w1, w2 = hr0[delta], hb[delta], hr1[delta]
+        sigma[w0], sigma[w1], sigma[w2] = w1, w2, w0
+        first[min(w0, w1, w2)] = ("wb", delta)
+    keys = [k for k in first if k is not None]
+    # the outer face alternates rim halves; its smallest dart is the white
+    # end of ('hr', delta, 1) for delta the first boundary corner
+    return PlanarMap(sigma, hr1[boundary[0]], tags=[_TAG[k[0]] for k in keys],
+                     vertex_keys=keys, edge_keys=edge_keys)

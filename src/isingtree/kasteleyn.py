@@ -28,11 +28,11 @@ import random
 from typing import Mapping, NamedTuple
 
 from .derived import quadri_tiling
-from .isoradial import (BoundaryAngles, IsoradialData, boundary_angles,
-                        critical_couplings, dimer_weights)
+from .isoradial import (BoundaryAngles, IsoradialData, critical_couplings,
+                        dimer_weights)
 from .maps import PlanarMap
 from .oracles import complex_det, dimer_Z, ising_Z
-from .report import CheckResult, Report, check
+from .report import Report, check
 
 EPS_NUM = 1e-9
 
@@ -75,7 +75,7 @@ def check_flat(gq: PlanarMap, phases: Mapping) -> FlatnessReport:
     i.e. numerator over white->black steps, denominator over black->white
     steps of the clockwise walk.  A flat phasing has curvature 1 everywhere
     (up to EPS_NUM).  Each e^{i phi} is computed once per edge (see
-    `_unit_phases`).
+    `_unit_phases`).  ``gq`` is a `quadri_tiling` map (whites: odd darts).
     """
     return _flatness(gq, _unit_phases(gq, phases))
 
@@ -88,15 +88,14 @@ def _unit_phases(gq: PlanarMap, phases: Mapping) -> list[complex]:
 def _flatness(gq: PlanarMap, unit: list[complex]) -> FlatnessReport:
     """`check_flat` from the unit phases: each face's darts are folded in
     reverse, a dart into the numerator when the origin of the next dart of
-    the face (the step's start, clockwise) is white."""
-    tags = gq.tags
-    white = [tags[gq.vertex_of(d)] == "white" for d in range(len(gq.sigma))]
+    the face (the step's start, clockwise) is white.  ``gq`` is a
+    `quadri_tiling` map, whose white darts are exactly the odd ones."""
     curv = []
     for orb in gq.faces:
         num, den = 1.0 + 0j, 1.0 + 0j
         nxt = orb[0]
         for d in reversed(orb):
-            if white[nxt]:
+            if nxt & 1:
                 num *= unit[d >> 1]
             else:
                 den *= unit[d >> 1]

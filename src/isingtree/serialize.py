@@ -143,8 +143,8 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     if "angles" in data:
         exact = {}
         for key, entry in data["angles"].items():
-            e = int(key)
-            if not 0 <= e < m.n_edges:
+            e = int(key)   # only the spelling str(e) names edge e
+            if key != str(e) or not 0 <= e < m.n_edges:
                 raise MapError("angle key %r is not an edge id in 0..%d"
                                % (key, m.n_edges - 1))
             q = entry.get("pi_rational")

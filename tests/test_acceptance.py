@@ -23,8 +23,6 @@ import random
 import time
 from collections import Counter
 
-import pytest
-
 from isingtree import correspondence as co
 from isingtree.isoradial import critical_couplings, dimer_weights
 from isingtree.kasteleyn import check_flat, assign_phases, verify_squared_ising

@@ -6,7 +6,6 @@ rhombic 10x10 (K of order 360) check the corner-graph determinant identities.
 """
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -310,6 +309,21 @@ def test_verify_rejects_interior_root(grid33, monkeypatch):
         with pytest.raises(ValueError):
             co.verify_main_theorem(grid33.m, grid33.theta_exact,
                                    s_dart=s_dart)
+
+
+def test_verify_fails_fast_past_the_spin_cap(monkeypatch):
+    # the 2^V spin cap is checked before K or any dimer enumeration, so a
+    # 30x30 grid stops at once instead of enumerating quadri-tiling dimers
+    def never(*args, **kwargs):
+        raise AssertionError("a later stage ran before the spin cap")
+
+    for name in ("build_kasteleyn", "dimer_Z"):
+        monkeypatch.setattr(co, name, never)
+    monkeypatch.delenv("ISINGTREE_SPIN_CAP", raising=False)
+    m, exact = grid(30, 30)
+    with pytest.raises(TooLargeError,
+                       match=r"^2\^900 spin configurations exceed the cap$"):
+        co.verify_main_theorem(m, exact)
 
 
 def test_verify_budget_disables_enumeration_checks(c4, monkeypatch):

@@ -1,12 +1,11 @@
 """Derived graphs: quad graph, quadri-tiling, extended double and pair."""
 
 from collections import Counter
+from fractions import Fraction
 
-import pytest
-
-from isingtree.derived import (extended_double, extended_pair, quad_graph,
-                               quadri_tiling)
-from isingtree.generators import cycle
+from isingtree.derived import extended_double, quad_graph, quadri_tiling
+from isingtree.generators import cycle, grid, rhombic
+from isingtree.maps import map_from_rotations
 
 
 def test_quad_graph_of_square():
@@ -69,3 +68,106 @@ def test_extended_pair_shape(pipelines):
         boundary = len(p.m.outer_orbit)
         assert p_kinds == {"e": p.m.n_edges, "bd": boundary}
         assert s_kinds == {"dual": p.m.n_edges, "rim": boundary}
+
+
+# ---------------------------------------------------------------------------
+# the closed-form numbering against rotation-table references
+# ---------------------------------------------------------------------------
+
+def reference_quadri_tiling(m):
+    """The quadri-tiling through map_from_rotations, its outer face found
+    by search: the side of ('ex', d0) away from the vertex-face of v(d0)."""
+    n = len(m.sigma)
+    rotations, tags = {}, {}
+    for d in range(n):
+        rotations[("b", d)] = [("cp", d), ("cd", d ^ 1), ("ex", d)]
+        tags[("b", d)] = "black"
+    for d in range(n):
+        rotations[("w", d)] = [("ex", m.sigma_inv[d]), ("cd", d), ("cp", d)]
+        tags[("w", d)] = "white"
+    d0 = min(m.outer_orbit)
+    q = map_from_rotations(rotations, (("b", d0), ("ex", d0)), tags=tags)
+    e = q.edge_id(("ex", d0))
+    sides = [f for f in (q.face_of(2 * e), q.face_of(2 * e + 1))
+             if ("cp", d0) not in {q.edge_key(x >> 1) for x in q.faces[f]}]
+    assert len(sides) == 1
+    return q.with_outer_dart(next(x for x in q.faces[sides[0]]
+                                  if x >> 1 == e))
+
+
+def reference_extended_double(m):
+    """The extended double through map_from_rotations, its outer face
+    found by search: the one face all of whose edges are rim halves."""
+    boundary = m.outer_orbit
+    rotations, tags = {}, {}
+    for v in range(len(m.vertices)):
+        rot = []
+        for d in m.vertices[v]:
+            rot.append(("hp", d))
+            if m.is_outer_dart(d):
+                rot.append(("hb", d))
+        rotations[("p", v)] = rot
+        tags[("p", v)] = "black-primal"
+    for f in range(len(m.faces)):
+        if f != m.outer_face:
+            rotations[("f", f)] = [("hd", x) for x in m.faces[f]]
+            tags[("f", f)] = "black-dual"
+    for delta in boundary:
+        rotations[("u", delta)] = [("hr", delta, 1), ("hd", delta),
+                                   ("hr", m.phi(delta), 0)]
+        tags[("u", delta)] = "black-dual"
+    for e in range(m.n_edges):
+        d = 2 * e
+        rotations[("we", e)] = [("hp", d ^ 1), ("hd", d), ("hp", d),
+                                ("hd", d ^ 1)]
+        tags[("we", e)] = "white"
+    for delta in boundary:
+        rotations[("wb", delta)] = [("hr", delta, 0), ("hb", delta),
+                                    ("hr", delta, 1)]
+        tags[("wb", delta)] = "white"
+    d0 = min(boundary)
+    dd = map_from_rotations(rotations, (("wb", d0), ("hr", d0, 0)), tags=tags)
+    rims = [orb for orb in dd.faces
+            if all(dd.edge_key(x >> 1)[0] == "hr" for x in orb)]
+    assert len(rims) == 1
+    return dd.with_outer_dart(rims[0][0])
+
+
+def numbering_corpus():
+    for n in range(3, 10):
+        yield "C%d" % n, cycle(n)[0]
+    for w in range(2, 11):
+        for h in range(w, 11):
+            yield "grid %dx%d" % (w, h), grid(w, h)[0]
+    for q in (5, 6, 8):
+        yield "rhombic 6x6 at 1/%d" % q, rhombic(6, 6, Fraction(1, q))[0]
+
+
+def same_map(a, b):
+    return (a.sigma == b.sigma and a.edge_keys == b.edge_keys
+            and a.vertex_keys == b.vertex_keys and a.tags == b.tags
+            and a.outer_dart == b.outer_dart)
+
+
+def test_closed_form_quadri_tiling_equals_the_rotation_table_build():
+    for name, m in numbering_corpus():
+        gq = quadri_tiling(m)
+        assert same_map(gq, reference_quadri_tiling(m)), name
+        # what build_kasteleyn and the flatness check rely on
+        for v, orb in enumerate(gq.vertices):
+            colour, d = gq.vertex_keys[v]
+            if colour == "b":
+                assert orb == (6 * d, 6 * d + 2, 6 * d + 4), name
+            else:
+                assert all(x & 1 for x in orb), name
+        assert gq.outer_dart == 6 * min(m.outer_orbit) + 5, name
+
+
+def test_closed_form_extended_double_equals_the_rotation_table_build():
+    for name, m in numbering_corpus():
+        dd = extended_double(m)
+        assert same_map(dd, reference_extended_double(m)), name
+        # every edge runs from its even dart at a black to a white
+        for e in range(dd.n_edges):
+            u, v = dd.endpoints(e)
+            assert dd.tags[u] != "white" and dd.tags[v] == "white", name

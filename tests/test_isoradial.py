@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isingtree.generators import cycle, grid, rhombic
+from isingtree.generators import cycle, rhombic
 from isingtree.isoradial import (AngleOutOfRangeError, NotIsoradialError,
-                                 boundary_angles, critical_couplings,
-                                 dimer_weights, outer_center,
-                                 validate_isoradial)
+                                 critical_couplings, dimer_weights,
+                                 outer_center, validate_isoradial)
 from isingtree.maps import PlanarMap
 
 

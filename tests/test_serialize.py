@@ -169,9 +169,11 @@ def test_loader_rejects_text_that_is_not_a_document(text):
         loads_map(text)
 
 
-@pytest.mark.parametrize("key", ["999", "4", "-1"])
+@pytest.mark.parametrize("key", ["999", "4", "-1", "01", " 2", "+1"],
+                         ids=["999", "4", "-1", "01", "space-2", "+1"])
 def test_loader_rejects_angle_keys_that_are_not_edge_ids(key):
-    # a negative key would index the edge list from its end
+    # a negative key would index the edge list from its end, and another
+    # spelling of an edge id ("01" for "1") would replace that edge's angle
     m, exact = cycle(4)
     data = json.loads(dumps_map(m, theta_exact=exact))
     data["angles"][key] = data["angles"]["0"]
