@@ -1,11 +1,10 @@
 """Graphs derived from a planar map: diamond graph, quadri-tiling graph,
 extended primal/dual pair, and the extended double graph.
 
-The quadri-tiling and the extended double number their darts in closed
-form and build the map in one call; the diamond graph and the extended pair
-call :func:`map_from_rotations` on a provisional outer dart and name their
-outer face with :meth:`PlanarMap.with_outer_dart`, which keeps the
-numbering.  Vertex and edge keys record provenance:
+Every builder numbers its darts straight from the darts of the input and
+constructs its :class:`PlanarMap` in one call, outer dart included; the
+numbering is the one :func:`~isingtree.maps.map_from_rotations` would give
+the same rotations.  Vertex and edge keys record provenance:
 
 * diamond graph: vertices ``('p', v)`` / ``('f', F)``, one edge ``('c', d)``
   per corner dart d joining v(d) to the face left of d;
@@ -29,11 +28,11 @@ numbering.  Vertex and edge keys record provenance:
 
 from __future__ import annotations
 
-from typing import Hashable, NamedTuple
+from typing import NamedTuple
 
-from .maps import MapError, PlanarMap, map_from_rotations
+from .maps import PlanarMap
 
-# vertex tag by key kind, for the maps built without map_from_rotations
+# vertex tag by key kind, for the quadri-tiling and the extended double
 _TAG = {"b": "black", "w": "white", "p": "black-primal", "f": "black-dual",
         "u": "black-dual", "we": "white", "wb": "white"}
 
@@ -47,37 +46,47 @@ def quad_graph(m: PlanarMap) -> PlanarMap:
 
     Its faces are the rhombi of the isoradial embedding plus one outer
     quadrangle, the quadrangle of the minimal boundary corner.
+
+    Numbering: corner edges follow the darts of m vertex by vertex, so
+    ``('c', d)`` is edge pos[d]; its even dart 2 pos[d] sits at ``('p', v)``
+    (sigma steps to the corner of sigma d) and its odd dart at ``('f', F)``
+    (sigma steps to the corner of phi d).  Vertices are numbered by smallest
+    dart.  The outer dart is the smallest dart of the quadrangle around the
+    edge of d0, the smallest outer dart of m: the face
+    2 pos[d0]+1 -> 2 pos[phi alpha d0] -> 2 pos[alpha d0]+1 -> 2 pos[phi d0].
     """
-    rotations: dict[Hashable, list[Hashable]] = {}
-    for v in range(len(m.vertices)):
-        rotations[("p", v)] = [("c", d) for d in m.vertices[v]]
-    for f in range(len(m.faces)):
-        rotations[("f", f)] = [("c", d) for d in m.faces[f]]
+    n_v = len(m.vertices)
+    order = [d for rot in m.vertices for d in rot]
+    pos = [0] * len(order)
+    for i, d in enumerate(order):
+        pos[d] = i
+    sigma = [0] * (2 * len(order))
+    sigma[0::2] = [2 * pos[m.sigma[d]] for d in order]
+    sigma[1::2] = [2 * pos[m.phi(d)] + 1 for d in order]
+    # index into the primal vertices, then the faces, at each smallest dart
+    first: list = [None] * len(sigma)
+    for v, rot in enumerate(m.vertices):
+        first[2 * pos[rot[0]]] = v
+    for f, rot in enumerate(m.faces):
+        first[2 * min(pos[x] for x in rot) + 1] = n_v + f
+    ids = [i for i in first if i is not None]
+    keys = [("p", i) if i < n_v else ("f", i - n_v) for i in ids]
 
     coords = None
     if m.coords is not None:
-        coords = {("p", v): m.coords[v] for v in range(len(m.vertices))}
-        for f in range(len(m.faces)):
-            pts = [m.coords[m.vertex_of(d)] for d in m.faces[f]]
-            coords[("f", f)] = sum(pts) / len(pts)
-    tags = {k: ("primal" if k[0] == "p" else "dual") for k in rotations}
+        all_coords = list(m.coords)
+        for rot in m.faces:
+            pts = [m.coords[m.vertex_of(d)] for d in rot]
+            all_coords.append(sum(pts) / len(pts))
+        coords = [all_coords[i] for i in ids]
 
     d0 = min(m.outer_orbit)
-    q = map_from_rotations(rotations, (("p", m.vertex_of(d0)), ("c", d0)),
-                           coords=coords, tags=tags)
-    # outer face := the quadrangle of the edge carrying the minimal outer
-    # corner, i.e. the face with corner-key set {d0, phi d0, a d0, phi a d0}
-    want = frozenset(("c", x) for x in
-                     (d0, m.phi(d0), d0 ^ 1, m.phi(d0 ^ 1)))
-    return q.with_outer_dart(q.faces[_face_with_keys(q, want)][0])
-
-
-def _face_with_keys(m: PlanarMap, keys: frozenset) -> int:
-    hits = [f for f, orb in enumerate(m.faces)
-            if frozenset(m.edge_key(d >> 1) for d in orb) == keys]
-    if len(hits) != 1:
-        raise MapError("face with key set %r not unique: %r" % (keys, hits))
-    return hits[0]
+    outer = min(2 * pos[d0] + 1, 2 * pos[m.phi(d0 ^ 1)],
+                2 * pos[d0 ^ 1] + 1, 2 * pos[m.phi(d0)])
+    return PlanarMap(sigma, outer, coords=coords,
+                     tags=["primal" if i < n_v else "dual" for i in ids],
+                     vertex_keys=keys,
+                     edge_keys=[("c", d) for d in order])
 
 
 # ---------------------------------------------------------------------------
@@ -145,54 +154,86 @@ class ExtendedPair(NamedTuple):
 
 
 def extended_pair(m: PlanarMap) -> ExtendedPair:
-    boundary = m.outer_orbit  # clockwise
-    # --- extended dual ---
-    rot_d: dict[Hashable, list[Hashable]] = {}
-    for f in range(len(m.faces)):
-        if f == m.outer_face:
-            continue
-        rot_d[("f", f)] = [("dual", m.edge_of(x)) for x in m.faces[f]]
-    for delta in boundary:
-        rot_d[("u", delta)] = [("rim", delta), ("dual", m.edge_of(delta)),
-                               ("rim", m.phi(delta))]
-    tags_d = {k: ("dual" if k[0] == "f" else "outer") for k in rot_d}
-    d0 = min(boundary)
-    star = map_from_rotations(rot_d, (("u", d0), ("rim", d0)), tags=tags_d)
-    star = star.with_outer_dart(star.faces[_face_of_kind(star, "rim")][0])
+    """Extended primal and dual of m, numbered as from their rotations:
+    the vertices below take the next darts in ccw order, in turn, and an
+    edge gets its even dart at the first vertex that lists it.  Vertices
+    are numbered by smallest dart.
 
-    # --- extended primal (direct construction) ---
-    rot_p: dict[Hashable, list[Hashable]] = {}
-    for v in range(len(m.vertices)):
-        rot = []
-        for d in m.vertices[v]:
-            rot.append(("e", m.edge_of(d)))
+    * dual: inner faces F (the dual edges of F's darts), then the boundary
+      corners delta in outer-orbit order (``('rim', delta)``,
+      ``('dual', e(delta))``, ``('rim', phi delta)``); the outer face is the
+      all-rim face, whose smallest dart is the odd one of ('rim', delta0);
+    * primal: vertices v (the edges of v's darts, with the spoke
+      ``('bd', d)`` after each outer dart d), then the root (the spokes in
+      forward outer-orbit order, which keeps the outer face on its left and
+      so winds ccw around a point inside it, as the all-rim face does); the
+      outer dart is the root's dart on ('bd', delta0).
+    """
+    boundary = m.outer_orbit  # clockwise
+    d0 = boundary[0]
+
+    # link and dart write to sigma, first and edge_keys of the map being
+    # built: the dual's, then, rebound, the primal's
+    def link(ds: list[int], key: tuple) -> None:
+        """ds is the next vertex's rotation: close it in sigma."""
+        prev = ds[-1]
+        for d in ds:
+            sigma[prev] = d
+            prev = d
+        first[min(ds)] = key
+
+    def dart(table: list[int], i: int, key: tuple) -> int:
+        """Dart of edge `key` (table slot i) at the vertex being listed."""
+        x = table[i]
+        if x >= 0:
+            return x + 1
+        table[i] = x = 2 * len(edge_keys)
+        edge_keys.append(key)
+        return x
+
+    # --- extended dual ---
+    n_edges = m.n_edges + len(boundary)
+    sigma = [0] * (2 * n_edges)
+    first: list = [None] * len(sigma)   # vertex key at its smallest dart
+    edge_keys: list[tuple] = []
+    dual, rim = [-1] * m.n_edges, [-1] * len(m.sigma)
+    for f, rot in enumerate(m.faces):
+        if f != m.outer_face:
+            link([dart(dual, x >> 1, ("dual", x >> 1)) for x in rot], ("f", f))
+    for delta in boundary:
+        nxt = m.phi(delta)
+        link([dart(rim, delta, ("rim", delta)),
+              dart(dual, delta >> 1, ("dual", delta >> 1)),
+              dart(rim, nxt, ("rim", nxt))], ("u", delta))
+    keys = [k for k in first if k is not None]
+    star = PlanarMap(sigma, rim[d0] + 1,
+                     tags=["dual" if k[0] == "f" else "outer" for k in keys],
+                     vertex_keys=keys, edge_keys=edge_keys)
+
+    # --- extended primal ---
+    sigma = [0] * (2 * n_edges)
+    first = [None] * len(sigma)
+    edge_keys = []
+    primal, spoke = [-1] * m.n_edges, [-1] * len(m.sigma)
+    for v, rot in enumerate(m.vertices):
+        ds = []
+        for d in rot:
+            ds.append(dart(primal, d >> 1, ("e", d >> 1)))
             if m.is_outer_dart(d):
-                rot.append(("bd", d))
-        rot_p[("p", v)] = rot
-    # rotation at the root = spokes in forward outer-orbit order: the orbit
-    # keeps the outer face on its left, hence winds counterclockwise around
-    # any point placed inside that face (this is also the phi-orbit of the
-    # all-rim face of the extended dual, whose rim edges the spokes cross).
-    rot_p[("r",)] = [("bd", delta) for delta in boundary]
-    tags_p = {k: ("root" if k == ("r",) else "primal") for k in rot_p}
-    coords_p = None
+                ds.append(dart(spoke, d, ("bd", d)))
+        link(ds, ("p", v))
+    link([dart(spoke, delta, ("bd", delta)) for delta in boundary], ("r",))
+    keys = [k for k in first if k is not None]
+    coords = None
     if m.coords is not None:
         center = sum(m.coords) / len(m.coords)
-        radius = max(abs(z - center) for z in m.coords) if len(m.coords) else 1.0
-        coords_p = {("p", v): m.coords[v] for v in range(len(m.vertices))}
-        coords_p[("r",)] = center + 2.5 * (radius if radius else 1.0)
-    ext = map_from_rotations(rot_p, (("r",), ("bd", d0)),
-                             coords=coords_p, tags=tags_p)
+        radius = max(abs(z - center) for z in m.coords)
+        root = center + 2.5 * (radius if radius else 1.0)
+        coords = [root if k == ("r",) else m.coords[k[1]] for k in keys]
+    ext = PlanarMap(sigma, spoke[d0] + 1, coords=coords,
+                    tags=["root" if k == ("r",) else "primal" for k in keys],
+                    vertex_keys=keys, edge_keys=edge_keys)
     return ExtendedPair(primal=ext, dual=star, root_id=ext.vertex_id(("r",)))
-
-
-def _face_of_kind(m: PlanarMap, kind: str) -> int:
-    """The one face all of whose edge keys are of the given kind."""
-    hits = [f for f in range(len(m.faces))
-            if all(m.edge_key(m.edge_of(d))[0] == kind for d in m.faces[f])]
-    if len(hits) != 1:
-        raise MapError("outer %r face not unique: %r" % (kind, hits))
-    return hits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,18 @@ q meaning theta = q * pi), when the construction pins it down exactly.
 * ``grid(w, h)`` -- w x h square grid with spacing sqrt(2); theta = pi/4.
 * ``rhombic(w, h, beta)`` -- rectangular grid of 2cos(beta) x 2sin(beta)
   cells; horizontal edges get theta = beta, vertical ones pi/2 - beta.
+
+Each generator writes sigma and its keys straight from the darts, numbered
+as :func:`~isingtree.maps.build_map` numbers the graph's ccw rotation data,
+and checks the map with :func:`~isingtree.maps.validate_simple_input`.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Hashable
 
-from .maps import NotSimpleError, PlanarMap, build_map
+from .maps import NotSimpleError, PlanarMap, validate_simple_input
 
 TWO_PI = 2.0 * cmath.pi
 
@@ -32,12 +35,21 @@ def cycle(n: int) -> tuple[PlanarMap, dict[int, Fraction]]:
     """
     if n < 3:
         raise NotSimpleError("cycle(%d) is not a simple graph" % n)
-    rotations: dict[Hashable, list[int]] = {
-        k: [(k - 1) % n, k] for k in range(n)}
-    coords = {k: cmath.exp(1j * TWO_PI * k / n) for k in range(n)}
-    # walking 0 -> n-1 runs clockwise along the polygon, outside on the left
-    m = build_map(rotations, (0, n - 1), coords=coords)
-    theta = {m.edge_id(e): Fraction(n - 2, 2 * n) for e in range(n)}
+    # rotation at k: edge k - 1, edge k.  Vertex 0, listed first, meets
+    # edge n - 1 first, so edge k is number (k + 1) % n.  Vertex 0 holds
+    # darts 0, 2, vertex k in 1..n-2 darts 2k+1, 2k+2, vertex n-1 darts
+    # 2n-1, 1; in order of smallest dart: 0, n-1, 1, ..., n-2
+    sigma = [0] * (2 * n)
+    for a, b in [(0, 2), (1, 2 * n - 1)] + [(2 * k + 1, 2 * k + 2)
+                                            for k in range(1, n - 1)]:
+        sigma[a], sigma[b] = b, a
+    keys = [0, n - 1, *range(1, n - 1)]
+    coords = [cmath.exp(1j * TWO_PI * k / n) for k in keys]
+    # dart 0 walks 0 -> n-1, clockwise along the polygon, outside on the left
+    m = validate_simple_input(PlanarMap(sigma, 0, coords=coords,
+                                        vertex_keys=keys,
+                                        edge_keys=[n - 1, *range(n - 1)]))
+    theta = {(k + 1) % n: Fraction(n - 2, 2 * n) for k in range(n)}
     return m, theta
 
 
@@ -69,34 +81,41 @@ def rhombic(w: int, h: int,
 
     dx = 2.0 * cmath.cos(beta_rad)
     dy = 2.0 * cmath.sin(beta_rad)
-    # input edge k: ("h", i, j) joins (i, j) to (i + 1, j), ("v", i, j)
-    # joins (i, j) to (i, j + 1); edge_frac[k] is its exact angle
-    edge_frac: list[Fraction | None] = []
-    index: dict[tuple[str, int, int], int] = {}
-    for j in range(h):
-        for i in range(w - 1):
-            index[("h", i, j)] = len(edge_frac)
-            edge_frac.append(frac_h)
-    for j in range(h - 1):
-        for i in range(w):
-            index[("v", i, j)] = len(edge_frac)
-            edge_frac.append(frac_v)
-
-    rotations: dict[Hashable, list[int]] = {}
+    # the ccw rotation at (i, j) is east, north, west, south, and each
+    # vertex in row-major order numbers its new edges, east then north: the
+    # edge gets its even dart there and its odd dart at its west or south end
+    east, north = [0] * (w * h), [0] * (w * h)
+    edge_keys: list[int] = []   # input edge index of each map edge
+    sigma = [0] * (2 * (2 * w * h - w - h))
+    first: list = [None] * len(sigma)   # vertex at its smallest dart
     for j in range(h):
         for i in range(w):
+            k = j * w + i
             rot = []
             if i + 1 < w:
-                rot.append(index[("h", i, j)])      # east
+                east[k] = 2 * len(edge_keys)
+                rot.append(east[k])
+                edge_keys.append(j * (w - 1) + i)
             if j + 1 < h:
-                rot.append(index[("v", i, j)])      # north
+                north[k] = 2 * len(edge_keys)
+                rot.append(north[k])
+                edge_keys.append(h * (w - 1) + j * w + i)
             if i > 0:
-                rot.append(index[("h", i - 1, j)])  # west
+                rot.append(east[k - 1] + 1)
             if j > 0:
-                rot.append(index[("v", i, j - 1)])  # south
-            rotations[(i, j)] = rot
-    coords = {(i, j): complex(i * dx, j * dy) for j in range(h) for i in range(w)}
-    # at (0,0) the dart along ("v",0,0) points north with the outside on its left
-    m = build_map(rotations, ((0, 0), index[("v", 0, 0)]), coords=coords)
-    # edge_frac is indexed by input edge; re-key by internal edge id
-    return m, {m.edge_id(k): v for k, v in enumerate(edge_frac)}
+                rot.append(north[k - w] + 1)
+            prev = rot[-1]
+            for d in rot:
+                sigma[prev] = d
+                prev = d
+            first[min(rot)] = (i, j)
+    keys = [v for v in first if v is not None]
+    coords = [complex(i * dx, j * dy) for i, j in keys]
+    # the dart from (0,0) north has the outside on its left
+    m = validate_simple_input(PlanarMap(sigma, north[0], coords=coords,
+                                        vertex_keys=keys, edge_keys=edge_keys))
+    # exact angles by input edge: horizontal ones first, then vertical ones
+    theta = {east[j * w + i] >> 1: frac_h for j in range(h) for i in range(w - 1)}
+    theta.update((north[j * w + i] >> 1, frac_v)
+                 for j in range(h - 1) for i in range(w))
+    return m, theta

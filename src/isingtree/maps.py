@@ -206,16 +206,18 @@ class PlanarMap:
         return self.n_vertices - self.n_edges + self.n_faces
 
     def is_connected(self) -> bool:
-        n = len(self.sigma)
-        seen = [False] * n
-        stack = [0]
+        """Every vertex is reached from vertex 0 along edges (a search over
+        vertices: each dart is read once, and only vertices are stacked)."""
+        vertex_of = self._vertex_of
+        seen = [False] * self.n_vertices
         seen[0] = True
+        stack = [0]
         while stack:
-            d = stack.pop()
-            for nxt in (self.sigma[d], d ^ 1):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
+            for d in self._vertices[stack.pop()]:
+                u = vertex_of[d ^ 1]
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
         return all(seen)
 
     def __repr__(self) -> str:  # debugging aid only
@@ -386,18 +388,19 @@ def validate_simple_input(m: PlanarMap) -> PlanarMap:
     below degree 2, DisconnectedError, NonPlanarError when Euler's formula
     fails.  A map has no isolated vertex (see :class:`PlanarMap`).
     """
-    seen_pairs = set()
-    for e in range(m.n_edges):
-        u, v = m.endpoints(e)
+    n = m.n_vertices
+    seen_pairs = set()   # min * n + max of the ends of each edge so far
+    ends = m._vertex_of
+    for u, v in zip(ends[0::2], ends[1::2]):
         if u == v:
             raise NotSimpleError("loop at vertex %d" % u)
-        pair = frozenset((u, v))
+        pair = u * n + v if u < v else v * n + u
         if pair in seen_pairs:
             raise NotSimpleError("parallel edge between %d and %d" % (u, v))
         seen_pairs.add(pair)
-    for v in range(m.n_vertices):
-        if m.degree(v) < 2:
-            raise DegreeTooLowError("vertex %d has degree %d" % (v, m.degree(v)))
+    for v, rot in enumerate(m.vertices):
+        if len(rot) < 2:
+            raise DegreeTooLowError("vertex %d has degree %d" % (v, len(rot)))
     if not m.is_connected():
         raise DisconnectedError("graph is not connected")
     if m.euler_characteristic() != 2:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import isingtree
-from isingtree.cli import main
+from isingtree.cli import EXPORT_TARGETS, main
 from isingtree.generators import cycle
 
 
@@ -349,3 +349,22 @@ def test_verify_json_matches_golden_digest(generator, capsys):
     assert main(["verify", "--generator", generator, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[generator]
+
+
+@pytest.mark.parametrize("generator", ["cycle:4", "grid:2,3"])
+def test_commands_build_no_rotation_table(generator, monkeypatch, capsys):
+    # generated inputs and every derived graph are numbered from the darts;
+    # a keyed rotation-table build left on any command path fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("map_from_rotations called")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "isingtree" or name.startswith("isingtree.")) \
+                and hasattr(module, "map_from_rotations"):
+            monkeypatch.setattr(module, "map_from_rotations", refuse)
+    for what in EXPORT_TARGETS:
+        for fmt in ("json", "dot"):
+            assert main(["export", what, "--generator", generator,
+                         "--format", fmt]) == 0
+    assert main(["verify", "--generator", generator]) == 0
+    assert "FAIL" not in capsys.readouterr().out

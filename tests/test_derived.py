@@ -1,11 +1,13 @@
 """Derived graphs: quad graph, quadri-tiling, extended double and pair."""
 
+import cmath
 from collections import Counter
 from fractions import Fraction
 
-from isingtree.derived import extended_double, quad_graph, quadri_tiling
-from isingtree.generators import cycle, grid, rhombic
-from isingtree.maps import map_from_rotations
+from isingtree.derived import (extended_double, extended_pair, quad_graph,
+                               quadri_tiling)
+from isingtree.generators import TWO_PI, cycle, grid, rhombic
+from isingtree.maps import build_map, map_from_rotations
 
 
 def test_quad_graph_of_square():
@@ -133,20 +135,153 @@ def reference_extended_double(m):
     return dd.with_outer_dart(rims[0][0])
 
 
-def numbering_corpus():
+def reference_quad_graph(m):
+    """The diamond graph through map_from_rotations, its outer face found
+    by search: the quadrangle with corner keys {d0, phi d0, a d0, phi a d0}."""
+    rotations = {}
+    for v in range(len(m.vertices)):
+        rotations[("p", v)] = [("c", d) for d in m.vertices[v]]
+    for f in range(len(m.faces)):
+        rotations[("f", f)] = [("c", d) for d in m.faces[f]]
+    coords = None
+    if m.coords is not None:
+        coords = {("p", v): m.coords[v] for v in range(len(m.vertices))}
+        for f in range(len(m.faces)):
+            pts = [m.coords[m.vertex_of(d)] for d in m.faces[f]]
+            coords[("f", f)] = sum(pts) / len(pts)
+    tags = {k: ("primal" if k[0] == "p" else "dual") for k in rotations}
+    d0 = min(m.outer_orbit)
+    q = map_from_rotations(rotations, (("p", m.vertex_of(d0)), ("c", d0)),
+                           coords=coords, tags=tags)
+    want = frozenset(("c", x) for x in
+                     (d0, m.phi(d0), d0 ^ 1, m.phi(d0 ^ 1)))
+    hits = [orb for orb in q.faces
+            if frozenset(q.edge_key(d >> 1) for d in orb) == want]
+    assert len(hits) == 1
+    return q.with_outer_dart(hits[0][0])
+
+
+def reference_extended_pair(m):
+    """The extended pair through map_from_rotations, the dual's outer face
+    found by search: the one face all of whose edges are rims."""
+    boundary = m.outer_orbit
+    rot_d = {}
+    for f in range(len(m.faces)):
+        if f != m.outer_face:
+            rot_d[("f", f)] = [("dual", m.edge_of(x)) for x in m.faces[f]]
+    for delta in boundary:
+        rot_d[("u", delta)] = [("rim", delta), ("dual", m.edge_of(delta)),
+                               ("rim", m.phi(delta))]
+    tags_d = {k: ("dual" if k[0] == "f" else "outer") for k in rot_d}
+    d0 = min(boundary)
+    star = map_from_rotations(rot_d, (("u", d0), ("rim", d0)), tags=tags_d)
+    rims = [orb for orb in star.faces
+            if all(star.edge_key(d >> 1)[0] == "rim" for d in orb)]
+    assert len(rims) == 1
+    star = star.with_outer_dart(rims[0][0])
+
+    rot_p = {}
+    for v in range(len(m.vertices)):
+        rot = []
+        for d in m.vertices[v]:
+            rot.append(("e", m.edge_of(d)))
+            if m.is_outer_dart(d):
+                rot.append(("bd", d))
+        rot_p[("p", v)] = rot
+    rot_p[("r",)] = [("bd", delta) for delta in boundary]
+    tags_p = {k: ("root" if k == ("r",) else "primal") for k in rot_p}
+    coords_p = None
+    if m.coords is not None:
+        center = sum(m.coords) / len(m.coords)
+        radius = max(abs(z - center) for z in m.coords) if len(m.coords) else 1.0
+        coords_p = {("p", v): m.coords[v] for v in range(len(m.vertices))}
+        coords_p[("r",)] = center + 2.5 * (radius if radius else 1.0)
+    ext = map_from_rotations(rot_p, (("r",), ("bd", d0)),
+                             coords=coords_p, tags=tags_p)
+    return ext, star, ext.vertex_id(("r",))
+
+
+def reference_cycle(n):
+    """cycle(n) through build_map, with the exact angle of every edge."""
+    rotations = {k: [(k - 1) % n, k] for k in range(n)}
+    coords = {k: cmath.exp(1j * TWO_PI * k / n) for k in range(n)}
+    m = build_map(rotations, (0, n - 1), coords=coords)
+    return m, {m.edge_id(e): Fraction(n - 2, 2 * n) for e in range(n)}
+
+
+def reference_rhombic(w, h, beta):
+    """rhombic(w, h, beta) through build_map, with the exact angles."""
+    if isinstance(beta, Fraction):
+        beta_rad = float(beta) * cmath.pi
+        frac_h, frac_v = beta, Fraction(1, 2) - beta
+    else:
+        beta_rad = float(beta)
+        frac_h = frac_v = None
+    dx, dy = 2.0 * cmath.cos(beta_rad), 2.0 * cmath.sin(beta_rad)
+    edge_frac, index = [], {}
+    for j in range(h):
+        for i in range(w - 1):
+            index[("h", i, j)] = len(edge_frac)
+            edge_frac.append(frac_h)
+    for j in range(h - 1):
+        for i in range(w):
+            index[("v", i, j)] = len(edge_frac)
+            edge_frac.append(frac_v)
+    rotations = {}
+    for j in range(h):
+        for i in range(w):
+            rot = []
+            if i + 1 < w:
+                rot.append(index[("h", i, j)])
+            if j + 1 < h:
+                rot.append(index[("v", i, j)])
+            if i > 0:
+                rot.append(index[("h", i - 1, j)])
+            if j > 0:
+                rot.append(index[("v", i, j - 1)])
+            rotations[(i, j)] = rot
+    coords = {(i, j): complex(i * dx, j * dy)
+              for j in range(h) for i in range(w)}
+    m = build_map(rotations, ((0, 0), index[("v", 0, 0)]), coords=coords)
+    return m, {m.edge_id(k): v for k, v in enumerate(edge_frac)}
+
+
+def reference_grid(w, h):
+    return reference_rhombic(w, h, Fraction(1, 4))
+
+
+def generator_corpus():
+    """(name, generator, its rotation-table reference, arguments)."""
     for n in range(3, 10):
-        yield "C%d" % n, cycle(n)[0]
+        yield "C%d" % n, cycle, reference_cycle, (n,)
     for w in range(2, 11):
         for h in range(w, 11):
-            yield "grid %dx%d" % (w, h), grid(w, h)[0]
+            yield "grid %dx%d" % (w, h), grid, reference_grid, (w, h)
     for q in (5, 6, 8):
-        yield "rhombic 6x6 at 1/%d" % q, rhombic(6, 6, Fraction(1, q))[0]
+        yield ("rhombic 6x6 at 1/%d" % q, rhombic, reference_rhombic,
+               (6, 6, Fraction(1, q)))
+
+
+def numbering_corpus():
+    for name, generator, _, args in generator_corpus():
+        yield name, generator(*args)[0]
+
+
+FLOAT_BETA = ("rhombic 5x4 at 0.7 rad", rhombic, reference_rhombic,
+              (5, 4, 0.7))
+
+
+def corpus_with_float_beta():
+    yield from numbering_corpus()
+    name, generator, _, args = FLOAT_BETA
+    yield name, generator(*args)[0]
 
 
 def same_map(a, b):
     return (a.sigma == b.sigma and a.edge_keys == b.edge_keys
             and a.vertex_keys == b.vertex_keys and a.tags == b.tags
-            and a.outer_dart == b.outer_dart)
+            and a.outer_dart == b.outer_dart
+            and repr(a.coords) == repr(b.coords))
 
 
 def test_closed_form_quadri_tiling_equals_the_rotation_table_build():
@@ -171,3 +306,25 @@ def test_closed_form_extended_double_equals_the_rotation_table_build():
         for e in range(dd.n_edges):
             u, v = dd.endpoints(e)
             assert dd.tags[u] != "white" and dd.tags[v] == "white", name
+
+
+def test_generators_equal_the_rotation_table_build():
+    for name, generator, reference, args in [*generator_corpus(), FLOAT_BETA]:
+        m, theta = generator(*args)
+        ref, ref_theta = reference(*args)
+        assert same_map(m, ref), name
+        assert list(theta.items()) == list(ref_theta.items()), name
+
+
+def test_dart_built_quad_graph_equals_the_rotation_table_build():
+    for name, m in corpus_with_float_beta():
+        assert same_map(quad_graph(m), reference_quad_graph(m)), name
+
+
+def test_dart_built_extended_pair_equals_the_rotation_table_build():
+    for name, m in corpus_with_float_beta():
+        pair = extended_pair(m)
+        primal, dual, root_id = reference_extended_pair(m)
+        assert same_map(pair.primal, primal), name
+        assert same_map(pair.dual, dual), name
+        assert pair.root_id == root_id, name

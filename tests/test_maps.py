@@ -126,6 +126,24 @@ def test_validate_simple_input_parallel():
         validate_simple_input(m)
 
 
+def test_validate_simple_input_names_the_first_bad_edge():
+    # edges by id: a 0-1, c 0-2, b 1-2, then the loop l at 2
+    m = map_from_rotations({0: ["a", "c"], 1: ["b", "a"],
+                            2: ["c", "l", "l", "b"]}, (0, "a"))
+    with pytest.raises(NotSimpleError, match="^loop at vertex 2$"):
+        validate_simple_input(m)
+    # edges by id: a 0-1, then the pairs d, e on 0-2 and b, c on 1-2
+    m = map_from_rotations({0: ["a", "d", "e"], 1: ["b", "c", "a"],
+                            2: ["c", "b", "e", "d"]}, (0, "a"))
+    with pytest.raises(NotSimpleError,
+                       match="^parallel edge between 0 and 2$"):
+        validate_simple_input(m)
+    # a digon whose edges run 0 -> 1 and 1 -> 0: the ends as the edge has them
+    with pytest.raises(NotSimpleError,
+                       match="^parallel edge between 1 and 0$"):
+        validate_simple_input(PlanarMap([3, 2, 1, 0], 0))
+
+
 def test_dual_of_triangle():
     m, _ = cycle(3)
     d = dual_map(m)
