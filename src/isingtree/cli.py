@@ -13,18 +13,17 @@ import sys
 from fractions import Fraction
 
 from . import generators
-from .correspondence import build_G, build_G0, verify_main_theorem
-from .derived import extended_double, quad_graph, quadri_tiling
-from .isoradial import (AngleOutOfRangeError, NotIsoradialError,
-                        boundary_angles, validate_isoradial)
-from .kasteleyn import build_kasteleyn
-from .maps import MapError, dual_map, validate_simple_input
+from .correspondence import Chain, verify_main_theorem
+from .isoradial import AngleOutOfRangeError, NotIsoradialError
+from .maps import MapError, validate_simple_input
 from .oracles import TooLargeError
 from .serialize import (digraph_to_dot, dumps_digraph, dumps_map,
                         dumps_report, loads_map, map_to_dot)
 
-EXPORT_TARGETS = ("primal", "dual", "quad", "quadri_tiling",
-                  "extended_double", "G0", "G")
+# export kind -> the Chain attribute it writes
+EXPORT_TARGETS = {"primal": "m", "dual": "dual", "quad": "quad",
+                  "quadri_tiling": "gq", "extended_double": "dd",
+                  "G0": "g0", "G": "g"}
 
 
 def main(argv=None) -> int:
@@ -120,8 +119,7 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_generate(args) -> int:
     m, exact = _make_graph(args.name, args.params)
-    iso = validate_isoradial(m, exact)
-    theta = dict(enumerate(iso.theta))
+    theta = dict(enumerate(Chain(m, exact).iso.theta))
     _write(dumps_map(m, theta=theta, theta_exact=exact), args.out)
     return 0
 
@@ -144,35 +142,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    m, exact = _load(args)
+    chain = Chain(*_load(args))
+    target = getattr(chain, EXPORT_TARGETS[args.what])
+    theta = exact = None
+    if args.what == "primal" and args.format == "json":
+        theta, exact = dict(enumerate(chain.iso.theta)), chain.theta_exact
+    del chain   # the stages behind the target need not outlive the writers
     if args.what in ("G0", "G"):
-        iso = validate_isoradial(m, exact)
-        bnd = boundary_angles(iso)
-        gq = quadri_tiling(m)
-        model = build_G0(gq, build_kasteleyn(gq, iso, bnd), m)
-        if args.what == "G":
-            model = build_G(model)
-        if args.format == "json":
-            text = dumps_digraph(model.graph)
-        else:
-            text = digraph_to_dot(model.graph, name=args.what)
-        _write(text, args.out)
-        return 0
-
-    target = {
-        "primal": lambda: m,
-        "dual": lambda: dual_map(m),
-        "quad": lambda: quad_graph(m),
-        "quadri_tiling": lambda: quadri_tiling(m),
-        "extended_double": lambda: extended_double(m),
-    }[args.what]()
-    if args.format == "json":
-        theta = None
-        if args.what == "primal":
-            iso = validate_isoradial(m, exact)
-            theta = dict(enumerate(iso.theta))
-        text = dumps_map(target, theta=theta,
-                         theta_exact=exact if args.what == "primal" else None)
+        text = (dumps_digraph(target.graph) if args.format == "json"
+                else digraph_to_dot(target.graph, name=args.what))
+    elif args.format == "json":
+        text = dumps_map(target, theta=theta, theta_exact=exact)
     else:
         text = map_to_dot(target, name=args.what)
     _write(text, args.out)

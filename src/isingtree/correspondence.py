@@ -31,12 +31,13 @@ from functools import reduce
 from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from .derived import ExtendedPair, extended_double, extended_pair, quadri_tiling
+from .derived import (ExtendedPair, extended_double, extended_pair,
+                      quad_graph, quadri_tiling)
 from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
                         boundary_angles, critical_couplings, dimer_weights,
                         double_weights, tree_weights_tau, validate_isoradial)
 from .kasteleyn import KasteleynMatrix, build_kasteleyn
-from .maps import PlanarMap
+from .maps import PlanarMap, dual_map
 from .oracles import (Arc, TooLargeError, WeightedDigraph, dimer_Z,
                       enumerate_spanning_trees, ising_Z, is_spanning_tree,
                       matrix_tree_Z, ost_Z, state_cap)
@@ -291,13 +292,6 @@ def enumerate_rule_trees(dd: PlanarMap, m: PlanarMap) -> Iterator[frozenset]:
 # ---------------------------------------------------------------------------
 # stage 3: matchings index tree classes
 # ---------------------------------------------------------------------------
-
-def double_root(m: PlanarMap) -> tuple:
-    """The distinguished outer black s = ('u', delta0) removed from the
-    double before matching; delta0 is the minimal outer-orbit dart unless
-    overridden by callers."""
-    return ("u", min(m.outer_orbit))
-
 
 def tree_to_matching(dd: PlanarMap, s_key: tuple,
                      edges: frozenset) -> frozenset:
@@ -667,27 +661,62 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
 # the full verification pipeline
 # ---------------------------------------------------------------------------
 
+class Chain:
+    """The chain's stages on one map, each built the first time it is read
+    and then kept, so a caller builds only the stages it reads, in the order
+    it reads them.  ``s_key`` is the outer black s = ('u', s_dart) removed
+    from the double; s_dart defaults to the minimal outer-orbit dart."""
+
+    # stage -> its builder, which reads the stages it needs off the chain
+    _BUILD = {
+        "iso": lambda c: validate_isoradial(c.m, c.theta_exact),
+        "bnd": lambda c: boundary_angles(c.iso),
+        "gq": lambda c: quadri_tiling(c.m),
+        "K": lambda c: build_kasteleyn(c.gq, c.iso, c.bnd),
+        "g0": lambda c: build_G0(c.gq, c.K, c.m),
+        "g": lambda c: build_G(c.g0),
+        "dd": lambda c: extended_double(c.m),
+        "double_weights": lambda c: double_weights(c.iso, c.bnd, c.dd),
+        "ext": lambda c: extended_pair(c.m),
+        "tw": lambda c: tree_weights_tau(c.iso, c.bnd),
+        "dual": lambda c: dual_map(c.m),
+        "quad": lambda c: quad_graph(c.m),
+    }
+
+    def __init__(self, m: PlanarMap, theta_exact: Mapping | None = None,
+                 s_dart: int | None = None):
+        s_dart = min(m.outer_orbit) if s_dart is None else s_dart
+        if s_dart not in m.outer_orbit:
+            raise ValueError("s must be an outer-orbit dart")
+        self.m, self.theta_exact, self.s_key = m, theta_exact, ("u", s_dart)
+
+    def __getattr__(self, name: str):
+        # reached only for a stage not built yet: build it and keep it
+        if name not in Chain._BUILD:
+            raise AttributeError(name)
+        value = self.__dict__[name] = Chain._BUILD[name](self)
+        return value
+
+
 def verify_main_theorem(m: PlanarMap,
                         theta_exact: Mapping | None = None,
                         tol: float = 1e-9,
                         s_dart: int | None = None) -> Report:
     """Run the whole chain on one isoradial map and check every identity.
 
+    The stages are read off one `Chain`, which checks s first; the spins
+    are summed right after the embedding is validated, before K is built.
     The corner graph's oriented spanning trees are enumerated only when the
     product of its out-degrees is at most OST_ENUM_BUDGET; the determinant /
     aggregated routes run always, so every reported identity is still
     checked by two independent computations.
     """
-    s_key = ("u", s_dart) if s_dart is not None else double_root(m)
-    if s_key[1] not in m.outer_orbit:
-        raise ValueError("s must be an outer-orbit dart")
+    c = Chain(m, theta_exact, s_dart)
     rep = Report()
-    iso = validate_isoradial(m, theta_exact)
+    iso = c.iso
     J = critical_couplings(iso)
     zi = ising_Z(m, J)   # first: its 2^V cap fails fast on a large graph
-    bnd = boundary_angles(iso)
-    gq = quadri_tiling(m)
-    K = build_kasteleyn(gq, iso, bnd)
+    bnd, gq, K = c.bnd, c.gq, c.K
     rep.add(check("flat-phasing[max curvature deviation]",
                   K.flatness.max_deviation, 0.0, tol, absolute=True))
     detK = K.det()
@@ -716,35 +745,30 @@ def verify_main_theorem(m: PlanarMap,
     rep.add(check("white-row-sums[max deviation]", dev, 0.0, tol,
                   absolute=True))
 
-    g0 = build_G0(gq, K, m)
-    z0_det = matrix_tree_Z(g0.graph, ROOT)
+    z0_det = matrix_tree_Z(c.g0.graph, ROOT)
     sign = permutation_sign(m)
     rep.add(check("corner-tree-det-vs-det-K", z0_det, sign * detK, tol))
 
     out_prod = 1
-    for node, arcs in g0.graph.out_map().items():
+    for node, arcs in c.g0.graph.out_map().items():
         if node != ROOT:
             out_prod *= max(len(arcs), 1)
         if out_prod > OST_ENUM_BUDGET:
             break
     if out_prod <= OST_ENUM_BUDGET:
-        z0_enum = ost_Z(g0.graph, ROOT)
+        z0_enum = ost_Z(c.g0.graph, ROOT)
         rep.add(check("corner-tree-enumeration-vs-det", z0_enum, z0_det, tol))
 
-    g = build_G(g0)
-    zg_det = matrix_tree_Z(g.graph, ROOT)
+    zg_det = matrix_tree_Z(c.g.graph, ROOT)
     rep.add(check("split-corner-tree-vs-corner-tree", zg_det, z0_det, tol))
 
-    dd = extended_double(m)
-    rho_star, tau2 = double_weights(iso, bnd, dd)
+    dd = c.dd
     pref = class_prefactor(iso, bnd)
-    zdd = dimer_Z(dd, tau2, skip_vertex=dd.vertex_id(s_key))
+    zdd = dimer_Z(dd, c.double_weights[1], skip_vertex=dd.vertex_id(c.s_key))
     rep.add(check("double-tree-sum-vs-split-tree", pref * zdd, zg_det, tol))
 
-    ext = extended_pair(m)
-    tw = tree_weights_tau(iso, bnd)
-    zrs, n_trees = tree_pair_sum(ext, tw, s_key)
-    c_split = matched_split_constant(iso, ext)
+    zrs, n_trees = tree_pair_sum(c.ext, c.tw, c.s_key)
+    c_split = matched_split_constant(iso, c.ext)
     rep.add(check("matched-split-transfer[double-dimer-vs-tree-pairs]",
                   zdd, c_split * zrs, tol))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .maps import PlanarMap
+from .maps import PlanarMap, face_points, far_point
 
 # vertex tag by key kind, for the quadri-tiling and the extended double
 _TAG = {"b": "black", "w": "white", "p": "black-primal", "f": "black-dual",
@@ -74,10 +74,7 @@ def quad_graph(m: PlanarMap) -> PlanarMap:
 
     coords = None
     if m.coords is not None:
-        all_coords = list(m.coords)
-        for rot in m.faces:
-            pts = [m.coords[m.vertex_of(d)] for d in rot]
-            all_coords.append(sum(pts) / len(pts))
+        all_coords = list(m.coords) + face_points(m)
         coords = [all_coords[i] for i in ids]
 
     d0 = min(m.outer_orbit)
@@ -226,9 +223,7 @@ def extended_pair(m: PlanarMap) -> ExtendedPair:
     keys = [k for k in first if k is not None]
     coords = None
     if m.coords is not None:
-        center = sum(m.coords) / len(m.coords)
-        radius = max(abs(z - center) for z in m.coords)
-        root = center + 2.5 * (radius if radius else 1.0)
+        root = far_point(m.coords)
         coords = [root if k == ("r",) else m.coords[k[1]] for k in keys]
     ext = PlanarMap(sigma, spoke[d0] + 1, coords=coords,
                     tags=["root" if k == ("r",) else "primal" for k in keys],

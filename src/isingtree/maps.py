@@ -426,21 +426,27 @@ def dual_map(m: PlanarMap) -> PlanarMap:
     sigma'' = alpha o sigma o alpha and outer dart alpha(d0), i.e. the
     alpha-relabeling of m with the *same* outer face.
     """
-    sigma_star = m._phi
-    d0 = m.outer_dart
-    coords = None
-    if m.coords is not None:
-        # best-effort: dual vertex at the centroid of its face's corners
-        coords_by_face = []
-        for orb in m.faces:
-            pts = [m.coords[m.vertex_of(d)] for d in orb]
-            coords_by_face.append(sum(pts) / len(pts))
-        # dual vertices are sigma*-orbits = phi-orbits, numbered by min dart,
-        # which is exactly the face numbering of m
-        coords = coords_by_face
-    dual = PlanarMap(sigma_star, m.sigma[d0] ^ 1, coords=coords,
+    # dual vertices are phi-orbits numbered by min dart: m's face numbering
+    coords = face_points(m) if m.coords is not None else None
+    return PlanarMap(m._phi, m.sigma[m.outer_dart] ^ 1, coords=coords,
                      edge_keys=m.edge_keys)
-    return dual
+
+
+def far_point(coords: Sequence[complex]) -> complex:
+    """2.5 radii (one unit if all coincide) right of the centroid of
+    `coords`: where the outer face's vertex and the root are drawn."""
+    center = sum(coords) / len(coords)
+    radius = max(abs(z - center) for z in coords)
+    return center + 2.5 * (radius if radius else 1.0)
+
+
+def face_points(m: PlanarMap) -> list[complex]:
+    """A point per face of an embedded map: the centroid of an inner
+    face's corners, `far_point` of the vertices for the outer face."""
+    pts = [sum(m.coords[m.vertex_of(d)] for d in rot) / len(rot)
+           for rot in m.faces]
+    pts[m.outer_face] = far_point(m.coords)
+    return pts
 
 
 # ---------------------------------------------------------------------------

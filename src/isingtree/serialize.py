@@ -120,9 +120,12 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     coords = None
     if all(r["x"] is not None and r["y"] is not None for r in vertices):
         coords = [complex(r["x"], r["y"]) for r in vertices]
-    tags = None
-    if any(r.get("tag") is not None for r in vertices):
-        tags = [r.get("tag") for r in vertices]
+    tags = [r.get("tag") for r in vertices]
+    for v, tag in enumerate(tags):
+        if not (tag is None or isinstance(tag, str)):
+            raise MapError("vertex %d: tag must be null or a string" % v)
+    if all(tag is None for tag in tags):
+        tags = None
     m = PlanarMap(sigma, 0 if n else None, coords=coords, tags=tags)
 
     outer = data["outer_face"]
@@ -141,12 +144,16 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
 
     exact = None
     if "angles" in data:
+        if not isinstance(data["angles"], dict):
+            raise MapError("angles must be a JSON object")
         exact = {}
         for key, entry in data["angles"].items():
             e = int(key)   # only the spelling str(e) names edge e
             if key != str(e) or not 0 <= e < m.n_edges:
                 raise MapError("angle key %r is not an edge id in 0..%d"
                                % (key, m.n_edges - 1))
+            if not isinstance(entry, dict):
+                raise MapError("angle %s must be a JSON object" % key)
             q = entry.get("pi_rational")
             exact[e] = None if q is None else Fraction(q)
     return m, exact

@@ -1,49 +1,29 @@
-"""Shared fixtures: the three-graph corpus and everything derived from it.
+"""Shared fixtures: the three-graph corpus and its chains.
 
-Building the full chain (quadri-tiling, Kasteleyn matrix, corner graphs,
-extended double, extended pair) once per session keeps the suite fast; the
-objects are all immutable, so sharing is safe.
+Each corpus graph gets one `Chain` per session, whose stages (quadri-tiling,
+Kasteleyn matrix, corner graphs, extended double, extended pair) are built
+the first time a test reads them; the objects are all immutable, so sharing
+is safe.
 """
 
 import pytest
 
 from isingtree import correspondence as co
-from isingtree.derived import extended_double, extended_pair, quadri_tiling
 from isingtree.generators import cycle, grid
-from isingtree.isoradial import (boundary_angles, double_weights,
-                                 tree_weights_tau, validate_isoradial)
-from isingtree.kasteleyn import build_kasteleyn
 
-CORPUS = ("C3", "C4", "grid")
+CORPUS = {"C3": lambda: cycle(3), "C4": lambda: cycle(4),
+          "grid": lambda: grid(3, 3)}
 
 
-def make_input(name):
-    if name == "C3":
-        return cycle(3)
-    if name == "C4":
-        return cycle(4)
-    if name == "grid":
-        return grid(3, 3)
-    raise ValueError(name)
-
-
-class Pipeline:
-    """One corpus graph with the whole derived chain attached."""
+class Pipeline(co.Chain):
+    """One corpus graph and its chain, with the double weights unpacked."""
 
     def __init__(self, name):
+        super().__init__(*CORPUS[name]())
         self.name = name
-        self.m, self.theta_exact = make_input(name)
-        self.iso = validate_isoradial(self.m, self.theta_exact)
-        self.bnd = boundary_angles(self.iso)
-        self.gq = quadri_tiling(self.m)
-        self.K = build_kasteleyn(self.gq, self.iso, self.bnd)
-        self.g0 = co.build_G0(self.gq, self.K, self.m)
-        self.g = co.build_G(self.g0)
-        self.dd = extended_double(self.m)
-        self.ext = extended_pair(self.m)
-        self.rho_star, self.tau2 = double_weights(self.iso, self.bnd, self.dd)
-        self.tw = tree_weights_tau(self.iso, self.bnd)
-        self.s_key = co.double_root(self.m)
+
+    rho_star = property(lambda self: self.double_weights[0])
+    tau2 = property(lambda self: self.double_weights[1])
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import isingtree
+from isingtree import correspondence as co
 from isingtree.cli import EXPORT_TARGETS, main
 from isingtree.generators import cycle
 
@@ -123,12 +125,16 @@ def test_zero_denominator_angle_fails_cleanly(tmp_path, capsys):
         "error: malformed graph document: ")
 
 
-def _angle_key(key):
+def _edit(change):
     def edit(text):
         data = json.loads(text)
-        data["angles"][key] = data["angles"]["0"]
+        change(data)
         return json.dumps(data)
     return edit
+
+
+def _angle_key(key):
+    return _edit(lambda d: d["angles"].update({key: d["angles"]["0"]}))
 
 
 # C4 documents that loads_map must turn into MapError
@@ -137,6 +143,10 @@ MALFORMED = {
     "angle-key-minus-1": _angle_key("-1"),
     "not-json": lambda text: text[:len(text) // 2],
     "too-deep": lambda text: "[" * 100000,
+    "angles-list": _edit(lambda d: d.update(angles=[])),
+    "angle-not-object": _edit(lambda d: d.update(angles={"0": 5})),
+    "tag-list": _edit(lambda d: d["vertices"][0].update(tag=[1])),
+    "tag-object": _edit(lambda d: d["vertices"][0].update(tag={"a": 1})),
 }
 
 
@@ -146,10 +156,11 @@ def test_malformed_input_fails_cleanly(edit, tmp_path, capsys):
     main(["generate", "cycle", "4", "--out", str(path)])
     path.write_text(edit(path.read_text()))
     capsys.readouterr()
-    assert main(["verify", "--input", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    for command in (["verify"], ["export", "primal"]):
+        assert main(command + ["--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_export_is_deterministic(capsys):
@@ -215,14 +226,15 @@ def test_export_unknown_target_is_a_usage_error():
 # sha256 of `export <kind> --format json`, recorded before the derived builds
 # moved their outer face with PlanarMap.with_outer_dart instead of a second
 # map_from_rotations call; any change to a derived map's numbering, outer
-# face, coordinates, tags or keys changes these digests.
+# face, coordinates, tags or keys changes these digests.  The dual and quad
+# ones were re-recorded when the outer face's vertex left the centroid.
 EXPORT_DIGESTS = {
     ("grid:3,3", "primal"):
         "6426296d733a695284de3e72713ccda47a929301a936c51e625859d0eace6469",
     ("grid:3,3", "dual"):
-        "dff04bfe005c2e8c1b63347035f3827df8265d65914013be96094fb1033c7b7d",
+        "4ea548761c43f9528dd85246dbf583e12362d189422cef3f7502a6cbd315ee4e",
     ("grid:3,3", "quad"):
-        "7e3504eee03e5b7d4ca9178073b1e2787268895a50689f9bcd6593bea49f79f3",
+        "59a129d1c8d542ab4d2796bacfc05ad178e1543f5d188701bdfd673b214048b7",
     ("grid:3,3", "quadri_tiling"):
         "5eb22d78b71959139be8d1811ba10daefa6e5212a81e5044cc130bdbc2ca3786",
     ("grid:3,3", "extended_double"):
@@ -234,9 +246,9 @@ EXPORT_DIGESTS = {
     ("rhombic:3,3,1/6", "primal"):
         "1f558a9788f2a03e12657641346ea52b1b4d49aca11066ca5c07780826fd287d",
     ("rhombic:3,3,1/6", "dual"):
-        "eac9606ce6672e814c4b80b9b2f0287b29b1231146388d31d8e1ed95fba844cd",
+        "d369e61fb465f79999a97026ad1e5d8e86cb3d2a048fd7b16b0b41ea67e5f577",
     ("rhombic:3,3,1/6", "quad"):
-        "50d0bb032fe551522cf7f0f2817091bdc5ffc203b6e7f32438be415174e81c7c",
+        "5324fcad6d9647c3e5eb7bd531fc243f0360d24bebd0e72404bc263a35765d0f",
     ("rhombic:3,3,1/6", "quadri_tiling"):
         "5eb22d78b71959139be8d1811ba10daefa6e5212a81e5044cc130bdbc2ca3786",
     ("rhombic:3,3,1/6", "extended_double"):
@@ -265,14 +277,15 @@ def test_export_json_matches_golden_digest(generator, what, capsys):
 
 # sha256 of `export <kind> --format dot`, recorded before map_to_dot and
 # digraph_to_dot wrote each line from one template; any change to a label,
-# style, position or line order changes these digests.
+# style, position or line order changes these digests (dual and quad
+# re-recorded as above).
 DOT_DIGESTS = {
     ("grid:3,3", "primal"):
         "667636dcac2049de5966e924c6a85ffc5aff1bac6b521f4c6e5ee99d51977dfd",
     ("grid:3,3", "dual"):
-        "964d41b55a2542fbc87d6253fb668f750d49e462205f462c4100096202914987",
+        "f24a87ca363bf2d9cc8aa3492a233039835bab5569e5d7e7e7168955c556287b",
     ("grid:3,3", "quad"):
-        "024d87697d64edb6ea41016299d63a0eb3a40b3414955cf0afc2308e4bc93e57",
+        "63b010b249c618773fe0b06c8adad4ee8fd978a73a1e35da5eb697f51804105d",
     ("grid:3,3", "quadri_tiling"):
         "80fbf179a2951e50baa9c496bc79674f5fbebbf63613097bee99a121b0e5db55",
     ("grid:3,3", "extended_double"):
@@ -284,9 +297,9 @@ DOT_DIGESTS = {
     ("rhombic:3,3,1/6", "primal"):
         "cd7eab9c4d83ba8f552053a7f4f7afb139745bca184f3926cfd2a642e841e878",
     ("rhombic:3,3,1/6", "dual"):
-        "a138445e526e0f2bc34a78820fa42d6b807c6ffb96fd9701054517e240e59f47",
+        "58020e45d6be913df2e6d62bd69117e1c54681837ddb9159ee51ba62b878fbf7",
     ("rhombic:3,3,1/6", "quad"):
-        "3bb8e4c7b1fc5463398949e11e0ce4c3eb6ca0a158a4aa19e7a31cf1a033826e",
+        "74afc5472e2b69eccc0d8252e55514251de1ce184d30fd0ab94c7b8eb7983b66",
     ("rhombic:3,3,1/6", "quadri_tiling"):
         "80fbf179a2951e50baa9c496bc79674f5fbebbf63613097bee99a121b0e5db55",
     ("rhombic:3,3,1/6", "extended_double"):
@@ -368,3 +381,37 @@ def test_commands_build_no_rotation_table(generator, monkeypatch, capsys):
                          "--format", fmt]) == 0
     assert main(["verify", "--generator", generator]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+# the builders Chain calls, in the order verify reads them
+STAGES = ("validate_isoradial", "boundary_angles", "quadri_tiling",
+          "build_kasteleyn", "build_G0", "build_G", "extended_double",
+          "double_weights", "extended_pair", "tree_weights_tau")
+# export kind -> the builders behind what it writes
+BEHIND = {"primal": (), "dual": ("dual_map",), "quad": ("quad_graph",),
+          "quadri_tiling": ("quadri_tiling",),
+          "extended_double": ("extended_double",),
+          "G0": STAGES[:5], "G": STAGES[:6]}
+# command -> the builders it calls, each once
+BUILDS = {"export %s --format %s" % (what, fmt): stages
+          for what, stages in BEHIND.items() for fmt in ("json", "dot")}
+BUILDS.update({"verify": STAGES, "export primal --format json": STAGES[:1]})
+
+
+def test_commands_build_the_stages_they_read_once(monkeypatch, capsys):
+    calls, wanted = Counter(), set()   # a stage not wanted raises
+
+    def counted(name, build):
+        def stage(*args, **kwargs):
+            calls[name] += 1
+            assert name in wanted, "%s built" % name
+            return build(*args, **kwargs)
+        return stage
+
+    for name in STAGES + ("dual_map", "quad_graph"):
+        monkeypatch.setattr(co, name, counted(name, getattr(co, name)))
+    for command, stages in BUILDS.items():
+        calls.clear()
+        wanted = set(stages)
+        assert main(command.split() + ["--generator", "grid:2,3"]) == 0
+        assert calls == Counter(stages), command

@@ -12,10 +12,7 @@ from fractions import Fraction
 import pytest
 
 from isingtree import correspondence as co
-from isingtree.derived import quadri_tiling
 from isingtree.generators import grid, rhombic
-from isingtree.isoradial import boundary_angles, validate_isoradial
-from isingtree.kasteleyn import build_kasteleyn
 from isingtree.oracles import (TooLargeError, enumerate_matchings,
                                enumerate_osts, enumerate_spanning_trees,
                                matrix_tree_Z, ost_Z)
@@ -51,17 +48,11 @@ def test_corner_tree_determinant_is_det_K(pipelines):
                                   lambda: rhombic(10, 10, Fraction(1, 6))],
                          ids=["grid10x10", "rhombic10x10"])
 def test_corner_tree_identities_at_order_360(make):
-    m, exact = make()
-    iso = validate_isoradial(m, exact)
-    bnd = boundary_angles(iso)
-    gq = quadri_tiling(m)
-    K = build_kasteleyn(gq, iso, bnd)
-    g0 = co.build_G0(gq, K, m)
-    z0 = matrix_tree_Z(g0.graph, co.ROOT)
-    assert len(K.rows) == 360
-    assert z0 == pytest.approx(co.permutation_sign(m) * K.det(), rel=1e-9)
-    assert matrix_tree_Z(co.build_G(g0).graph, co.ROOT) == pytest.approx(
-        z0, rel=1e-9)
+    c = co.Chain(*make())
+    z0 = matrix_tree_Z(c.g0.graph, co.ROOT)
+    assert len(c.K.rows) == 360
+    assert z0 == pytest.approx(co.permutation_sign(c.m) * c.K.det(), rel=1e-9)
+    assert matrix_tree_Z(c.g.graph, co.ROOT) == pytest.approx(z0, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -140,7 +131,7 @@ def test_rule_tree_enumeration_respects_the_cap(monkeypatch, c4):
 
 def test_double_root_is_the_minimal_outer_corner(pipelines):
     for p in pipelines.values():
-        assert p.s_key == ("u", min(p.m.outer_orbit))
+        assert co.Chain(p.m).s_key == ("u", min(p.m.outer_orbit))
         assert p.dd.tags[p.dd.vertex_id(p.s_key)] == "black-dual"
 
 

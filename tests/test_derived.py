@@ -1,13 +1,14 @@
 """Derived graphs: quad graph, quadri-tiling, extended double and pair."""
 
 import cmath
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 from isingtree.derived import (extended_double, extended_pair, quad_graph,
                                quadri_tiling)
 from isingtree.generators import TWO_PI, cycle, grid, rhombic
-from isingtree.maps import build_map, map_from_rotations
+from isingtree.maps import build_map, dual_map, far_point, map_from_rotations
 
 
 def test_quad_graph_of_square():
@@ -17,6 +18,18 @@ def test_quad_graph_of_square():
     # every face of the full quad graph is a quadrilateral
     assert all(len(f) == 4 for f in q.faces)
     assert Counter(q.tags) == {"primal": 4, "dual": 2}
+
+
+def test_dual_and_quad_graph_draw_no_two_vertices_on_one_point():
+    # the outer face's vertex used to sit at the boundary's centroid: on a
+    # primal vertex of grid 3x3, on the inner face's vertex of a cycle
+    graphs = [cycle(n) for n in range(3, 10)]
+    graphs += [grid(w, h) for w in range(2, 7) for h in range(3, 7)]
+    graphs += [rhombic(n, n, Fraction(1, k)) for n in (3, 6) for k in (5, 6, 8)]
+    for m, _ in graphs:
+        for g in (dual_map(m), quad_graph(m)):
+            pairs = itertools.combinations(g.coords, 2)
+            assert all(abs(a - b) > 1e-9 for a, b in pairs)
 
 
 def test_quadri_tiling_is_cubic_and_bipartite(pipelines):
@@ -149,6 +162,7 @@ def reference_quad_graph(m):
         for f in range(len(m.faces)):
             pts = [m.coords[m.vertex_of(d)] for d in m.faces[f]]
             coords[("f", f)] = sum(pts) / len(pts)
+        coords[("f", m.outer_face)] = far_point(m.coords)
     tags = {k: ("primal" if k[0] == "p" else "dual") for k in rotations}
     d0 = min(m.outer_orbit)
     q = map_from_rotations(rotations, (("p", m.vertex_of(d0)), ("c", d0)),

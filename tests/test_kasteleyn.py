@@ -15,13 +15,11 @@ from hypothesis import strategies as st
 
 import isingtree
 from isingtree import correspondence as co
-from isingtree.derived import quadri_tiling
 from isingtree.generators import grid, rhombic
 from isingtree.kasteleyn import (assign_phases, build_kasteleyn, check_flat,
                                  verify_squared_ising)
 from isingtree.oracles import complex_det, dimer_Z, matrix_tree_Z
-from isingtree.isoradial import (boundary_angles, critical_couplings,
-                                 dimer_weights, validate_isoradial)
+from isingtree.isoradial import critical_couplings, dimer_weights
 
 DETS = {"C3": -6.75, "C4": 9.0, "grid": 100.20826112068524}
 
@@ -84,12 +82,6 @@ def test_gauge_phase_on_a_row_keeps_the_modulus(c3, phi):
     assert abs(complex_det(rows)) == pytest.approx(abs(c3.K.det()), rel=1e-9)
 
 
-def _chain(m, exact):
-    iso = validate_isoradial(m, exact)
-    gq = quadri_tiling(m)
-    return gq, build_kasteleyn(gq, iso, boundary_angles(iso))
-
-
 # (det K, matrix_tree_Z(G0), matrix_tree_Z(G)), recorded when a tie in row
 # length between pivot candidates stopped going to any larger modulus and
 # went to one over 1.5 times larger; exact equality pins the pivot sequence
@@ -115,9 +107,8 @@ PINNED = {
 
 
 def test_rows_are_sparse_and_det_is_unchanged(pipelines):
-    graphs = [(p.gq, p.K) for p in pipelines.values()]
-    graphs.append(_chain(*grid(10, 10)))
-    for gq, K in graphs:
+    for c in [*pipelines.values(), co.Chain(*grid(10, 10))]:
+        gq, K = c.gq, c.K
         # row i is white ('w', i) and column j black ('b', j): build_kasteleyn
         # and build_G0 read indices off the edge keys on this alone
         assert K.whites == tuple(("w", i) for i in range(len(K.rows)))
@@ -131,13 +122,12 @@ def test_rows_are_sparse_and_det_is_unchanged(pipelines):
             assert list(row) == sorted(row)
             assert all(x != 0 for x in row.values())
             assert {K.blacks[j] for j in row} == blacks_of[w]
-    _, K = _chain(*grid(20, 20))
+    K = co.Chain(*grid(20, 20)).K
     assert sum(map(len, K.rows)) <= 3 * len(K.rows)
-    for (m, exact), want in PINNED.values():
-        gq, K = _chain(m, exact)
-        g0 = co.build_G0(gq, K, m)
-        got = (K.det(), matrix_tree_Z(g0.graph, co.ROOT),
-               matrix_tree_Z(co.build_G(g0).graph, co.ROOT))
+    for graph, want in PINNED.values():
+        c = co.Chain(*graph)
+        got = (c.K.det(), matrix_tree_Z(c.g0.graph, co.ROOT),
+               matrix_tree_Z(c.g.graph, co.ROOT))
         assert got == want
 
 
@@ -160,13 +150,11 @@ def _endpoint_rows(gq, iso, bnd):
 
 
 def test_rows_equal_an_endpoint_rebuild_bit_for_bit(pipelines):
-    chains = [(p.gq, p.iso, p.bnd) for p in pipelines.values()]
-    for m, exact in (grid(10, 10), rhombic(6, 6, Fraction(1, 6))):
-        iso = validate_isoradial(m, exact)
-        chains.append((quadri_tiling(m), iso, boundary_angles(iso)))
-    for gq, iso, bnd in chains:
-        K = build_kasteleyn(gq, iso, bnd)
-        want = _endpoint_rows(gq, iso, bnd)
+    chains = [*pipelines.values(), co.Chain(*grid(10, 10)),
+              co.Chain(*rhombic(6, 6, Fraction(1, 6)))]
+    for c in chains:
+        K = build_kasteleyn(c.gq, c.iso, c.bnd)
+        want = _endpoint_rows(c.gq, c.iso, c.bnd)
         assert list(K.rows) == want
         assert [list(r) for r in K.rows] == [list(r) for r in want]
 
@@ -174,18 +162,12 @@ def test_rows_equal_an_endpoint_rebuild_bit_for_bit(pipelines):
 DETS_SCRIPT = """
 from fractions import Fraction
 from isingtree import correspondence as co
-from isingtree.derived import quadri_tiling
 from isingtree.generators import grid, rhombic
-from isingtree.isoradial import boundary_angles, validate_isoradial
-from isingtree.kasteleyn import build_kasteleyn
 from isingtree.oracles import matrix_tree_Z
-for m, exact in (grid(10, 10), rhombic(10, 10, Fraction(1, 5))):
-    iso = validate_isoradial(m, exact)
-    gq = quadri_tiling(m)
-    K = build_kasteleyn(gq, iso, boundary_angles(iso))
-    g0 = co.build_G0(gq, K, m)
-    print(repr((K.det(), matrix_tree_Z(g0.graph, co.ROOT),
-                matrix_tree_Z(co.build_G(g0).graph, co.ROOT))))
+for graph in (grid(10, 10), rhombic(10, 10, Fraction(1, 5))):
+    c = co.Chain(*graph)
+    print(repr((c.K.det(), matrix_tree_Z(c.g0.graph, co.ROOT),
+                matrix_tree_Z(c.g.graph, co.ROOT))))
 """
 
 
@@ -220,12 +202,9 @@ FLATNESS = {
 
 
 def test_flatness_is_pinned(pipelines):
-    chains = {name: (p.gq, p.iso, p.bnd) for name, p in pipelines.items()}
-    m, exact = grid(10, 10)
-    iso = validate_isoradial(m, exact)
-    chains["grid10x10"] = (quadri_tiling(m), iso, boundary_angles(iso))
-    for name, (gq, iso, bnd) in chains.items():
-        rep = check_flat(gq, assign_phases(gq, iso, bnd))
+    chains = dict(pipelines, grid10x10=co.Chain(*grid(10, 10)))
+    for name, c in chains.items():
+        rep = check_flat(c.gq, assign_phases(c.gq, c.iso, c.bnd))
         digest = hashlib.sha256(repr(rep.curvatures).encode()).hexdigest()
         assert (rep.max_deviation, digest) == FLATNESS[name]
 

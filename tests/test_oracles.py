@@ -10,11 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isingtree.correspondence import ROOT, build_G, build_G0, double_root
-from isingtree.derived import extended_double, quadri_tiling
+from isingtree.correspondence import ROOT, Chain
+from isingtree.derived import quadri_tiling
 from isingtree.generators import cycle, grid
-from isingtree.isoradial import boundary_angles, validate_isoradial
-from isingtree.kasteleyn import build_kasteleyn
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                complex_det, det_cofactor, dimer_Z,
                                enumerate_matchings, enumerate_osts,
@@ -149,13 +147,9 @@ def test_reduced_laplacian_is_the_negated_minor_bit_for_bit(pipelines):
     # -(a + b) == (-a) + (-b) in IEEE arithmetic, so the one-pass rows hold
     # the same entries, the elimination takes the same pivots and every
     # digit agrees
-    m, theta = grid(10, 10)
-    iso = validate_isoradial(m, theta)
-    gq = quadri_tiling(m)
-    g0 = build_G0(gq, build_kasteleyn(gq, iso, boundary_angles(iso)), m)
-    graphs = [g0.graph, build_G(g0).graph]
-    for p in pipelines.values():
-        graphs += [p.g0.graph, p.g.graph]
+    graphs = []
+    for c in [Chain(*grid(10, 10)), *pipelines.values()]:
+        graphs += [c.g0.graph, c.g.graph]
     graphs.append(three_node_digraph())
     for g in graphs:
         for root in (ROOT,) if ROOT in g.nodes else g.nodes:
@@ -238,17 +232,12 @@ def _quadri_grid23():
 
 
 def _double_grid23():
-    m, _ = grid(2, 3)
-    dd = extended_double(m)
-    return enumerate_matchings(dd, skip_vertex=dd.vertex_id(double_root(m)))
+    c = Chain(grid(2, 3)[0])
+    return enumerate_matchings(c.dd, skip_vertex=c.dd.vertex_id(c.s_key))
 
 
 def _osts_g0_c5():
-    m, theta = cycle(5)
-    iso = validate_isoradial(m, theta)
-    gq = quadri_tiling(m)
-    g0 = build_G0(gq, build_kasteleyn(gq, iso, boundary_angles(iso)), m)
-    return enumerate_osts(g0.graph, ROOT)
+    return enumerate_osts(Chain(*cycle(5)).g0.graph, ROOT)
 
 
 def _trees_grid33():
