@@ -59,6 +59,22 @@ def test_dumps_is_deterministic(c3):
     assert dumps_map(c3.m).endswith("\n")
 
 
+def test_loader_rejects_bad_twin():
+    m, _ = cycle(3)
+    data = map_to_json_dict(m)
+    data["darts"][0]["twin"] = 2
+    with pytest.raises(MapError):
+        loads_map(json.dumps(data))
+
+
+def test_loader_rejects_gapped_dart_ids():
+    m, _ = cycle(3)
+    data = map_to_json_dict(m)
+    data["darts"][3]["id"] = 17
+    with pytest.raises(MapError):
+        loads_map(json.dumps(data))
+
+
 def test_loader_rejects_wrong_incidence():
     m, _ = cycle(3)
     data = map_to_json_dict(m)
@@ -67,9 +83,25 @@ def test_loader_rejects_wrong_incidence():
         loads_map(json.dumps(data))
 
 
+def test_loader_rejects_missing_outer_face():
+    m, _ = cycle(3)
+    data = map_to_json_dict(m)
+    data["outer_face"] = 99
+    with pytest.raises(MapError):
+        loads_map(json.dumps(data))
+
+
 def test_loader_rejects_shapeless_document():
     with pytest.raises(MapError, match="malformed graph document"):
         loads_map('{"not": "a map"}')
+
+
+def test_loader_rejects_out_of_range_dart_reference():
+    m, _ = cycle(3)
+    data = map_to_json_dict(m)
+    data["darts"][0]["next"] = 99
+    with pytest.raises(MapError):
+        loads_map(json.dumps(data))
 
 
 def _all_darts_at_vertex_0(data):
