@@ -134,11 +134,20 @@ def cmd_verify(args) -> int:
         for c in rep.checks:
             print("[%s] %-52s rel_err=%.3e" % (
                 "ok  " if c.passed else "FAIL", c.name, c.err))
-        print("%d/%d identities hold" % (
-            sum(c.passed for c in rep.checks), len(rep.checks)))
+        print("%d/%d identities hold, %d routes skipped%s" % (
+            sum(c.passed for c in rep.checks), len(rep.checks),
+            len(rep.skipped), _skipped_text(rep.skipped)))
     if args.out:
         _write(dumps_report(rep), args.out)
     return 0 if rep.passed else 1
+
+
+def _skipped_text(skipped) -> str:
+    """' (route count > cap, route: reason, ...)', or '' when none."""
+    parts = ["%s: %s" % (s.route, s.reason) if s.count <= s.cap else
+             ("%s %d > %d" if s.count < 10 ** 9 else "%s %.3g > %d")
+             % (s.route, s.count, s.cap) for s in skipped]
+    return " (%s)" % ", ".join(parts) if parts else ""
 
 
 def cmd_export(args) -> int:

@@ -38,15 +38,17 @@ from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
                         double_weights, tree_weights_tau, validate_isoradial)
 from .kasteleyn import KasteleynMatrix, build_kasteleyn
 from .maps import PlanarMap, dual_map
-from .oracles import (Arc, TooLargeError, WeightedDigraph, dimer_Z,
-                      enumerate_spanning_trees, ising_Z, is_spanning_tree,
-                      matrix_tree_Z, ost_Z, state_cap)
-from .report import Report, check
+from .oracles import (Arc, TooLargeError, WeightedDigraph, count_osts,
+                      dimer_Z, enumerate_spanning_trees, ising_Z,
+                      is_spanning_tree, kac_ward_Z2, matrix_tree_Z, ost_Z,
+                      signed_dimer_Z, spin_cap, state_cap)
+from .report import Report, Skip, check
 
 ROOT = ("r",)
 # verify_main_theorem enumerates the corner graph's oriented spanning trees
-# only when the product of its out-degrees is at most this
-OST_ENUM_BUDGET = 200000
+# only when there are at most this many: C6 (10,439) and grid 2x3 (44,384)
+# are enumerated, C7 (50,821) is not
+OST_CAP = 50000
 
 
 class DirectedModel(NamedTuple):
@@ -657,6 +659,29 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     return total, count
 
 
+def tree_pair_det(ext: ExtendedPair, tw: TauWeights, s_key: tuple) -> complex:
+    """`tree_pair_sum` by one matrix-tree determinant.
+
+    Let w be tan theta on ('e', e) and 2 sin(theta_bd/2) on the spoke
+    ('bd', delta).  A primal tree oriented to the root weighs the product
+    of w over its edges (it uses every spoke towards the root), and its dual
+    complement crosses exactly the primal edges it leaves out.  So the sum
+    is prod w times the oriented-tree sum of the extended dual rooted at s
+    in which each arc weighs `tw.arc` divided by w of the primal edge it
+    crosses: ('dual', e) crosses ('e', e) and ('rim', delta) crosses
+    ('bd', delta)."""
+    S = ext.dual
+    w = {**tw.primal, **tw.spoke}
+    arcs = []
+    for e, key in enumerate(S.edge_keys):
+        cross = w[("e" if key[0] == "dual" else "bd", key[1])]
+        a, b = (S.vertex_key(v) for v in S.endpoints(e))
+        arcs.append(Arc(a, b, tw.arc(key, a, b) / cross))
+        arcs.append(Arc(b, a, tw.arc(key, b, a) / cross))
+    return math.prod(w.values()) * matrix_tree_Z(
+        WeightedDigraph(S.vertex_keys, tuple(arcs)), s_key)
+
+
 # ---------------------------------------------------------------------------
 # the full verification pipeline
 # ---------------------------------------------------------------------------
@@ -704,29 +729,61 @@ def verify_main_theorem(m: PlanarMap,
                         s_dart: int | None = None) -> Report:
     """Run the whole chain on one isoradial map and check every identity.
 
-    The stages are read off one `Chain`, which checks s first; the spins
-    are summed right after the embedding is validated, before K is built.
-    The corner graph's oriented spanning trees are enumerated only when the
-    product of its out-degrees is at most OST_ENUM_BUDGET; the determinant /
-    aggregated routes run always, so every reported identity is still
-    checked by two independent computations.
+    The stages are read off one `Chain`, which checks s first.  Every
+    exponential quantity has a polynomial route, which always runs: the
+    spin sum by Kac-Ward, both dimer sums by Kasteleyn signs, the tree-pair
+    sum and the corner trees by matrix-tree determinants.  Its brute-force
+    route runs only when the number of configurations it visits, predicted
+    exactly before it starts (2^V spins, a signed unit determinant for the
+    matchings and for the tree pairs, a unit matrix-tree determinant for
+    the corner trees), fits the route's cap (`spin_cap()`, `state_cap()`,
+    `OST_CAP` for the corner trees).  A check reads the brute-force value
+    when that route ran, else the polynomial one; when both ran, an
+    agreement check compares them.  A declined route, or one whose
+    enumeration hits the state cap on the way, goes to `Report.skipped`
+    and the checks go on.
     """
     c = Chain(m, theta_exact, s_dart)
     rep = Report()
+
+    def route(name, count, cap, brute):
+        """brute() if `count` fits `cap` and no cap stops it, else None."""
+        if not count <= cap:
+            rep.skipped.append(Skip(name, count, cap,
+                                    "predicted count exceeds the cap"))
+            return None
+        try:
+            return brute()
+        except TooLargeError as exc:
+            rep.skipped.append(Skip(name, count, cap, str(exc)))
+            return None
+
+    def agree(name, poly, brute):
+        """`brute`, checked against `poly`, if its route ran, else `poly`."""
+        if brute is None:
+            return poly
+        rep.add(check(name, poly, brute, tol))
+        return brute
+
     iso = c.iso
     J = critical_couplings(iso)
-    zi = ising_Z(m, J)   # first: its 2^V cap fails fast on a large graph
+    zi = route("spins", 2 ** m.n_vertices, spin_cap(), lambda: ising_Z(m, J))
+    zi2 = agree("ising-Z2[kac-ward-vs-spins]", kac_ward_Z2(m, J),
+                None if zi is None else zi * zi)
     bnd, gq, K = c.bnd, c.gq, c.K
     rep.add(check("flat-phasing[max curvature deviation]",
                   K.flatness.max_deviation, 0.0, tol, absolute=True))
     detK = K.det()
 
     nu = dimer_weights(J, gq)
-    zq = dimer_Z(gq, nu)
+    zq, n_quadri = signed_dimer_Z(gq, nu)
+    zq = agree("dimer-sum[signed-det-vs-enumeration, quadri-tiling]", zq,
+               route("matchings[quadri-tiling]", n_quadri, state_cap(),
+                     lambda: dimer_Z(gq, nu)))
     rep.add(check("dimer-sum-vs-det[quadri-tiling]", zq, abs(detK), tol))
 
     rhs = (2 ** m.n_vertices) * math.prod(math.cosh(2 * j) for j in J) * zq
-    rep.add(check("squared-ising[critical]", zi * zi, rhs, tol))
+    rep.add(check("squared-ising[critical]", zi2, rhs, tol))
 
     # white row sums: zero inside, i e^{-i theta}(1 - e^{-i theta_bd}) on the
     # boundary (absolute deviation aggregated over rows)
@@ -745,34 +802,39 @@ def verify_main_theorem(m: PlanarMap,
     rep.add(check("white-row-sums[max deviation]", dev, 0.0, tol,
                   absolute=True))
 
-    z0_det = matrix_tree_Z(c.g0.graph, ROOT)
+    g0 = c.g0.graph
+    z0_det = matrix_tree_Z(g0, ROOT)
     sign = permutation_sign(m)
     rep.add(check("corner-tree-det-vs-det-K", z0_det, sign * detK, tol))
 
-    out_prod = 1
-    for node, arcs in c.g0.graph.out_map().items():
-        if node != ROOT:
-            out_prod *= max(len(arcs), 1)
-        if out_prod > OST_ENUM_BUDGET:
-            break
-    if out_prod <= OST_ENUM_BUDGET:
-        z0_enum = ost_Z(c.g0.graph, ROOT)
+    z0_enum = route("corner-trees", count_osts(g0, ROOT), OST_CAP,
+                    lambda: ost_Z(g0, ROOT))
+    if z0_enum is not None:
         rep.add(check("corner-tree-enumeration-vs-det", z0_enum, z0_det, tol))
 
     zg_det = matrix_tree_Z(c.g.graph, ROOT)
     rep.add(check("split-corner-tree-vs-corner-tree", zg_det, z0_det, tol))
 
-    dd = c.dd
+    dd, tau2 = c.dd, c.double_weights[1]
+    s = dd.vertex_id(c.s_key)
     pref = class_prefactor(iso, bnd)
-    zdd = dimer_Z(dd, c.double_weights[1], skip_vertex=dd.vertex_id(c.s_key))
+    zdd, n_double = signed_dimer_Z(dd, tau2, skip_vertex=s)
+    zdd = agree("dimer-sum[signed-det-vs-enumeration, double]", zdd,
+                route("matchings[double]", n_double, state_cap(),
+                      lambda: dimer_Z(dd, tau2, skip_vertex=s)))
     rep.add(check("double-tree-sum-vs-split-tree", pref * zdd, zg_det, tol))
 
-    zrs, n_trees = tree_pair_sum(c.ext, c.tw, c.s_key)
+    # Temperley: the tree pairs are as many as the double's matchings
+    pairs = route("tree-pairs", n_double, state_cap(),
+                  lambda: tree_pair_sum(c.ext, c.tw, c.s_key))
+    zrs, n_trees = (None, n_double) if pairs is None else pairs
+    zrs = agree("tree-pair-sum[matrix-tree-vs-enumeration]",
+                tree_pair_det(c.ext, c.tw, c.s_key), zrs)
     c_split = matched_split_constant(iso, c.ext)
     rep.add(check("matched-split-transfer[double-dimer-vs-tree-pairs]",
                   zdd, c_split * zrs, tol))
 
-    rep.add(check("main-theorem[spin-route]", zi * zi,
+    rep.add(check("main-theorem[spin-route]", zi2,
                   (2 ** m.n_vertices) * abs(zrs), tol))
     cosprod = math.prod(math.cos(t) for t in iso.theta)
     rep.add(check("main-theorem[determinant-route]", abs(zrs),

@@ -31,7 +31,7 @@ from .derived import quadri_tiling
 from .isoradial import (BoundaryAngles, IsoradialData, critical_couplings,
                         dimer_weights)
 from .maps import PlanarMap
-from .oracles import complex_det, dimer_Z, ising_Z
+from .oracles import complex_det, dimer_Z, ising_Z, kac_ward_Z2
 from .report import Report, check
 
 EPS_NUM = 1e-9
@@ -164,8 +164,9 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
 
 def verify_squared_ising(m: PlanarMap, iso: IsoradialData) -> Report:
     """Check Z_Ising(G, J)^2 = 2^|V| prod_e cosh(2 J_e) * Z_dimer(G^Q, nu(J))
-    to EPS_NUM by exhaustive enumeration of both sides, at the critical
-    couplings and at three positive coupling vectors drawn from seed 11."""
+    to EPS_NUM by exhaustive enumeration of both sides, and the Kac-Ward
+    value of Z_Ising^2 against the spin sum, at the critical couplings and
+    at three positive coupling vectors drawn from seed 11."""
     gq = quadri_tiling(m)
     rng = random.Random(11)
     rep = Report()
@@ -181,4 +182,6 @@ def verify_squared_ising(m: PlanarMap, iso: IsoradialData) -> Report:
         rhs = (2 ** m.n_vertices
                * math.prod(math.cosh(2.0 * j) for j in J) * zd)
         rep.add(check("squared-ising[%s]" % label, lhs, rhs, EPS_NUM))
+        rep.add(check("ising-Z2[kac-ward-vs-spins, %s]" % label,
+                      kac_ward_Z2(m, J), lhs, EPS_NUM))
     return rep

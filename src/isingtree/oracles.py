@@ -3,11 +3,14 @@
 Everything here is deliberately elementary -- straight enumerations and
 one sparse LU kernel (:func:`complex_det`, Markowitz order with threshold
 pivoting) for det K and the matrix-tree minors -- so results can serve as
-ground truth for the structured constructions.  The matching and tree
-enumerations backtrack on explicit stacks over integer adjacency lists, and
-the sums over them multiply weights from per-edge (per-arc) lists, in the
-order the enumerations yield.  Two caps, overridable through the
-environment, guard against runaway inputs:
+ground truth for the structured constructions.  Beside the spin and dimer
+enumerations sit their polynomial routes, which use none of the chain's
+constructions: the Kac-Ward determinant (:func:`kac_ward_Z2`) and the
+determinant with +-1 Kasteleyn signs (:func:`signed_dimer_Z`).  The
+matching and tree enumerations backtrack on explicit stacks over integer
+adjacency lists, and the sums over them multiply weights from per-edge
+(per-arc) lists, in the order the enumerations yield.  Two caps,
+overridable through the environment, guard against runaway inputs:
 
 * ``ISINGTREE_SPIN_CAP``  (default 2^24): max number of spin configurations;
 * ``ISINGTREE_STATE_CAP`` (default 10^7): max partial states explored by the
@@ -18,6 +21,7 @@ Exceeding a cap raises :class:`TooLargeError` rather than silently grinding.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 import os
@@ -59,6 +63,32 @@ def ising_Z(m: PlanarMap, J: Sequence[float]) -> float:
             energy += j * su * sv
         total += math.exp(energy)
     return total
+
+
+def kac_ward_Z2(m: PlanarMap, J: Sequence[float]) -> complex:
+    """Squared free-boundary Ising partition function by the Kac-Ward
+    formula on the straight-line embedding ``m.coords``:
+    Z^2 = 4^V prod_e cosh^2 J_e det(I - Lambda), where Lambda[d, f] =
+    tanh J_f e^{i alpha/2} for each dart f leaving the head of dart d other
+    than d's reverse, alpha in (-pi, pi) being the turn from d to f."""
+    if m.coords is None:
+        raise ValueError("the Kac-Ward route needs vertex coordinates")
+    xy, vertex_of = m.coords, m.vertex_of
+    step = [xy[vertex_of(d ^ 1)] - xy[vertex_of(d)]
+            for d in range(len(m.sigma))]
+    t = [math.tanh(j) for j in J]
+    rows = []
+    for d, sd in enumerate(step):
+        row = {d: 1.0 + 0j}
+        for f in m.vertices[vertex_of(d ^ 1)]:
+            if f != d ^ 1:
+                turn = step[f] / sd
+                # the principal root of the unit turn is e^{i alpha/2}
+                row[f] = -t[f >> 1] * cmath.sqrt(turn / abs(turn))
+        rows.append(row)
+    # float products overflow to inf instead of raising
+    scale = math.prod([4.0] * m.n_vertices + [math.cosh(j) ** 2 for j in J])
+    return scale * complex_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +173,82 @@ def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> c
     return total
 
 
-def permanent01(rows: Sequence[Sequence[int]]) -> int:
-    """Permanent of a small 0/1 matrix (matching-count oracle, n <= 10)."""
-    n = len(rows)
-    if n > 10:
-        raise TooLargeError("permanent oracle limited to n <= 10")
-    used = [False] * n
+def kasteleyn_signs(m: PlanarMap) -> list[int]:
+    """A +-1 sign per edge of a connected plane map such that every inner
+    face of length l has sign product (-1)^(l/2 + 1) (Kasteleyn 1967).
 
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        s = 0
-        for j in range(n):
-            if rows[i][j] and not used[j]:
-                used[j] = True
-                s += rec(i + 1)
-                used[j] = False
-        return s
+    +1 on a breadth-first spanning tree from vertex 0; the other edges are
+    the dual tree, walked breadth first from the outer face, and each inner
+    face, leaves first, sets the edge to its parent face."""
+    vertex_of, face_of = m.vertex_of, m.face_of
+    sign = [1] * m.n_edges
+    in_tree = [False] * m.n_edges
+    seen = [False] * m.n_vertices
+    seen[0] = True
+    order = [0]
+    for v in order:
+        for d in m.vertices[v]:
+            u = vertex_of(d ^ 1)
+            if not seen[u]:
+                seen[u] = in_tree[d >> 1] = True
+                order.append(u)
+    parent = [-1] * m.n_faces   # the dual-tree edge to a face's parent
+    parent[m.outer_face] = m.n_edges
+    faces = [m.outer_face]
+    for f in faces:
+        for d in m.faces[f]:
+            g = face_of(d ^ 1)
+            if not in_tree[d >> 1] and parent[g] < 0:
+                parent[g] = d >> 1
+                faces.append(g)
+    for f in reversed(faces[1:]):
+        orb, pe = m.faces[f], parent[f]
+        p = 1 if len(orb) % 4 else -1
+        for d in orb:
+            if d >> 1 != pe:
+                p *= sign[d >> 1]
+        sign[pe] = p
+    return sign
 
-    return rec(0)
+
+def signed_dimer_Z(m: PlanarMap, weights: Mapping,
+                   skip_vertex: int | None = None) -> tuple[complex, int]:
+    """`dimer_Z` by Kasteleyn's determinant, with the number of perfect
+    matchings: (sum, count).  ``m`` is a connected plane bipartite map whose
+    edge e runs from its black at dart 2e to its white at dart 2e+1, and
+    `skip_vertex`, when given, lies on the outer face.
+
+    With `kasteleyn_signs`, every perfect matching enters det of the signed
+    white-by-black matrix with one common sign eps, so the det of the signed
+    unit matrix is eps times the count, and the signed weight matrix gives
+    eps times the sum, phase included for complex weights."""
+    sign = kasteleyn_signs(m)
+    cols, rows = index = ({}, {})   # black -> column, white -> row
+    for d in range(len(m.sigma)):
+        v = m.vertex_of(d)
+        if v != skip_vertex:
+            index[d & 1].setdefault(v, len(index[d & 1]))
+    if len(rows) != len(cols):
+        return 0j, 0
+    unit, weighted = [{} for _ in rows], [{} for _ in rows]
+    for e in range(m.n_edges):
+        b, w = m.endpoints(e)
+        if skip_vertex not in (b, w):
+            i, j, s = rows[w], cols[b], sign[e]
+            unit[i][j] = unit[i].get(j, 0j) + s
+            weighted[i][j] = (weighted[i].get(j, 0j)
+                              + s * weights[m.edge_key(e)])
+    det1 = complex_det(unit).real
+    if abs(det1) < 0.5:
+        return 0j, 0
+    eps = 1 if det1 > 0 else -1
+    return complex_det(weighted) * eps, _as_count(abs(det1))
+
+
+def _as_count(x: float) -> int | float:
+    """A float that counts configurations, as an int; inf or nan (from a
+    determinant that overflowed) as it is."""
+    return round(x) if math.isfinite(x) else x
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +336,15 @@ def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
             p *= w[ai]
         total += p
     return total
+
+
+def count_osts(g: WeightedDigraph, root: Hashable) -> int | float:
+    """The number of spanning trees oriented towards `root`, as
+    `enumerate_osts` yields them: the matrix-tree determinant with every
+    arc weight set to 1."""
+    unit = WeightedDigraph(g.nodes, tuple(a._replace(weight=1.0)
+                                          for a in g.arcs))
+    return _as_count(abs(matrix_tree_Z(unit, root)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,22 @@ def check(name: str, lhs: complex, rhs: complex, tol: float,
                        err=err, passed=(err <= tol))
 
 
+class Skip(NamedTuple):
+    """A brute-force route that did not run: the configurations it would
+    visit (predicted before any work), its cap, and why it stopped."""
+    route: str
+    count: int | float
+    cap: int
+    reason: str
+
+
 class Report:
-    """The checks one verifier ran, in order, and the constants it read."""
+    """The checks one verifier ran, in order, the brute-force routes it
+    skipped, and the constants it read."""
 
     def __init__(self) -> None:
         self.checks: list[CheckResult] = []
+        self.skipped: list[Skip] = []
         self.constants: dict = {}
 
     def add(self, result: CheckResult) -> CheckResult:
@@ -52,7 +63,8 @@ class Report:
 
     def to_dict(self) -> dict:
         out = {"checks": [c.to_dict() for c in self.checks],
-               "pass": self.passed}
+               "pass": self.passed,
+               "skipped": [s._asdict() for s in self.skipped]}
         if self.constants:
             out["constants"] = {
                 k: (v if not isinstance(v, complex)

@@ -106,19 +106,26 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     """
     darts = sorted(data["darts"], key=lambda r: r["id"])
     n = len(darts)
+    _require_ints([r["id"] for r in darts], "dart ids must be integers")
     if [r["id"] for r in darts] != list(range(n)):
         raise MapError("dart ids must be 0..%d" % (n - 1))
+    for field in ("twin", "next", "vertex"):
+        _require_ints([r[field] for r in darts],
+                      "dart %s fields must be integers" % field)
     for r in darts:
         if r["twin"] != r["id"] ^ 1:
             raise MapError("dart %d: twin must be %d" % (r["id"], r["id"] ^ 1))
     sigma = [r["next"] for r in darts]
 
     vertices = sorted(data["vertices"], key=lambda r: r["id"])
+    _require_ints([r["id"] for r in vertices], "vertex ids must be integers")
     if [r["id"] for r in vertices] != list(range(len(vertices))):
         raise MapError("vertex ids must be 0..%d" % (len(vertices) - 1))
 
     coords = None
     if all(r["x"] is not None and r["y"] is not None for r in vertices):
+        if any(type(r[c]) is bool for r in vertices for c in "xy"):
+            raise MapError("vertex coordinates must be numbers")
         coords = [complex(r["x"], r["y"]) for r in vertices]
     tags = [r.get("tag") for r in vertices]
     for v, tag in enumerate(tags):
@@ -129,6 +136,7 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     m = PlanarMap(sigma, 0 if n else None, coords=coords, tags=tags)
 
     outer = data["outer_face"]
+    _require_ints([outer], "outer_face must be an integer")
     if not 0 <= outer < len(m.faces):
         raise MapError("no face with id %d" % outer)
     if len(vertices) < len(m.vertices):
@@ -155,8 +163,18 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
             if not isinstance(entry, dict):
                 raise MapError("angle %s must be a JSON object" % key)
             q = entry.get("pi_rational")
+            if type(q) is bool:
+                raise MapError("angle %s: pi_rational must be a string, a "
+                               "number or null" % key)
             exact[e] = None if q is None else Fraction(q)
     return m, exact
+
+
+def _require_ints(values: list, message: str) -> None:
+    """MapError(message) unless every value is a JSON integer: not a bool,
+    and not a float, even an integral one."""
+    if not set(map(type, values)) <= {int}:
+        raise MapError(message)
 
 
 _VERTEX = ('    {\n      "id": %d,\n      "tag": %s,\n      "x": %s,\n'

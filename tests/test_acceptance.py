@@ -58,7 +58,7 @@ def test_criterion_01_squared_ising_partition_identity(pipelines):
     worst = 0.0
     for p in pipelines.values():
         rep = verify_squared_ising(p.m, p.iso)   # 3 samples, EPS_NUM = TOL
-        assert len(rep.checks) == 4
+        assert len(rep.checks) == 8   # dimers and Kac-Ward per coupling
         worst = max(worst, max(c.err for c in rep.checks))
     elapsed = time.perf_counter() - t0
     ok = worst <= TOL and elapsed < 30.0

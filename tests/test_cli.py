@@ -23,7 +23,8 @@ def test_generate_then_verify_file(tmp_path, capsys):
     assert main(["verify", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "identities hold" in out
-    assert out.count("[ok  ]") == 11
+    assert out.count("[ok  ]") == 15
+    assert out.endswith("15/15 identities hold, 0 routes skipped\n")
     assert "FAIL" not in out
 
 
@@ -147,6 +148,15 @@ MALFORMED = {
     "angle-not-object": _edit(lambda d: d.update(angles={"0": 5})),
     "tag-list": _edit(lambda d: d["vertices"][0].update(tag=[1])),
     "tag-object": _edit(lambda d: d["vertices"][0].update(tag={"a": 1})),
+    "x-true": _edit(lambda d: d["vertices"][0].update(x=True)),
+    "vertex-float": _edit(lambda d: d["darts"][0].update(vertex=0.0)),
+    "pi-rational-true": _edit(
+        lambda d: d["angles"]["0"].update(pi_rational=True)),
+    "id-float": _edit(lambda d: d["darts"][0].update(id=0.0)),
+    "next-float": _edit(lambda d: d["darts"][0].update(
+        next=float(d["darts"][0]["next"]))),
+    "outer-face-float": _edit(
+        lambda d: d.update(outer_face=float(d["outer_face"]))),
 }
 
 
@@ -340,20 +350,25 @@ def test_verify_json_does_not_depend_on_hash_seed():
 # recorded from the recursive enumerations and the dict-based tree
 # orientation; the flat loops must visit and multiply in the same order, so
 # every digit of every sum stays the same.  Re-recorded when a tie in row
-# length between pivot candidates stopped going to any larger modulus: only
+# length between pivot candidates stopped going to any larger modulus (only
 # the last digits of det K, the corner-tree determinants and their rel_err
-# moved (below 1e-15 relative); every sum, flag and constant kept its bytes.
+# moved), and again when the polynomial routes came in: reports gained the
+# agreement checks and the skipped list, and every check and constant they
+# had before kept its bytes.  Grid 4x4 declines every brute-force route but
+# the spins, so its digest pins the polynomial values.
 VERIFY_DIGESTS = {
     "cycle:3":
-        "81fbaacdd3207a74a8e8e8410d9d88de39377a1b943a03822dc0e042481fa58d",
+        "fabbafa0fd5b02e97a1ca6d7e5aa0ae79ae69d56776b81273fe2479dcd8a3615",
     "cycle:6":
-        "2532bf195dcf8c43ce238b825a89593aa98028d7195a6b45369df5252195c0cc",
+        "aef83e6889dac14c5a349513d70c3ad1892df404b331bce3fe5484fdba4cb854",
     "cycle:7":
-        "0f4d45663e7f0e79b8f76ab8bc91040f279bbf08e009f6c522d2a8c6d28e3ef3",
+        "67905f16d6ae3a0dfc6056764691187ba7e9a36e44945fae0424f7ca2640a8b4",
     "grid:2,3":
-        "2e3d7ca12c819b8bfe87c9a8cfe42bc7156d7a7e72ac7bd4ee86f9359d8a7aca",
+        "3af9db44d913381b1cbe976456c0c6071db53ebdb7a67aa3208078e0ef0d5903",
+    "grid:4,4":
+        "c3b7bc9c726fc9d972c664be25d095060be85a1dc7b017a6256428e008c3c52d",
     "rhombic:2,4,1/6":
-        "a6a0d1cbda382367493cc05cbc930496bd411bb537c5fa53c60d361faeace5b9",
+        "f6f3ba61933d0c07114d9993208078104ad5ec912c0a0574ae8a4d109623c805",
 }
 
 

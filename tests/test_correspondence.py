@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from isingtree import correspondence as co
-from isingtree.generators import grid, rhombic
+from isingtree.generators import cycle, grid, rhombic
 from isingtree.oracles import (TooLargeError, enumerate_matchings,
                                enumerate_osts, enumerate_spanning_trees,
                                matrix_tree_Z, ost_Z)
@@ -250,18 +250,27 @@ def test_tree_pair_sum_matches_double_dimer(pipelines):
 # --- the full pipeline ---------------------------------------------------------
 
 FULL_CHECKS = (
+    "ising-Z2[kac-ward-vs-spins]",
     "flat-phasing[max curvature deviation]",
+    "dimer-sum[signed-det-vs-enumeration, quadri-tiling]",
     "dimer-sum-vs-det[quadri-tiling]",
     "squared-ising[critical]",
     "white-row-sums[max deviation]",
     "corner-tree-det-vs-det-K",
     "corner-tree-enumeration-vs-det",
     "split-corner-tree-vs-corner-tree",
+    "dimer-sum[signed-det-vs-enumeration, double]",
     "double-tree-sum-vs-split-tree",
+    "tree-pair-sum[matrix-tree-vs-enumeration]",
     "matched-split-transfer[double-dimer-vs-tree-pairs]",
     "main-theorem[spin-route]",
     "main-theorem[determinant-route]",
 )
+# the agreement checks, which run only when a brute-force route ran
+AGREEMENT_CHECKS = tuple(n for n in FULL_CHECKS if "-vs-enumeration" in n
+                         or n == "ising-Z2[kac-ward-vs-spins]")
+ROUTES = ("spins", "matchings[quadri-tiling]", "corner-trees",
+          "matchings[double]", "tree-pairs")
 
 
 def test_verify_main_theorem_on_the_corpus(pipelines):
@@ -269,12 +278,15 @@ def test_verify_main_theorem_on_the_corpus(pipelines):
         rep = co.verify_main_theorem(p.m, p.theta_exact)
         assert rep.passed
         names = tuple(c.name for c in rep.checks)
+        skipped = [sk.route for sk in rep.skipped]
         if p.name == "grid":
-            # the grid's rule-tree space is too large to enumerate
+            # the grid's 61,741,680 corner trees are too many to enumerate
             assert names == tuple(n for n in FULL_CHECKS
                                   if n != "corner-tree-enumeration-vs-det")
+            assert skipped == ["corner-trees"]
         else:
             assert names == FULL_CHECKS
+            assert skipped == []
         assert rep.constants["det_K"] == pytest.approx(p.K.det(), rel=1e-12)
         assert rep.constants["n_tree_pairs"] == MATCHING_COUNTS[p.name]
         assert rep.constants["regular_embedding"] is True
@@ -302,24 +314,74 @@ def test_verify_rejects_interior_root(grid33, monkeypatch):
                                    s_dart=s_dart)
 
 
-def test_verify_fails_fast_past_the_spin_cap(monkeypatch):
-    # the 2^V spin cap is checked before K or any dimer enumeration, so a
-    # 30x30 grid stops at once instead of enumerating quadri-tiling dimers
+def test_verify_skips_spins_past_the_spin_cap(grid33, monkeypatch):
+    # 2^V is compared with the spin cap before any spin is summed; the
+    # Kac-Ward value then stands in for the spin sum in every check
     def never(*args, **kwargs):
-        raise AssertionError("a later stage ran before the spin cap")
+        raise AssertionError("spins summed past the cap")
 
-    for name in ("build_kasteleyn", "dimer_Z"):
-        monkeypatch.setattr(co, name, never)
-    monkeypatch.delenv("ISINGTREE_SPIN_CAP", raising=False)
-    m, exact = grid(30, 30)
-    with pytest.raises(TooLargeError,
-                       match=r"^2\^900 spin configurations exceed the cap$"):
-        co.verify_main_theorem(m, exact)
+    monkeypatch.setattr(co, "ising_Z", never)
+    monkeypatch.setenv("ISINGTREE_SPIN_CAP", str(2 ** 9 - 1))
+    rep = co.verify_main_theorem(grid33.m, grid33.theta_exact)
+    assert rep.passed
+    assert rep.skipped[0] == (
+        "spins", 2 ** 9, 2 ** 9 - 1, "predicted count exceeds the cap")
+    names = [c.name for c in rep.checks]
+    assert "ising-Z2[kac-ward-vs-spins]" not in names
+    assert "squared-ising[critical]" in names
 
 
 def test_verify_budget_disables_enumeration_checks(c4, monkeypatch):
-    monkeypatch.setattr(co, "OST_ENUM_BUDGET", 1)
+    # the corner graph of C4 has 407 oriented spanning trees, one more than
+    # the cap: the route is declined before ost_Z runs, and named
+    def never(*args, **kwargs):
+        raise AssertionError("corner trees enumerated past the cap")
+
+    monkeypatch.setattr(co, "OST_CAP", 406)
+    monkeypatch.setattr(co, "ost_Z", never)
     rep = co.verify_main_theorem(c4.m, c4.theta_exact)
     names = tuple(c.name for c in rep.checks)
     assert "corner-tree-enumeration-vs-det" not in names
+    assert rep.skipped == [("corner-trees", 407, 406,
+                            "predicted count exceeds the cap")]
     assert rep.passed
+
+
+DESK = {"C%d" % n: (lambda n=n: cycle(n)) for n in range(3, 10)}
+DESK.update({"grid2x3": lambda: grid(2, 3), "grid2x4": lambda: grid(2, 4),
+             "rhombic2x4": lambda: rhombic(2, 4, Fraction(1, 5))})
+
+
+@pytest.mark.parametrize("name", sorted(DESK))
+def test_verify_with_every_cap_at_zero_runs_the_polynomial_routes(
+        name, monkeypatch):
+    monkeypatch.setenv("ISINGTREE_SPIN_CAP", "0")
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", "0")
+    monkeypatch.setattr(co, "OST_CAP", 0)
+    rep = co.verify_main_theorem(*DESK[name]())
+    assert rep.passed
+    assert [sk.route for sk in rep.skipped] == list(ROUTES)
+    assert all(sk.count > sk.cap == 0 for sk in rep.skipped)
+    names = tuple(c.name for c in rep.checks)
+    assert not set(AGREEMENT_CHECKS) & set(names)
+    assert names == tuple(n for n in FULL_CHECKS
+                          if n not in AGREEMENT_CHECKS
+                          and n != "corner-tree-enumeration-vs-det")
+
+
+def test_a_state_cap_hit_inside_a_route_keeps_the_report(c4, monkeypatch):
+    # C4's quadri-tiling has 49 perfect matchings, but the matching search
+    # visits more partial states than that: a cap of 50 admits the route,
+    # which then stops inside the enumeration; the route lands in skipped,
+    # and the checks before it and after it are all kept
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", "50")
+    rep = co.verify_main_theorem(c4.m, c4.theta_exact)
+    assert rep.passed
+    assert rep.skipped[0] == ("matchings[quadri-tiling]", 49, 50,
+                              "matching enumeration exceeded the state cap")
+    names = [c.name for c in rep.checks]
+    assert names[:2] == ["ising-Z2[kac-ward-vs-spins]",
+                         "flat-phasing[max curvature deviation]"]
+    assert "dimer-sum-vs-det[quadri-tiling]" in names
+    assert names[-1] == "main-theorem[determinant-route]"
+

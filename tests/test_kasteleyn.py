@@ -233,4 +233,5 @@ def test_squared_ising_identity(pipelines, name):
     p = pipelines[name]
     rep = verify_squared_ising(p.m, p.iso)
     assert rep.passed
-    assert len(rep.checks) == 4  # critical couplings plus three samples
+    # dimers and Kac-Ward at the critical couplings and three samples
+    assert len(rep.checks) == 8

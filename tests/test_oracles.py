@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from isingtree.correspondence import ROOT, Chain
 from isingtree.derived import quadri_tiling
 from isingtree.generators import cycle, grid
+from isingtree.maps import PlanarMap
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                complex_det, det_cofactor, dimer_Z,
                                enumerate_matchings, enumerate_osts,
                                enumerate_spanning_trees, ising_Z,
-                               is_spanning_tree, laplacian, matrix_tree_Z,
-                               ost_Z, permanent01)
+                               is_spanning_tree, kac_ward_Z2,
+                               kasteleyn_signs, laplacian, matrix_tree_Z,
+                               ost_Z, signed_dimer_Z)
 
 
 def test_triangle_ising_closed_form():
@@ -42,12 +44,41 @@ def test_quadri_tiling_matching_counts(pipelines, name, count):
     assert dimer_Z(gq, {k: 1.0 for k in gq.edge_keys}) == count
 
 
-def test_matching_count_agrees_with_permanent(pipelines):
-    for name in ("C3", "C4"):
-        p = pipelines[name]
-        rows = [[1 if abs(row.get(j, 0j)) > 1e-12 else 0
-                 for j in range(len(p.K.blacks))] for row in p.K.rows]
-        assert permanent01(rows) == sum(1 for _ in enumerate_matchings(p.gq))
+def test_signed_unit_det_counts_matchings(pipelines):
+    # |det| of the Kasteleyn-signed unit matrix is the number of perfect
+    # matchings, of the quadri-tiling and of the double minus s
+    for p in pipelines.values():
+        s = p.dd.vertex_id(p.s_key)
+        for m, skip in ((p.gq, None), (p.dd, s)):
+            count = sum(1 for _ in enumerate_matchings(m, skip))
+            total, n = signed_dimer_Z(m, {k: 1.0 for k in m.edge_keys}, skip)
+            assert n == count > 0
+            assert total == pytest.approx(count, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["C3", "C4", "grid"])
+def test_kasteleyn_signs_meet_the_face_condition(pipelines, name):
+    for m in (pipelines[name].gq, pipelines[name].dd):
+        sign = kasteleyn_signs(m)
+        assert set(sign) <= {-1, 1}
+        for f, orb in enumerate(m.faces):
+            if f != m.outer_face:
+                want = 1 if len(orb) % 4 else -1   # (-1)^(l/2 + 1)
+                assert math.prod(sign[d >> 1] for d in orb) == want
+
+
+def test_signed_dimer_sum_without_a_perfect_matching(c3):
+    # the double has one black more than whites: with a white removed as
+    # well, no perfect matching is left
+    white = c3.dd.tags.index("white")
+    weights = dict.fromkeys(c3.dd.edge_keys, 1.0)
+    assert signed_dimer_Z(c3.dd, weights, skip_vertex=white) == (0j, 0)
+
+
+def test_kac_ward_needs_coordinates(c3):
+    bare = PlanarMap(c3.m.sigma, c3.m.outer_dart)
+    with pytest.raises(ValueError, match="coordinates"):
+        kac_ward_Z2(bare, (0.5,) * 3)
 
 
 def test_matchings_need_even_vertex_count():

@@ -137,6 +137,22 @@ LOADER_ERRORS = [
      "vertex 1: tag must be null or a string"),
     (lambda d: d["vertices"][2].update(tag={"a": 1}),
      "vertex 2: tag must be null or a string"),
+    # JSON booleans and integral floats, which Python compares equal to
+    # 1 and 0, where ids and numbers belong
+    (lambda d: d["vertices"][0].update(x=True),
+     "vertex coordinates must be numbers"),
+    (lambda d: d["darts"][0].update(vertex=0.0),
+     "dart vertex fields must be integers"),
+    (lambda d: d.update(angles={"0": {"radians": 1.0, "pi_rational": True}}),
+     "angle 0: pi_rational must be a string, a number or null"),
+    (lambda d: d["darts"][0].update(id=0.0), "dart ids must be integers"),
+    (lambda d: d["darts"][1].update(twin=False),
+     "dart twin fields must be integers"),
+    (lambda d: d["darts"][2].update(next=float(d["darts"][2]["next"])),
+     "dart next fields must be integers"),
+    (lambda d: d["vertices"][1].update(id=True), "vertex ids must be integers"),
+    (lambda d: d.update(outer_face=float(d["outer_face"])),
+     "outer_face must be an integer"),
 ]
 
 
