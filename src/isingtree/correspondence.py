@@ -38,10 +38,10 @@ from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
                         double_weights, tree_weights_tau, validate_isoradial)
 from .kasteleyn import KasteleynMatrix, build_kasteleyn
 from .maps import PlanarMap, dual_map
-from .oracles import (Arc, TooLargeError, WeightedDigraph, count_osts,
-                      dimer_Z, enumerate_spanning_trees, ising_Z,
-                      is_spanning_tree, kac_ward_Z2, matrix_tree_Z, ost_Z,
-                      signed_dimer_Z, spin_cap, state_cap)
+from .oracles import (Arc, TooLargeError, WeightedDigraph, _osts,
+                      count_osts, dimer_Z, ising_Z, is_spanning_tree,
+                      kac_ward_Z2, matrix_tree_Z, ost_Z, signed_dimer_Z,
+                      spin_cap, state_cap)
 from .report import Report, Skip, check
 
 ROOT = ("r",)
@@ -613,47 +613,54 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     tau(T oriented to the root) * tau(dual complement oriented to s).
     Returns (sum, number of trees).
 
-    Each tree and its dual complement are oriented by a breadth-first
-    search from their roots that takes a vertex's edges in primal edge order
-    and multiplies the arc weights in discovery order, so the product order,
-    hence the last digits of the sum, depends on no hash order."""
+    The trees are searched as trees oriented to the root, once each: every
+    vertex, in breadth-first order from the root, keeps one out-arc, tried
+    in primal edge order, and the product of the primal arc weights rides
+    on the search stack.  Each dual complement is oriented by a
+    breadth-first search from s that takes a vertex's edges in primal edge
+    order and multiplies the arc weights in discovery order, so the product
+    order, hence the last digits of the sum, depends on no hash order."""
     P, S = ext.primal, ext.dual
 
-    def incidences(g: PlanarMap, edge_of: list[int]) -> list[list[tuple]]:
+    def incidences(g: PlanarMap, edge_of: list[int],
+                   away: bool) -> list[list[tuple]]:
         # per vertex x of g, in primal edge order: (primal edge, the other
-        # end y, weight of the arc y -> x)
+        # end y, weight of the arc x -> y when `away`, else of y -> x)
         inc: list[list[tuple]] = [[] for _ in range(g.n_vertices)]
         for e, ge in enumerate(edge_of):
             key = g.edge_key(ge)
             u, v = g.endpoints(ge)
             ku, kv = g.vertex_key(u), g.vertex_key(v)
-            inc[u].append((e, v, tw.arc(key, kv, ku)))
-            inc[v].append((e, u, tw.arc(key, ku, kv)))
+            uv, vu = tw.arc(key, ku, kv), tw.arc(key, kv, ku)
+            inc[u].append((e, v, uv if away else vu))
+            inc[v].append((e, u, vu if away else uv))
         return inc
 
-    p_inc = incidences(P, list(range(P.n_edges)))
+    out = incidences(P, list(range(P.n_edges)), True)
     s_inc = incidences(S, [S.edge_id(("dual" if k[0] == "e" else "rim", k[1]))
-                           for k in P.edge_keys])
-    p_root, s_root = P.vertex_id(ROOT), S.vertex_id(s_key)
-    in_tree = [False] * P.n_edges
+                           for k in P.edge_keys], False)
+    order = [P.vertex_id(ROOT)]
+    seen = [False] * P.n_vertices
+    seen[order[0]] = True
+    for u in order:
+        for _, v, _ in out[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    s_root = S.vertex_id(s_key)
     total = 0j
     count = 0
-    for tree in enumerate_spanning_trees(P):
-        for e in tree:
-            in_tree[e] = True
-        w = 1.0 + 0j
-        for inc, root, side in ((p_inc, p_root, True), (s_inc, s_root, False)):
-            seen = [False] * len(inc)
-            seen[root] = True
-            order = [root]
-            for u in order:
-                for e, v, a in inc[u]:
-                    if in_tree[e] == side and not seen[v]:
-                        seen[v] = True
-                        order.append(v)
-                        w *= a
-        for e in tree:
-            in_tree[e] = False
+    for tree, w in _osts(out, order[1:]):
+        in_tree = set(tree)   # arc ids are primal edges
+        seen = [False] * len(s_inc)
+        seen[s_root] = True
+        queue = [s_root]
+        for u in queue:
+            for e, v, a in s_inc[u]:
+                if not seen[v] and e not in in_tree:
+                    seen[v] = True
+                    queue.append(v)
+                    w *= a
         total += w
         count += 1
     return total, count

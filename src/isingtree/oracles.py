@@ -6,11 +6,15 @@ pivoting) for det K and the matrix-tree minors -- so results can serve as
 ground truth for the structured constructions.  Beside the spin and dimer
 enumerations sit their polynomial routes, which use none of the chain's
 constructions: the Kac-Ward determinant (:func:`kac_ward_Z2`) and the
-determinant with +-1 Kasteleyn signs (:func:`signed_dimer_Z`).  The
-matching and tree enumerations backtrack on explicit stacks over integer
-adjacency lists, and the sums over them multiply weights from per-edge
-(per-arc) lists, in the order the enumerations yield.  Two caps,
-overridable through the environment, guard against runaway inputs:
+determinant with +-1 Kasteleyn signs (:func:`signed_dimer_Z`).  There is
+one search for perfect matchings and one for oriented spanning trees
+(``correspondence.tree_pair_sum`` runs the latter on the extended primal);
+each backtracks on an explicit stack over integer adjacency lists, and the
+weight products ride on the stack: a frame multiplies its edge's (arc's)
+weight into the product of the frames below it, so a sum adds each
+configuration for one multiplication instead of multiplying it out anew.
+Two caps, overridable through the environment, guard against runaway
+inputs:
 
 * ``ISINGTREE_SPIN_CAP``  (default 2^24): max number of spin configurations;
 * ``ISINGTREE_STATE_CAP`` (default 10^7): max partial states explored by the
@@ -95,6 +99,68 @@ def kac_ward_Z2(m: PlanarMap, J: Sequence[float]) -> complex:
 # dimer partition functions
 # ---------------------------------------------------------------------------
 
+def _matchings(m: PlanarMap, skip_vertex: int | None,
+               w: Sequence) -> Iterator[tuple[list[int], complex]]:
+    """The matching search of `enumerate_matchings`: yields the live list
+    of matched edges, in the order they were chosen, with the product of
+    their weights ``w[e]`` in that order."""
+    active = [v for v in range(m.n_vertices) if v != skip_vertex]
+    n = len(active)
+    if n % 2:
+        return
+    pos = {v: i for i, v in enumerate(active)}
+    # the vertices before the one being matched are all matched already,
+    # so each edge is listed at its lower end only
+    incid: list[list[tuple]] = [[] for _ in range(n)]
+    for e in range(m.n_edges):
+        u, v = m.endpoints(e)
+        if u in pos and v in pos and u != v:
+            lo, hi = sorted((pos[u], pos[v]))
+            incid[lo].append((e, hi, w[e]))
+    budget = state_cap() - 1
+    if budget < 0:
+        raise TooLargeError("matching enumeration exceeded the state cap")
+    if n == 0:
+        yield [], 1.0 + 0j
+        return
+    matched = [False] * (n + 1)   # matched[n] stays False: a scan sentinel
+    matched[0] = True
+    chosen: list[int] = []
+    # one frame per matched pair: the first unmatched vertex v, its
+    # incidences still to try, the product p of the pairs before it and
+    # the partner of the pair that led to it (the sentinel n for the
+    # first); the live frame is held in locals, the ones below it in saved
+    v, todo, p, back = 0, iter(incid[0]), 1.0 + 0j, n
+    saved: list[tuple] = []
+    while True:
+        for e, o, x in todo:
+            if not matched[o]:
+                break
+        else:
+            matched[v] = matched[back] = False
+            if not saved:
+                return
+            chosen.pop()   # undo the pair that led to this frame
+            v, todo, p, back = saved.pop()
+            continue
+        matched[o] = True
+        chosen.append(e)
+        budget -= 1
+        if budget < 0:
+            raise TooLargeError("matching enumeration exceeded the state cap")
+        u = v + 1
+        while matched[u]:
+            u += 1
+        if u == n:
+            yield chosen, p * x
+            chosen.pop()
+            matched[o] = False
+        else:
+            matched[u] = True
+            saved.append((v, todo, p, back))
+            v, todo, p, back = u, iter(incid[u]), p * x, o
+
+
 def enumerate_matchings(m: PlanarMap,
                         skip_vertex: int | None = None) -> Iterator[tuple[int, ...]]:
     """All perfect matchings (as sorted edge-id tuples), optionally of the
@@ -104,58 +170,8 @@ def enumerate_matchings(m: PlanarMap,
     Backtracking on an explicit stack: the first unmatched vertex is matched
     along each free incident edge in edge order; each partial state costs
     one unit of the state cap."""
-    active = [v for v in range(m.n_vertices) if v != skip_vertex]
-    n = len(active)
-    if n % 2:
-        return
-    pos = {v: i for i, v in enumerate(active)}
-    incid: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in range(m.n_edges):
-        u, v = m.endpoints(e)
-        if u in pos and v in pos and u != v:
-            incid[pos[u]].append((e, pos[v]))
-            incid[pos[v]].append((e, pos[u]))
-    budget = state_cap() - 1
-    if budget < 0:
-        raise TooLargeError("matching enumeration exceeded the state cap")
-    if n == 0:
-        yield ()
-        return
-    matched = [False] * (n + 1)   # matched[n] stays False: a scan sentinel
-    matched[0] = True
-    chosen: list[int] = []
-    partners: list[int] = []
-    # one frame (vertex, its incidences still to try) per matched pair;
-    # the first unmatched vertex is matched at each depth
-    stack = [(0, iter(incid[0]))]
-    while stack:
-        v, todo = stack[-1]
-        for e, o in todo:
-            if not matched[o]:
-                break
-        else:
-            matched[v] = False
-            stack.pop()
-            if chosen:   # undo the pair that led to this frame
-                chosen.pop()
-                matched[partners.pop()] = False
-            continue
-        matched[o] = True
-        chosen.append(e)
-        budget -= 1
-        if budget < 0:
-            raise TooLargeError("matching enumeration exceeded the state cap")
-        w = v + 1
-        while matched[w]:
-            w += 1
-        if w == n:
-            yield tuple(sorted(chosen))
-            chosen.pop()
-            matched[o] = False
-        else:
-            partners.append(o)
-            matched[w] = True
-            stack.append((w, iter(incid[w])))
+    for chosen, _ in _matchings(m, skip_vertex, [1.0] * m.n_edges):
+        yield tuple(sorted(chosen))
 
 
 def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> complex:
@@ -165,10 +181,7 @@ def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> c
     carries edge keys, else by edge id."""
     w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
     total = 0j
-    for match in enumerate_matchings(m, skip_vertex):
-        p = 1.0 + 0j
-        for e in match:
-            p *= w[e]
+    for _, p in _matchings(m, skip_vertex, w):
         total += p
     return total
 
@@ -276,34 +289,31 @@ class WeightedDigraph(NamedTuple):
         return out
 
 
-def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ...]]:
-    """All spanning trees oriented towards `root`: every non-root node keeps
-    exactly one out-arc and following out-arcs always reaches the root.
-    Yields tuples of arc indices, one per non-root node in node order.
-
-    Backtracking on an explicit stack, one depth per non-root node; each
-    partial state costs one unit of the state cap."""
-    idx = {v: i for i, v in enumerate(g.nodes)}
-    others = [i for i, v in enumerate(g.nodes) if v != root]
-    out: list[list[tuple[int, int]]] = [[] for _ in g.nodes]
-    for ai, a in enumerate(g.arcs):
-        out[idx[a.tail]].append((ai, idx[a.head]))
+def _osts(out: Sequence[Sequence[tuple]],
+          order: Sequence[int]) -> Iterator[tuple[list, complex]]:
+    """Backtracking over the spanning trees oriented towards the one node
+    of ``range(len(out))`` that `order` leaves out: each node of `order`, in
+    turn, keeps one out-arc (arc id, head, weight) of ``out[node]`` that
+    closes no cycle.  Yields the live list of arc ids, one per depth, with
+    the product of their weights in depth order; each partial state costs
+    one unit of the state cap."""
     budget = state_cap() - 1
     if budget < 0:
         raise TooLargeError("tree enumeration exceeded the state cap")
-    depth = len(others)
+    depth = len(order)
     if depth == 0:
-        yield ()
+        yield [], 1.0 + 0j
         return
-    head = [-1] * len(g.nodes)   # head of a node's chosen arc, -1 if none
-    chosen = [0] * depth         # arc index per depth
-    # one iterator over the out-arcs still to try per depth
-    stack = [iter(out[others[0]])]
-    while stack:
-        i = len(stack) - 1
-        u = others[i]
+    head = [-1] * len(out)       # head of a node's chosen arc, -1 if none
+    chosen = [0] * depth         # arc id per depth
+    prods = [1.0 + 0j] * depth   # prods[i]: product of chosen[:i]
+    # per depth, an iterator over the out-arcs still to try
+    todo = [iter(out[order[0]])] + [None] * (depth - 1)
+    i = 0
+    while i >= 0:
+        u = order[i]
         head[u] = -1
-        for ai, h0 in stack[-1]:
+        for ai, h0, x in todo[i]:
             # the arcs chosen before u's form no cycle, so a cycle closed
             # by u's arc is the only kind the walk from its head can find
             h = h0
@@ -312,7 +322,7 @@ def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ..
             if h != u:
                 break
         else:
-            stack.pop()
+            i -= 1
             continue
         head[u] = h0
         chosen[i] = ai
@@ -320,20 +330,39 @@ def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ..
         if budget < 0:
             raise TooLargeError("tree enumeration exceeded the state cap")
         if i + 1 == depth:
-            yield tuple(chosen)
+            yield chosen, prods[i] * x
         else:
-            stack.append(iter(out[others[i + 1]]))
+            i += 1
+            prods[i] = prods[i - 1] * x
+            todo[i] = iter(out[order[i]])
+
+
+def _ost_args(g: WeightedDigraph, root: Hashable) -> tuple[list, list]:
+    """`_osts` arguments for `g`: out-arcs by node index, and the non-root
+    node indices in node order."""
+    idx = {v: i for i, v in enumerate(g.nodes)}
+    out: list[list[tuple]] = [[] for _ in g.nodes]
+    for ai, a in enumerate(g.arcs):
+        out[idx[a.tail]].append((ai, idx[a.head], a.weight))
+    return out, [i for i, v in enumerate(g.nodes) if v != root]
+
+
+def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ...]]:
+    """All spanning trees oriented towards `root`: every non-root node keeps
+    exactly one out-arc and following out-arcs always reaches the root.
+    Yields tuples of arc indices, one per non-root node in node order.
+
+    Backtracking on an explicit stack, one depth per non-root node; each
+    partial state costs one unit of the state cap."""
+    for chosen, _ in _osts(*_ost_args(g, root)):
+        yield tuple(chosen)
 
 
 def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
     """Partition function of oriented spanning trees rooted at `root`,
     by exhaustive enumeration."""
-    w = [a.weight for a in g.arcs]
     total = 0j
-    for tree in enumerate_osts(g, root):
-        p = 1.0 + 0j
-        for ai in tree:
-            p *= w[ai]
+    for _, p in _osts(*_ost_args(g, root)):
         total += p
     return total
 
@@ -494,53 +523,3 @@ def is_spanning_tree(n_vertices: int,
         p[ru] = rv
         count += 1
     return count == n_vertices - 1
-
-
-def enumerate_spanning_trees(m: PlanarMap) -> Iterator[tuple[int, ...]]:
-    """All spanning trees of the underlying graph, as sorted edge-id tuples.
-
-    Include/exclude backtracking on an explicit stack with a connectivity
-    feasibility prune, so the work stays proportional to the number of trees
-    on corpus-sized graphs.  Each partial state costs one unit of the state
-    cap."""
-    n, ne = m.n_vertices, m.n_edges
-    ends = [m.endpoints(e) for e in range(ne)]
-    budget = state_cap()
-    chosen: list[int] = []
-    # partial states (next edge, union-find parents, number of chosen
-    # edges to keep, edge to add or -1); the include child is pushed last,
-    # so it is popped first
-    stack = [(0, list(range(n)), 0, -1)]
-    while stack:
-        idx, p, kept, add = stack.pop()
-        del chosen[kept:]
-        if add >= 0:
-            chosen.append(add)
-        budget -= 1
-        if budget < 0:
-            raise TooLargeError("spanning-tree enumeration exceeded the state cap")
-        if len(chosen) == n - 1:
-            yield tuple(chosen)
-            continue
-        if idx == ne:
-            continue
-        if add < 0:   # an include child passes whenever its parent did
-            probe = p[:]
-            comps = n - len(chosen)
-            for u, v in ends[idx:]:
-                ru, rv = _find(probe, u), _find(probe, v)
-                if ru != rv:
-                    probe[ru] = rv
-                    comps -= 1
-                    if comps == 1:
-                        break
-            if comps != 1:
-                continue
-        stack.append((idx + 1, p, len(chosen), -1))
-        u, v = ends[idx]
-        ru, rv = _find(p, u), _find(p, v)
-        if ru != rv:
-            child = p[:]
-            child[ru] = rv
-            stack.append((idx + 1, child, len(chosen), idx))
-

@@ -335,5 +335,19 @@ def _json_scalar(x) -> str:
                     % type(x).__name__)
 
 
+def _finite(x):
+    """`x` with every non-finite float, at any depth, as None."""
+    if isinstance(x, float):
+        return x if -inf < x < inf else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite(v) for v in x]
+    return x
+
+
 def dumps_report(rep: Report) -> str:
-    return json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
+    """The report as RFC 8259 JSON: a NaN or infinite value, which only a
+    failed check or an overflowed count holds, is written as null."""
+    return json.dumps(_finite(rep.to_dict()), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"

@@ -10,6 +10,7 @@ import pytest
 
 from isingtree import correspondence as co
 from isingtree.generators import cycle, grid
+from isingtree.oracles import Arc, WeightedDigraph, count_osts
 
 CORPUS = {"C3": lambda: cycle(3), "C4": lambda: cycle(4),
           "grid": lambda: grid(3, 3)}
@@ -44,3 +45,18 @@ def c4(pipelines):
 @pytest.fixture(scope="session")
 def grid33(pipelines):
     return pipelines["grid"]
+
+
+@pytest.fixture(scope="session")
+def unit_tree_count():
+    """count(m, root): the number of spanning trees of a map's underlying
+    graph, by the matrix-tree determinant of its both-ways unit digraph at
+    vertex `root` (every tree has one orientation towards the root)."""
+    def count(m, root):
+        arcs = []
+        for e in range(m.n_edges):
+            u, v = m.endpoints(e)
+            arcs += [Arc(u, v, 1.0), Arc(v, u, 1.0)]
+        return count_osts(WeightedDigraph(tuple(range(m.n_vertices)),
+                                          tuple(arcs)), root)
+    return count

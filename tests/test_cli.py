@@ -57,6 +57,25 @@ def test_verify_json_format(capsys):
         "main-theorem[spin-route]", "main-theorem[determinant-route]"}
 
 
+def test_verify_json_is_strict_past_float_overflow(capsys):
+    # on grid 20x20, 2^V |Z_tree-pairs| is about 10^317: the Kac-Ward value
+    # and the unit corner-tree count overflow, and each non-finite value is
+    # written as null, never as the NaN or Infinity RFC 8259 forbids
+    def refuse(token):
+        raise ValueError("%s is not JSON" % token)
+
+    assert main(["verify", "--generator", "grid:20,20", "--format",
+                 "json"]) == 1
+    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    failed = [c for c in rep["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["squared-ising[critical]",
+                                           "main-theorem[spin-route]"]
+    assert all(c["rel_err"] is None and c["lhs"]["re"] is None
+               for c in failed)
+    assert [s["count"] for s in rep["skipped"]
+            if s["route"] == "corner-trees"] == [None]
+
+
 def test_verify_writes_report_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--generator", "cycle:4", "--out", str(out)]) == 0
@@ -355,20 +374,25 @@ def test_verify_json_does_not_depend_on_hash_seed():
 # moved), and again when the polynomial routes came in: reports gained the
 # agreement checks and the skipped list, and every check and constant they
 # had before kept its bytes.  Grid 4x4 declines every brute-force route but
-# the spins, so its digest pins the polynomial values.
+# the spins, so its digest pins the polynomial values.  Re-recorded once
+# more when the weight products moved onto the search stacks: the dimer
+# sums multiply in search order instead of edge order and the tree pairs
+# come from the oriented-tree search, so the last digits of those sums (and
+# of the checks that read them) moved; names, pass flags, skipped routes
+# and constants did not.
 VERIFY_DIGESTS = {
     "cycle:3":
-        "fabbafa0fd5b02e97a1ca6d7e5aa0ae79ae69d56776b81273fe2479dcd8a3615",
+        "e4a1614890eaf4a335f823b09af879c0477f1f44b06fa1d58cf3975e43f3b682",
     "cycle:6":
-        "aef83e6889dac14c5a349513d70c3ad1892df404b331bce3fe5484fdba4cb854",
+        "f712ad2ce66cbea81c664c0b3d8d9773cebd5d6aceec97744b979743b09c3708",
     "cycle:7":
-        "67905f16d6ae3a0dfc6056764691187ba7e9a36e44945fae0424f7ca2640a8b4",
+        "3d88d8f5e1e251c2d8c1070cb8017dffbb6334953ee69320c1d49236e9b1c53d",
     "grid:2,3":
-        "3af9db44d913381b1cbe976456c0c6071db53ebdb7a67aa3208078e0ef0d5903",
+        "5d281c7cecbbb945a898dd32668159ba5f012208342ed44985165a5d29ed1da2",
     "grid:4,4":
         "c3b7bc9c726fc9d972c664be25d095060be85a1dc7b017a6256428e008c3c52d",
     "rhombic:2,4,1/6":
-        "f6f3ba61933d0c07114d9993208078104ad5ec912c0a0574ae8a4d109623c805",
+        "b6f344de0dd1f58e929cb66d09fd96b3292030eeb26488353fdd52c4a1d363ee",
 }
 
 

@@ -13,9 +13,10 @@ import pytest
 
 from isingtree import correspondence as co
 from isingtree.generators import cycle, grid, rhombic
-from isingtree.oracles import (TooLargeError, enumerate_matchings,
-                               enumerate_osts, enumerate_spanning_trees,
-                               matrix_tree_Z, ost_Z)
+from isingtree.isoradial import critical_couplings, dimer_weights
+from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
+                               count_osts, dimer_Z, enumerate_matchings,
+                               enumerate_osts, matrix_tree_Z, ost_Z)
 
 SMALL = ("C3", "C4")
 OST_COUNTS = {"C3": (73, 248), "C4": (407, 1904)}
@@ -199,7 +200,7 @@ def dual_key(k):
 
 
 @pytest.mark.parametrize("name", SMALL)
-def test_matchings_biject_onto_tree_pairs(pipelines, name):
+def test_matchings_biject_onto_tree_pairs(pipelines, name, unit_tree_count):
     p = pipelines[name]
     P, S = p.ext.primal, p.ext.dual
     p_nodes = [P.vertex_key(v) for v in range(P.n_vertices)]
@@ -215,7 +216,7 @@ def test_matchings_biject_onto_tree_pairs(pipelines, name):
         assert dset == {dual_key(k) for k in all_keys - pset}
         assert pset not in primal_trees
         primal_trees.add(pset)
-    assert len(primal_trees) == sum(1 for _ in enumerate_spanning_trees(P))
+    assert len(primal_trees) == unit_tree_count(P, P.vertex_id(co.ROOT))
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -385,3 +386,103 @@ def test_a_state_cap_hit_inside_a_route_keeps_the_report(c4, monkeypatch):
     assert "dimer-sum-vs-det[quadri-tiling]" in names
     assert names[-1] == "main-theorem[determinant-route]"
 
+
+
+# route -> the check its brute-force value adds when it runs
+ROUTE_CHECK = {"spins": "ising-Z2[kac-ward-vs-spins]",
+               "matchings[quadri-tiling]":
+                   "dimer-sum[signed-det-vs-enumeration, quadri-tiling]",
+               "corner-trees": "corner-tree-enumeration-vs-det",
+               "matchings[double]":
+                   "dimer-sum[signed-det-vs-enumeration, double]",
+               "tree-pairs": "tree-pair-sum[matrix-tree-vs-enumeration]"}
+MATCHING_CAP = "matching enumeration exceeded the state cap"
+TREE_CAP = "tree enumeration exceeded the state cap"
+
+
+# On C4 the routes' predicted counts and partial states are: quadri-tiling
+# matchings 49 and 192, corner trees 407 and 850, double matchings 45 and
+# 207, tree pairs 45 and 78.  Each cap lies between the target route's two
+# numbers, so the route is admitted and then stops inside its search; a
+# route with fewer states than the cap runs, one with more stops too.
+# CAP_HITS maps each target route to its cap and the routes that cap stops.
+CAP_HITS = {
+    "corner-trees": (500, ("corner-trees",)),
+    "matchings[double]": (200, ("corner-trees", "matchings[double]")),
+    "tree-pairs": (60, ("matchings[quadri-tiling]", "corner-trees",
+                        "matchings[double]", "tree-pairs")),
+}
+C4_COUNTS = {"matchings[quadri-tiling]": 49, "corner-trees": 407,
+             "matchings[double]": 45, "tree-pairs": 45}
+
+
+@pytest.mark.parametrize("target", sorted(CAP_HITS))
+def test_a_state_cap_hit_inside_each_search_keeps_the_report(
+        c4, monkeypatch, target):
+    cap, hit = CAP_HITS[target]
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", str(cap))
+    rep = co.verify_main_theorem(c4.m, c4.theta_exact)
+    assert rep.passed
+    assert [sk.route for sk in rep.skipped] == list(hit)
+    for sk in rep.skipped:
+        route_cap = co.OST_CAP if sk.route == "corner-trees" else cap
+        reason = MATCHING_CAP if sk.route.startswith("matchings") else TREE_CAP
+        assert sk == (sk.route, C4_COUNTS[sk.route], route_cap, reason)
+    # every check but the stopped routes' agreement checks runs, in order
+    dropped = {ROUTE_CHECK[r] for r in hit}
+    assert tuple(c.name for c in rep.checks) == tuple(
+        n for n in FULL_CHECKS if n not in dropped)
+    assert rep.constants["n_tree_pairs"] == 45
+
+
+REFERENCE = dict(DESK)
+REFERENCE.update({"grid3x3": lambda: grid(3, 3)})
+REFERENCE.update({"rhombic2x4-1/%d" % q:
+                  (lambda q=q: rhombic(2, 4, Fraction(1, q))) for q in (6, 8)})
+
+
+def reference_sum(configurations, w):
+    """Sum over configurations of the product of their weights, multiplied
+    out per configuration in the order each is yielded."""
+    total = 0j
+    for conf in configurations:
+        p = 1.0 + 0j
+        for x in conf:
+            p *= w[x]
+        total += p
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_brute_force_sums_match_a_per_configuration_loop(
+        name, unit_tree_count):
+    c = co.Chain(*REFERENCE[name]())
+    # oriented trees: the extended primal towards the root with tau weights,
+    # and the corner graph where verify enumerates it; same bits
+    P = c.ext.primal
+    arcs = []
+    for e in range(P.n_edges):
+        key = P.edge_key(e)
+        a, b = (P.vertex_key(v) for v in P.endpoints(e))
+        arcs += [Arc(a, b, c.tw.arc(key, a, b)),
+                 Arc(b, a, c.tw.arc(key, b, a))]
+    digraphs = [WeightedDigraph(P.vertex_keys, tuple(arcs))]
+    if count_osts(c.g0.graph, co.ROOT) <= co.OST_CAP:
+        digraphs.append(c.g0.graph)
+    for g in digraphs:
+        w = [a.weight for a in g.arcs]
+        assert ost_Z(g, co.ROOT) == reference_sum(enumerate_osts(g, co.ROOT), w)
+    # perfect matchings of the quadri-tiling and of the double minus s
+    nu = dimer_weights(critical_couplings(c.iso), c.gq)
+    s = c.dd.vertex_id(c.s_key)
+    for m, weights, skip in ((c.gq, nu, None),
+                             (c.dd, c.double_weights[1], s)):
+        w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
+        ref = reference_sum(enumerate_matchings(m, skip), w)
+        assert dimer_Z(m, weights, skip) == pytest.approx(ref, rel=1e-14,
+                                                          abs=0)
+    # tree pairs: one per spanning tree of the extended primal
+    zrs, n = co.tree_pair_sum(c.ext, c.tw, c.s_key)
+    assert n == unit_tree_count(P, P.vertex_id(co.ROOT))
+    assert zrs == pytest.approx(co.tree_pair_det(c.ext, c.tw, c.s_key),
+                                rel=1e-12, abs=0)

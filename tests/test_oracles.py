@@ -16,8 +16,7 @@ from isingtree.generators import cycle, grid
 from isingtree.maps import PlanarMap
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                complex_det, det_cofactor, dimer_Z,
-                               enumerate_matchings, enumerate_osts,
-                               enumerate_spanning_trees, ising_Z,
+                               enumerate_matchings, enumerate_osts, ising_Z,
                                is_spanning_tree, kac_ward_Z2,
                                kasteleyn_signs, laplacian, matrix_tree_Z,
                                ost_Z, signed_dimer_Z)
@@ -216,8 +215,8 @@ def test_complex_det_leaves_its_input_alone_and_rejects_non_square():
 
 
 @pytest.mark.parametrize("name,count", [("C3", 3), ("C4", 4), ("grid", 192)])
-def test_spanning_tree_counts(pipelines, name, count):
-    assert sum(1 for _ in enumerate_spanning_trees(pipelines[name].m)) == count
+def test_spanning_tree_counts(pipelines, name, count, unit_tree_count):
+    assert unit_tree_count(pipelines[name].m, 0) == count
 
 
 def test_is_spanning_tree_rejects_cycles_and_forests():
@@ -271,10 +270,6 @@ def _osts_g0_c5():
     return enumerate_osts(Chain(*cycle(5)).g0.graph, ROOT)
 
 
-def _trees_grid33():
-    return enumerate_spanning_trees(grid(3, 3)[0])
-
-
 # enumeration -> (smallest ISINGTREE_STATE_CAP that lets it finish, number of
 # yields, sha256 of the repr of the list it yields), all recorded from the
 # recursive enumerations; one cap unit is one partial state
@@ -288,9 +283,6 @@ ENUMERATIONS = {
     "osts_g0_c5": (_osts_g0_c5, 4254, 2101,
                    "73b260249eb8a60f083c37f737c959c8"
                    "2a71e39ed2e0a49b13796357525ad694"),
-    "trees_grid33": (_trees_grid33, 1139, 192,
-                     "08d44f8266e96190763774a5134ea09a"
-                     "2b7b9797e5f44c06bfb02d7b84285251"),
 }
 
 
