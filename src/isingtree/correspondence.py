@@ -607,6 +607,21 @@ def tree_pair_weight(tp: TreePair, tw: TauWeights) -> complex:
     return p
 
 
+# tree_pair_sum adds its terms in blocks of this many
+_BLOCK = 4096
+
+
+def _carry(xs: list[float]) -> list[float]:
+    """A block of terms as two floats: their exactly rounded sum and the
+    rounding error of that sum, itself exactly rounded.  Their sum differs
+    from the block's exact sum by about 2^-106 of it, so carrying the pair
+    into the next block adds the terms rounded once, up to that much per
+    block, in memory that does not grow with the number of terms."""
+    s = math.fsum(xs)
+    xs.append(-s)
+    return [s, math.fsum(xs)]
+
+
 def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
                   s_key: tuple) -> tuple[complex, int]:
     """Sum over spanning trees T of the extended primal graph of
@@ -619,7 +634,9 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     on the search stack.  Each dual complement is oriented by a
     breadth-first search from s that takes a vertex's edges in primal edge
     order and multiplies the arc weights in discovery order, so the product
-    order, hence the last digits of the sum, depends on no hash order."""
+    order, hence the last digits of the sum, depends on no hash order.  The
+    terms are added by `math.fsum`, real and imaginary parts apart, in
+    blocks whose sums `_carry` passes on (rounded once, not term by term)."""
     P, S = ext.primal, ext.dual
 
     def incidences(g: PlanarMap, edge_of: list[int],
@@ -648,7 +665,8 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
                 seen[v] = True
                 order.append(v)
     s_root = S.vertex_id(s_key)
-    total = 0j
+    re: list[float] = []
+    im: list[float] = []
     count = 0
     for tree, w in _osts(out, order[1:]):
         in_tree = set(tree)   # arc ids are primal edges
@@ -661,9 +679,12 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
                     seen[v] = True
                     queue.append(v)
                     w *= a
-        total += w
+        re.append(w.real)
+        im.append(w.imag)
         count += 1
-    return total, count
+        if len(re) >= _BLOCK:
+            re, im = _carry(re), _carry(im)
+    return complex(math.fsum(re), math.fsum(im)), count
 
 
 def tree_pair_det(ext: ExtendedPair, tw: TauWeights, s_key: tuple) -> complex:

@@ -164,9 +164,11 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
 
 def verify_squared_ising(m: PlanarMap, iso: IsoradialData) -> Report:
     """Check Z_Ising(G, J)^2 = 2^|V| prod_e cosh(2 J_e) * Z_dimer(G^Q, nu(J))
-    to EPS_NUM by exhaustive enumeration of both sides, and the Kac-Ward
-    value of Z_Ising^2 against the spin sum, at the critical couplings and
-    at three positive coupling vectors drawn from seed 11."""
+    to EPS_NUM, Z_Ising by full spin enumeration and Z_dimer by the exact
+    sum over perfect matchings of `dimer_Z` (a dynamic program over
+    matched-vertex sets), and the Kac-Ward value of Z_Ising^2 against the
+    spin sum, at the critical couplings and at three positive coupling
+    vectors drawn from seed 11."""
     gq = quadri_tiling(m)
     rng = random.Random(11)
     rep = Report()

@@ -1,24 +1,28 @@
 """Exact brute-force oracles: spin sums, dimer sums, tree sums, determinants.
 
-Everything here is deliberately elementary -- straight enumerations and
-one sparse LU kernel (:func:`complex_det`, Markowitz order with threshold
-pivoting) for det K and the matrix-tree minors -- so results can serve as
-ground truth for the structured constructions.  Beside the spin and dimer
-enumerations sit their polynomial routes, which use none of the chain's
-constructions: the Kac-Ward determinant (:func:`kac_ward_Z2`) and the
-determinant with +-1 Kasteleyn signs (:func:`signed_dimer_Z`).  There is
-one search for perfect matchings and one for oriented spanning trees
+Everything here is deliberately elementary -- straight enumerations, one
+dynamic program over matched-vertex sets (:func:`dimer_Z`) and one sparse
+LU kernel (:func:`complex_det`, Markowitz order with threshold pivoting)
+for det K and the matrix-tree minors -- so results can serve as ground
+truth for the structured constructions.  Beside the spin and dimer sums sit
+their polynomial routes, which use none of the chain's constructions: the
+Kac-Ward determinant (:func:`kac_ward_Z2`) and the determinant with +-1
+Kasteleyn signs (:func:`signed_dimer_Z`).  There is one search for perfect
+matchings and one for oriented spanning trees
 (``correspondence.tree_pair_sum`` runs the latter on the extended primal);
-each backtracks on an explicit stack over integer adjacency lists, and the
-weight products ride on the stack: a frame multiplies its edge's (arc's)
-weight into the product of the frames below it, so a sum adds each
-configuration for one multiplication instead of multiplying it out anew.
-Two caps, overridable through the environment, guard against runaway
-inputs:
+each backtracks on an explicit stack over integer adjacency lists.  The
+tree search carries the weight products on its stack: a frame multiplies
+its arc's weight into the product of the frames below it, so a sum adds
+each configuration for one multiplication.  `dimer_Z` follows the matching
+search's choices but merges the partial matchings that cover the same
+vertices, so it visits each matched set once, whatever number of matchings
+pass through it; it uses no sign and no determinant.  Two caps,
+overridable through the environment, guard against runaway inputs:
 
 * ``ISINGTREE_SPIN_CAP``  (default 2^24): max number of spin configurations;
-* ``ISINGTREE_STATE_CAP`` (default 10^7): max partial states explored by the
-  matching / tree backtracking, one per node of its search tree.
+* ``ISINGTREE_STATE_CAP`` (default 10^7): max states explored: for the
+  matching and tree searches one per node of the search tree, for
+  `dimer_Z` one per distinct set of matched vertices.
 
 Exceeding a cap raises :class:`TooLargeError` rather than silently grinding.
 """
@@ -99,66 +103,22 @@ def kac_ward_Z2(m: PlanarMap, J: Sequence[float]) -> complex:
 # dimer partition functions
 # ---------------------------------------------------------------------------
 
-def _matchings(m: PlanarMap, skip_vertex: int | None,
-               w: Sequence) -> Iterator[tuple[list[int], complex]]:
-    """The matching search of `enumerate_matchings`: yields the live list
-    of matched edges, in the order they were chosen, with the product of
-    their weights ``w[e]`` in that order."""
-    active = [v for v in range(m.n_vertices) if v != skip_vertex]
-    n = len(active)
-    if n % 2:
-        return
-    pos = {v: i for i, v in enumerate(active)}
-    # the vertices before the one being matched are all matched already,
-    # so each edge is listed at its lower end only
-    incid: list[list[tuple]] = [[] for _ in range(n)]
+def _lower_incidences(m: PlanarMap,
+                      skip_vertex: int | None) -> list[list[tuple[int, int]]]:
+    """The vertices of m other than `skip_vertex`, renumbered 0..n-1 in
+    vertex order, each with its (edge, other end) pairs in edge order.
+    `enumerate_matchings` and `dimer_Z` both match the first unmatched
+    vertex, so the vertices before it are all matched already and an edge
+    is listed at its lower end only."""
+    pos = {v: i for i, v in enumerate(
+        v for v in range(m.n_vertices) if v != skip_vertex)}
+    incid: list[list[tuple[int, int]]] = [[] for _ in pos]
     for e in range(m.n_edges):
         u, v = m.endpoints(e)
         if u in pos and v in pos and u != v:
             lo, hi = sorted((pos[u], pos[v]))
-            incid[lo].append((e, hi, w[e]))
-    budget = state_cap() - 1
-    if budget < 0:
-        raise TooLargeError("matching enumeration exceeded the state cap")
-    if n == 0:
-        yield [], 1.0 + 0j
-        return
-    matched = [False] * (n + 1)   # matched[n] stays False: a scan sentinel
-    matched[0] = True
-    chosen: list[int] = []
-    # one frame per matched pair: the first unmatched vertex v, its
-    # incidences still to try, the product p of the pairs before it and
-    # the partner of the pair that led to it (the sentinel n for the
-    # first); the live frame is held in locals, the ones below it in saved
-    v, todo, p, back = 0, iter(incid[0]), 1.0 + 0j, n
-    saved: list[tuple] = []
-    while True:
-        for e, o, x in todo:
-            if not matched[o]:
-                break
-        else:
-            matched[v] = matched[back] = False
-            if not saved:
-                return
-            chosen.pop()   # undo the pair that led to this frame
-            v, todo, p, back = saved.pop()
-            continue
-        matched[o] = True
-        chosen.append(e)
-        budget -= 1
-        if budget < 0:
-            raise TooLargeError("matching enumeration exceeded the state cap")
-        u = v + 1
-        while matched[u]:
-            u += 1
-        if u == n:
-            yield chosen, p * x
-            chosen.pop()
-            matched[o] = False
-        else:
-            matched[u] = True
-            saved.append((v, todo, p, back))
-            v, todo, p, back = u, iter(incid[u]), p * x, o
+            incid[lo].append((e, hi))
+    return incid
 
 
 def enumerate_matchings(m: PlanarMap,
@@ -170,20 +130,98 @@ def enumerate_matchings(m: PlanarMap,
     Backtracking on an explicit stack: the first unmatched vertex is matched
     along each free incident edge in edge order; each partial state costs
     one unit of the state cap."""
-    for chosen, _ in _matchings(m, skip_vertex, [1.0] * m.n_edges):
-        yield tuple(sorted(chosen))
+    incid = _lower_incidences(m, skip_vertex)
+    n = len(incid)
+    if n % 2:
+        return
+    budget = state_cap() - 1
+    if budget < 0:
+        raise TooLargeError("matching enumeration exceeded the state cap")
+    if n == 0:
+        yield ()
+        return
+    matched = [False] * (n + 1)   # matched[n] stays False: a scan sentinel
+    matched[0] = True
+    chosen: list[int] = []
+    # one frame per matched pair: the first unmatched vertex v, its
+    # incidences still to try and the partner of the pair that led to it
+    # (the sentinel n for the first); the live frame is held in locals, the
+    # ones below it in saved
+    v, todo, back = 0, iter(incid[0]), n
+    saved: list[tuple] = []
+    while True:
+        for e, o in todo:
+            if not matched[o]:
+                break
+        else:
+            matched[v] = matched[back] = False
+            if not saved:
+                return
+            chosen.pop()   # undo the pair that led to this frame
+            v, todo, back = saved.pop()
+            continue
+        matched[o] = True
+        chosen.append(e)
+        budget -= 1
+        if budget < 0:
+            raise TooLargeError("matching enumeration exceeded the state cap")
+        u = v + 1
+        while matched[u]:
+            u += 1
+        if u == n:
+            yield tuple(sorted(chosen))
+            chosen.pop()
+            matched[o] = False
+        else:
+            matched[u] = True
+            saved.append((v, todo, back))
+            v, todo, back = u, iter(incid[u]), o
 
 
 def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> complex:
     """Weighted dimer partition function: sum over perfect matchings of the
     product of edge weights (of m minus `skip_vertex`, when given).
     `weights` holds every edge's weight, keyed by edge key when the map
-    carries edge keys, else by edge id."""
+    carries edge keys, else by edge id.
+
+    A forward dynamic program over the search of `enumerate_matchings`:
+    what that search still has to do depends only on the set of vertices
+    matched so far, so it keeps, per first unmatched vertex, a dict from
+    the bitmask of matched vertices to the sum of the weight products of
+    the partial matchings that reach it, and extends each set along the
+    first unmatched vertex's free edges, in edge order.  The sum kept for
+    the set of all vertices is Z.  Each distinct matched set, the empty
+    start included, costs one unit of the state cap."""
+    incid = _lower_incidences(m, skip_vertex)
+    n = len(incid)
+    if n % 2:
+        return 0j
+    budget = state_cap() - 1
+    if budget < 0:
+        raise TooLargeError("matching enumeration exceeded the state cap")
     w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
-    total = 0j
-    for _, p in _matchings(m, skip_vertex, w):
-        total += p
-    return total
+    # sums[v]: matched set (bits below v all set, v clear) -> summed products
+    sums: list[dict[int, complex]] = [{} for _ in range(n + 1)]
+    sums[0][0] = 1.0 + 0j
+    for v in range(n):
+        # per edge from v to a later vertex: the bits its pair sets, its weight
+        pairs = [(1 << v | 1 << o, w[e]) for e, o in incid[v]]
+        for done, p in sums[v].items():
+            for bits, x in pairs:
+                if not done & bits:
+                    k = done | bits
+                    # the lowest clear bit of k: its first unmatched vertex
+                    to = sums[(~k & (k + 1)).bit_length() - 1]
+                    if k in to:
+                        to[k] += p * x
+                    else:
+                        budget -= 1
+                        if budget < 0:
+                            raise TooLargeError(
+                                "matching enumeration exceeded the state cap")
+                        to[k] = p * x
+        sums[v] = {}   # release the finished layer
+    return sums[n].get((1 << n) - 1, 0j)
 
 
 def kasteleyn_signs(m: PlanarMap) -> list[int]:

@@ -6,6 +6,7 @@ rhombic 10x10 (K of order 360) check the corner-graph determinant identities.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -371,21 +372,22 @@ def test_verify_with_every_cap_at_zero_runs_the_polynomial_routes(
 
 
 def test_a_state_cap_hit_inside_a_route_keeps_the_report(c4, monkeypatch):
-    # C4's quadri-tiling has 49 perfect matchings, but the matching search
-    # visits more partial states than that: a cap of 50 admits the route,
-    # which then stops inside the enumeration; the route lands in skipped,
-    # and the checks before it and after it are all kept
+    # C4's double minus s has 45 perfect matchings, but the dimer sum visits
+    # 57 matched sets: a cap of 50 admits the route, which then stops inside
+    # its search; the route lands in skipped, and the checks before it and
+    # after it are all kept.  The quadri-tiling's sum needs 37 sets for its
+    # 49 matchings, so it runs
     monkeypatch.setenv("ISINGTREE_STATE_CAP", "50")
     rep = co.verify_main_theorem(c4.m, c4.theta_exact)
     assert rep.passed
-    assert rep.skipped[0] == ("matchings[quadri-tiling]", 49, 50,
+    assert rep.skipped[1] == ("matchings[double]", 45, 50,
                               "matching enumeration exceeded the state cap")
     names = [c.name for c in rep.checks]
     assert names[:2] == ["ising-Z2[kac-ward-vs-spins]",
                          "flat-phasing[max curvature deviation]"]
-    assert "dimer-sum-vs-det[quadri-tiling]" in names
+    assert "dimer-sum[signed-det-vs-enumeration, quadri-tiling]" in names
+    assert "double-tree-sum-vs-split-tree" in names
     assert names[-1] == "main-theorem[determinant-route]"
-
 
 
 # route -> the check its brute-force value adds when it runs
@@ -400,17 +402,19 @@ MATCHING_CAP = "matching enumeration exceeded the state cap"
 TREE_CAP = "tree enumeration exceeded the state cap"
 
 
-# On C4 the routes' predicted counts and partial states are: quadri-tiling
-# matchings 49 and 192, corner trees 407 and 850, double matchings 45 and
-# 207, tree pairs 45 and 78.  Each cap lies between the target route's two
-# numbers, so the route is admitted and then stops inside its search; a
-# route with fewer states than the cap runs, one with more stops too.
+# On C4 the routes' predicted counts and search states are: quadri-tiling
+# matchings 49 and 37 matched sets, corner trees 407 and 850 partial
+# states, double matchings 45 and 57 matched sets, tree pairs 45 and 78
+# partial states.  Each cap lies between the target route's two numbers,
+# so the route is admitted and then stops inside its search; a route with
+# fewer states than the cap runs, one with more stops too.  No cap that
+# admits the quadri-tiling (49 or more) stops its 37 sets.
 # CAP_HITS maps each target route to its cap and the routes that cap stops.
 CAP_HITS = {
     "corner-trees": (500, ("corner-trees",)),
-    "matchings[double]": (200, ("corner-trees", "matchings[double]")),
-    "tree-pairs": (60, ("matchings[quadri-tiling]", "corner-trees",
-                        "matchings[double]", "tree-pairs")),
+    "matchings[double]": (55, ("corner-trees", "matchings[double]",
+                               "tree-pairs")),
+    "tree-pairs": (60, ("corner-trees", "tree-pairs")),
 }
 C4_COUNTS = {"matchings[quadri-tiling]": 49, "corner-trees": 407,
              "matchings[double]": 45, "tree-pairs": 45}
@@ -441,16 +445,29 @@ REFERENCE.update({"rhombic2x4-1/%d" % q:
                   (lambda q=q: rhombic(2, 4, Fraction(1, q))) for q in (6, 8)})
 
 
-def reference_sum(configurations, w):
-    """Sum over configurations of the product of their weights, multiplied
-    out per configuration in the order each is yielded."""
-    total = 0j
+def products(configurations, w):
+    """Per configuration, the product of its weights, multiplied out in the
+    order the configuration is yielded."""
     for conf in configurations:
         p = 1.0 + 0j
         for x in conf:
             p *= w[x]
+        yield p
+
+
+def reference_sum(configurations, w):
+    """The products added one by one, in yield order."""
+    total = 0j
+    for p in products(configurations, w):
         total += p
     return total
+
+
+def exact_sum(configurations, w):
+    """The products added by `math.fsum`, real and imaginary parts apart:
+    each product rounded, the sum rounded once."""
+    ps = list(products(configurations, w))
+    return complex(math.fsum(p.real for p in ps), math.fsum(p.imag for p in ps))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
@@ -478,11 +495,25 @@ def test_brute_force_sums_match_a_per_configuration_loop(
     for m, weights, skip in ((c.gq, nu, None),
                              (c.dd, c.double_weights[1], s)):
         w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
-        ref = reference_sum(enumerate_matchings(m, skip), w)
-        assert dimer_Z(m, weights, skip) == pytest.approx(ref, rel=1e-14,
+        ref = exact_sum(enumerate_matchings(m, skip), w)
+        assert dimer_Z(m, weights, skip) == pytest.approx(ref, rel=1e-15,
                                                           abs=0)
-    # tree pairs: one per spanning tree of the extended primal
+    # tree pairs: one per spanning tree of the extended primal; the sum and
+    # the determinant agree to 2.6e-15 at worst here (C8), ten times that
+    # is the tolerance
     zrs, n = co.tree_pair_sum(c.ext, c.tw, c.s_key)
     assert n == unit_tree_count(P, P.vertex_id(co.ROOT))
     assert zrs == pytest.approx(co.tree_pair_det(c.ext, c.tw, c.s_key),
-                                rel=1e-12, abs=0)
+                                rel=2.6e-14, abs=0)
+
+
+@pytest.mark.parametrize("name", ["C6", "grid2x3"])
+def test_tree_pair_sum_is_rounded_once_across_blocks(name, monkeypatch):
+    # carrying each block's rounded sum and its rounding error into the
+    # next block gives the bits of one fsum over all the terms
+    c = co.Chain(*REFERENCE[name]())
+    monkeypatch.setattr(co, "_BLOCK", 10 ** 9)
+    whole = co.tree_pair_sum(c.ext, c.tw, c.s_key)
+    for block in (1, 3, 7, 64):
+        monkeypatch.setattr(co, "_BLOCK", block)
+        assert co.tree_pair_sum(c.ext, c.tw, c.s_key) == whole

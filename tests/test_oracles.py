@@ -257,6 +257,25 @@ def test_state_cap_enforced(monkeypatch, grid33):
         list(enumerate_matchings(grid33.gq))
 
 
+def test_dimer_sum_fits_where_the_matching_search_does_not(monkeypatch,
+                                                            grid33):
+    # the double minus s has 24,000 perfect matchings: the matching search
+    # needs a state cap of 199,010 to reach them, the dimer sum one of
+    # 1,674, one per matched set
+    s = grid33.dd.vertex_id(grid33.s_key)
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", "5000")
+    z = dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s)
+    assert z == pytest.approx(
+        signed_dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s)[0], rel=1e-12)
+    with pytest.raises(TooLargeError):
+        list(enumerate_matchings(grid33.dd, skip_vertex=s))
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", "1673")
+    with pytest.raises(TooLargeError, match="matching enumeration"):
+        dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s)
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", "1674")
+    assert dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s) == z
+
+
 def _quadri_grid23():
     return enumerate_matchings(quadri_tiling(grid(2, 3)[0]))
 
