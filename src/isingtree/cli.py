@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 
@@ -57,8 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the full identity chain")
     _graph_source(v)
-    v.add_argument("--tolerance", type=float, default=1e-9,
-                   help="relative tolerance per identity (default 1e-9)")
+    v.add_argument("--tolerance", type=_tolerance, default=1e-9,
+                   help="relative tolerance per identity, a finite number "
+                        ">= 0 (default 1e-9)")
     v.add_argument("--root-s", type=int, default=None, metavar="DART",
                    help="outer dart naming the removed dual-boundary black s")
     v.add_argument("--out", help="also write the JSON report to this path")
@@ -73,6 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", help="output path (default: stdout)")
     e.set_defaults(func=cmd_export)
     return parser
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance that can tell a true identity from a false one: NaN,
+    infinite and negative values would pass every identity or none."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            "expected a finite number >= 0, not %r" % text)
+    return tol
 
 
 def _graph_source(p: argparse.ArgumentParser) -> None:

@@ -18,7 +18,8 @@ next:
    exactly two edges subject to local rules; these are grouped into classes
    indexed by the perfect matchings of the double minus one outer black s,
    and each class weight has a closed form: a constant unit-modulus
-   prefactor times the matching's tau2 product;
+   prefactor times the matching's tau2 product.  The local rules are
+   stated once, per white, in `_white_rules`;
 4. pairs of oriented spanning trees of the extended primal/dual pair, via
    splitting each matched edge through its white.
 """
@@ -197,96 +198,84 @@ def split_tree_preimage(g0: DirectedModel, g: DirectedModel,
 # stage 2 -> stage 3: duality into the extended double graph
 # ---------------------------------------------------------------------------
 
-def dual_in_double(g: DirectedModel, tree_arcs: Iterable[int]) -> frozenset:
-    """Double-graph spanning tree dual to a split-graph tree.
+def _half(m: PlanarMap, d: int, kind: str) -> tuple:
+    """The double half that corner d's split-graph arc of this kind stands
+    for: the half dual to the arc's *absent* sibling, so the half's weight
+    is the arc's weight.
 
-    Each present arc at a corner contributes the half-edge dual to its
-    *absent* sibling (so the half's weight is the present arc's weight):
-
-    * corner d exits "cos" -> keep ('hd', alpha sigma d);
-    * corner d exits "sin" -> keep ('hp', sigma d);
-    * in-node keeps "b3w"  -> keep ('hr', d, 1);
-    * in-node keeps "b3r"  -> keep ('hb', d);
-
-    and every boundary corner contributes its weight-1 split rim half
-    ('hr', d, 0) unconditionally.
+    * corner d exits "cos" -> ('hd', alpha sigma d);
+    * corner d exits "sin" -> ('hp', sigma d);
+    * in-node keeps "b3w"  -> ('hr', d, 1);
+    * in-node keeps "b3r"  -> ('hb', d).
     """
+    if kind == "cos":
+        return ("hd", m.sigma[d] ^ 1)
+    if kind == "sin":
+        return ("hp", m.sigma[d])
+    return ("hr", d, 1) if kind == "b3w" else ("hb", d)
+
+
+def dual_in_double(g: DirectedModel, tree_arcs: Iterable[int]) -> frozenset:
+    """Double-graph spanning tree dual to a split-graph tree: the `_half`
+    of every tree arc, and every boundary corner's weight-1 split rim half
+    ('hr', d, 0) unconditionally."""
     m = g.map
-    keys: set = set()
-    for ai in tree_arcs:
-        a = g.graph.arcs[ai]
-        d = a.tail[1] if a.tail != ROOT else None
-        if a.tail[0] in ("c", "w"):
-            sd = m.sigma[d]
-            keys.add(("hd", sd ^ 1) if a.kind == "cos" else ("hp", sd))
-        elif a.tail[0] == "b":
-            keys.add(("hr", d, 1) if a.kind == "b3w" else ("hb", d))
-    for delta in m.outer_orbit:
-        keys.add(("hr", delta, 0))
+    keys = {_half(m, a.tail[1], a.kind)
+            for a in (g.graph.arcs[ai] for ai in tree_arcs)}
+    keys.update(("hr", delta, 0) for delta in m.outer_orbit)
     return frozenset(keys)
 
 
-def check_local_rules(m: PlanarMap, edges: frozenset) -> list[str]:
-    """Violations of the double-tree local rules for an edge-key set.
+def _white_rules(m: PlanarMap) -> list[tuple]:
+    """The double's local rules: (white key, its two key pairs) for the
+    interior whites by edge, then the boundary whites by outer-orbit dart;
+    a rule tree keeps exactly one key of each pair.
 
-    Interior white of edge e with darts (e1, e2): exactly one of
-    {('hp', e1), ('hd', e2)} and exactly one of {('hp', e2), ('hd', e1)}.
-    Boundary white at corner delta: the split half ('hr', delta, 0) present,
-    plus exactly one of {('hr', delta, 1), ('hb', delta)}.
+    * interior white ('we', e) with darts (e1, e2) = (2e, 2e + 1):
+      {('hp', e1), ('hd', e2)} and {('hp', e2), ('hd', e1)};
+    * boundary white ('wb', delta): its split half {('hr', delta, 0)},
+      always kept, and its exit pair {('hr', delta, 1), ('hb', delta)}.
     """
+    rules = [(("we", e), ((("hp", 2 * e), ("hd", 2 * e + 1)),
+                          (("hp", 2 * e + 1), ("hd", 2 * e))))
+             for e in range(m.n_edges)]
+    rules += [(("wb", d), ((("hr", d, 0),), (("hr", d, 1), ("hb", d))))
+              for d in m.outer_orbit]
+    return rules
+
+
+def check_local_rules(m: PlanarMap, edges: frozenset) -> list[str]:
+    """Violations of the double-tree local rules (`_white_rules`) for an
+    edge-key set: one per pair that does not keep exactly one key."""
     bad = []
-    for e in range(m.n_edges):
-        e1, e2 = 2 * e, 2 * e + 1
-        for pair in (((("hp", e1)), (("hd", e2))), ((("hp", e2)), (("hd", e1)))):
-            if (pair[0] in edges) + (pair[1] in edges) != 1:
-                bad.append("white of edge %d breaks pair %r" % (e, pair))
-    for delta in m.outer_orbit:
-        if ("hr", delta, 0) not in edges:
-            bad.append("boundary white %d misses its split half" % delta)
-        if ((("hr", delta, 1) in edges) + (("hb", delta) in edges)) != 1:
-            bad.append("boundary white %d breaks its exit pair" % delta)
+    for white, pairs in _white_rules(m):
+        for pair in pairs:
+            kept = sum(k in edges for k in pair)
+            if kept != 1:
+                bad.append("white %r keeps %d of %r" % (white, kept, pair))
     return bad
 
 
 def rule_tree_to_split_tree(g: DirectedModel,
                             edges: frozenset) -> frozenset[int]:
-    """Inverse of dual_in_double: read each corner's present arc off the
-    rule-compliant double tree and return the split-graph arc set."""
+    """Inverse of dual_in_double: the split-graph arcs whose `_half` the
+    rule-compliant double tree keeps (one of each corner's two)."""
     m = g.map
-    by_tk = _arcs_by_tail_kind(g.graph)
-    arcs = set()
-    for d in range(len(m.sigma)):
-        sd = m.sigma[d]
-        kind = "cos" if ("hd", sd ^ 1) in edges else "sin"
-        tail = ("w", d) if m.is_outer_dart(d) else ("c", d)
-        arcs.add(by_tk[(tail, kind)])
-        if m.is_outer_dart(d):
-            bkind = "b3w" if ("hr", d, 1) in edges else "b3r"
-            arcs.add(by_tk[(("b", d), bkind)])
-    return frozenset(arcs)
+    return frozenset(i for i, a in enumerate(g.graph.arcs)
+                     if _half(m, a.tail[1], a.kind) in edges)
 
 
 def enumerate_rule_trees(dd: PlanarMap, m: PlanarMap) -> Iterator[frozenset]:
     """All spanning trees of the double satisfying the local rules, by
-    direct product over per-white choices filtered for acyclicity.  The
-    candidate count is 4^E * 2^boundary; subject to the state cap."""
-    choices: list[tuple] = []
-    for e in range(m.n_edges):
-        e1, e2 = 2 * e, 2 * e + 1
-        choices.append(tuple((a, b) for a in (("hp", e1), ("hd", e2))
-                       for b in (("hp", e2), ("hd", e1))))
-    for delta in m.outer_orbit:
-        choices.append(tuple((("hr", delta, 0), x)
-                       for x in (("hr", delta, 1), ("hb", delta))))
-    total = 1
-    for c in choices:
-        total *= len(c)
+    direct product over the pairs of `_white_rules` filtered for
+    acyclicity.  The candidate count is 4^E * 2^boundary; subject to the
+    state cap."""
+    pairs = [pair for _, two in _white_rules(m) for pair in two]
+    total = math.prod(len(pair) for pair in pairs)
     if total > state_cap():
         raise TooLargeError("%d rule configurations exceed the state cap" % total)
-    ends = dd.key_ends
-    n = dd.n_vertices
-    for combo in itertools.product(*choices):
-        keys = [k for pair in combo for k in pair]
+    ends, n = dd.key_ends, dd.n_vertices
+    for keys in itertools.product(*pairs):
         if is_spanning_tree(n, [ends[k] for k in keys]):
             yield frozenset(keys)
 
@@ -350,32 +339,21 @@ def matching_to_trees(dd: PlanarMap, m: PlanarMap, matching: frozenset,
                       prefactor: complex) -> CompatClass:
     """Expand a perfect matching of the double minus s into its tree class.
 
-    Every white's matched edge is kept; the second edge runs over the
-    rule-allowed partners (two choices when the matched edge leaves the
-    partner pair free, one otherwise).  Every completion should be a
-    spanning tree; failures are counted, not silently dropped.
+    Every white's matched edge is kept and fills one of its two
+    `_white_rules` pairs; the second edge runs over the other pair (two
+    choices, or one when that is a boundary white's split half).  Every
+    completion should be a spanning tree; failures are counted, not
+    silently dropped.
     """
     match_at: dict[tuple, tuple] = {}
     ends = dd.key_ends
     for k in matching:
-        u, v = ends[k]
-        for vid in (u, v):
+        for vid in ends[k]:
             if dd.tags[vid] == "white":
                 match_at[dd.vertex_key(vid)] = k
 
-    options: list[tuple] = []
-    for e in range(m.n_edges):
-        e1, e2 = 2 * e, 2 * e + 1
-        pair1 = (("hp", e1), ("hd", e2))
-        pair2 = (("hp", e2), ("hd", e1))
-        ew = match_at[("we", e)]
-        options.append(pair2 if ew in pair1 else pair1)
-    for delta in m.outer_orbit:
-        ew = match_at[("wb", delta)]
-        if ew == ("hr", delta, 0):
-            options.append((("hr", delta, 1), ("hb", delta)))
-        else:
-            options.append((("hr", delta, 0),))
+    options = [b if match_at[white] in a else a
+               for white, (a, b) in _white_rules(m)]
 
     trees = []
     weight_sum = 0j
@@ -428,52 +406,39 @@ class CycleParity(NamedTuple):
         return self.n4 + self.n5
 
 
-class ParityReport(NamedTuple):
-    cycles: tuple[CycleParity, ...]
-
-
 def parity_check(dd: PlanarMap, s_key: tuple, m1: frozenset,
-                 m2: frozenset) -> ParityReport:
+                 m2: frozenset) -> tuple[CycleParity, ...]:
     """Analyze the superposition of two perfect matchings of the double
     minus s: each connected component of the symmetric difference is an
     alternating cycle; classify its whites and interior vertices as in
-    CycleParity and record whether s lies on or inside it."""
+    CycleParity and record whether s lies on or inside it.
+
+    Every vertex of a cycle has one edge of each matching on it, so a cycle
+    is walked from its least edge key, from that edge's first end, by
+    taking the two matchings' partners in turn."""
     ends = dd.key_ends
-    diff = m1 ^ m2
-    adj: dict[int, list[tuple]] = {}
-    for k in diff:
-        u, v = ends[k]
-        adj.setdefault(u, []).append((v, k))
-        adj.setdefault(v, []).append((u, k))
+    # per matching: vertex -> (its partner, the edge key) on the cycles
+    partner: tuple[dict, dict] = ({}, {})
+    for side, only in zip(partner, (m1 - m2, m2 - m1)):
+        for k in only:
+            u, v = ends[k]
+            side[u], side[v] = (v, k), (u, k)
     s = dd.vertex_id(s_key)
 
-    seen_edges: set = set()
-    cycles = []
-    for start_key in sorted(diff):
-        if start_key in seen_edges:
-            continue
-        # walk the cycle
-        cyc_edges = [start_key]
-        seen_edges.add(start_key)
-        u0, v0 = ends[start_key]
-        path = [u0, v0]
-        cur, prev_key = v0, start_key
-        while True:
-            nxts = [(w, k) for (w, k) in adj[cur] if k != prev_key]
-            if len(nxts) != 1:
-                raise ValueError("superposition component is not a simple cycle")
-            cur, prev_key = nxts[0]
-            if prev_key in seen_edges:
-                break
-            seen_edges.add(prev_key)
-            cyc_edges.append(prev_key)
-            path.append(cur)
-        cycle_vertices = path[:-1] if path[0] == path[-1] else path
-        cycles.append((cyc_edges, cycle_vertices))
-
+    seen: set = set()
     reports = []
-    for cyc_edges, verts in cycles:
-        on = set(verts)
+    for start in sorted(m1 ^ m2):
+        if start in seen:
+            continue
+        turn = 0 if start in m1 else 1
+        u0, cur = ends[start]
+        verts, cyc_edges = [u0], [start]
+        while cur != u0:
+            turn ^= 1
+            verts.append(cur)
+            cur, key = partner[turn][cur]
+            cyc_edges.append(key)
+        seen.update(cyc_edges)
         inside = _strictly_inside(dd, frozenset(cyc_edges))
         n4 = sum(1 for v in inside if dd.tags[v] == "white")
         n5 = len(inside) - n4
@@ -492,8 +457,8 @@ def parity_check(dd: PlanarMap, s_key: tuple, m1: frozenset,
                 n3 += 1
         reports.append(CycleParity(
             length=len(cyc_edges), n1=n1, n2=n2, n3=n3, n4=n4, n5=n5,
-            s_on=s in on, s_inside=s in inside))
-    return ParityReport(cycles=tuple(reports))
+            s_on=s in verts, s_inside=s in inside))
+    return tuple(reports)
 
 
 def _strictly_inside(dd: PlanarMap, cycle_keys: frozenset) -> set[int]:

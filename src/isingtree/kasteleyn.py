@@ -113,10 +113,16 @@ class KasteleynMatrix(NamedTuple):
     ``whites`` and ``blacks`` list those keys by index.  ``flatness`` is
     the `check_flat` report of the phasing the build used (the same
     floats), so callers need not compute it a second time."""
-    whites: tuple
-    blacks: tuple
     rows: tuple[dict[int, complex], ...]
     flatness: FlatnessReport
+
+    @property
+    def whites(self) -> tuple:
+        return tuple(("w", i) for i in range(len(self.rows)))
+
+    @property
+    def blacks(self) -> tuple:
+        return tuple(("b", j) for j in range(len(self.rows)))
 
     def det(self) -> complex:
         return complex_det(self.rows)
@@ -144,8 +150,7 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
                       "|det K| need not equal the dimer partition function"
                       % flat.max_deviation)
     sigma, theta = iso.map.sigma, iso.theta
-    n = len(sigma)
-    rows: list[dict[int, complex]] = [{} for _ in range(n)]
+    rows: list[dict[int, complex]] = [{} for _ in sigma]
     for e, (kind, d) in enumerate(gq.edge_keys):
         if kind == "cp":
             i, j, mod = d, d, math.cos(theta[d >> 1])
@@ -157,9 +162,7 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
         r[j] = r.get(j, 0j) + mod * unit[e]
     # quadri_tiling numbers the edges black by black in key order, so the
     # keys of every row arrive in ascending column order
-    return KasteleynMatrix(whites=tuple(("w", d) for d in range(n)),
-                           blacks=tuple(("b", d) for d in range(n)),
-                           rows=tuple(rows), flatness=flat)
+    return KasteleynMatrix(rows=tuple(rows), flatness=flat)
 
 
 def verify_squared_ising(m: PlanarMap, iso: IsoradialData) -> Report:

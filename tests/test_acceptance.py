@@ -265,7 +265,7 @@ def test_criterion_10_superposition_cycles_odd_interior(pipelines):
     for name in ("C3", "C4"):
         p = pipelines[name]
         for m1, m2 in itertools.combinations(matchings_minus_s(p), 2):
-            for cyc in co.parity_check(p.dd, p.s_key, m1, m2).cycles:
+            for cyc in co.parity_check(p.dd, p.s_key, m1, m2):
                 n_cycles += 1
                 turn_balanced &= cyc.n2 == cyc.n3
                 turns_fill_cycle &= cyc.n1 + cyc.n2 + cyc.n3 == cyc.length // 2

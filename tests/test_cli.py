@@ -49,6 +49,16 @@ def test_verify_fails_at_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "abc"])
+def test_verify_rejects_a_tolerance_that_cannot_fail_or_pass(tol, capsys):
+    # inf would pass every identity of C4 and nan or -1 none of them
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--generator", "cycle:4", "--tolerance", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tolerance: expected a finite number >= 0, not %r" % tol in err
+
+
 def test_verify_json_format(capsys):
     assert main(["verify", "--generator", "cycle:3", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

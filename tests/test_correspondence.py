@@ -125,6 +125,19 @@ def test_rule_trees_biject_with_split_trees(pipelines, name):
     assert images == rule_trees
 
 
+def test_local_rules_name_the_white_of_each_broken_pair(c4):
+    tree = next(co.enumerate_rule_trees(c4.dd, c4.m))
+    pair = (("hp", 0), ("hd", 1))    # the first pair of edge 0's white
+    (kept,) = [k for k in pair if k in tree]
+    (sibling,) = [k for k in pair if k != kept]
+    delta = min(c4.m.outer_orbit)
+    for edited, white in ((tree - {kept}, ("we", 0)),
+                          (tree | {sibling}, ("we", 0)),
+                          (tree - {("hr", delta, 0)}, ("wb", delta))):
+        bad = co.check_local_rules(c4.m, edited)
+        assert len(bad) == 1 and repr(white) in bad[0], bad
+
+
 def test_rule_tree_enumeration_respects_the_cap(monkeypatch, c4):
     monkeypatch.setenv("ISINGTREE_STATE_CAP", "100")
     with pytest.raises(TooLargeError):
@@ -176,8 +189,8 @@ def test_superposition_cycles_on_c3(c3):
     n_cycles = 0
     for m1, m2 in itertools.combinations(matchings, 2):
         rep = co.parity_check(c3.dd, c3.s_key, m1, m2)
-        assert rep.cycles  # distinct matchings always differ
-        for cyc in rep.cycles:
+        assert rep  # distinct matchings always differ
+        for cyc in rep:
             n_cycles += 1
             assert cyc.n2 == cyc.n3
             assert cyc.n4 == cyc.n5
@@ -191,7 +204,7 @@ def test_superposition_cycles_on_c3(c3):
 
 def test_parity_of_identical_matchings_is_empty(c3):
     mk = matchings_minus_s(c3)[0]
-    assert co.parity_check(c3.dd, c3.s_key, mk, mk).cycles == ()
+    assert co.parity_check(c3.dd, c3.s_key, mk, mk) == ()
 
 
 # --- stage 4: tree pairs ------------------------------------------------------

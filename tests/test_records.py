@@ -11,7 +11,7 @@ import pytest
 
 import isingtree
 from isingtree.correspondence import (CompatClass, CycleParity, DirectedModel,
-                                      ParityReport, TreePair)
+                                      TreePair)
 from isingtree.derived import ExtendedPair
 from isingtree.isoradial import BoundaryAngles, IsoradialData, TauWeights
 from isingtree.kasteleyn import FlatnessReport, KasteleynMatrix
@@ -26,14 +26,13 @@ RECORDS = {
                   "n_rejected"),
     CycleParity: ("length", "n1", "n2", "n3", "n4", "n5", "s_on",
                   "s_inside"),
-    ParityReport: ("cycles",),
     TreePair: ("primal_arcs", "dual_arcs"),
     ExtendedPair: ("primal", "dual", "root_id"),
     IsoradialData: ("map", "theta", "theta_exact", "centers", "regular"),
     BoundaryAngles: ("theta", "exact", "geometric", "max_mismatch"),
     TauWeights: ("primal", "spoke", "rim_cw"),
     FlatnessReport: ("curvatures", "max_deviation", "flat"),
-    KasteleynMatrix: ("whites", "blacks", "rows", "flatness"),
+    KasteleynMatrix: ("rows", "flatness"),
     WeightedDigraph: ("nodes", "arcs"),
     CheckResult: ("name", "lhs", "rhs", "err", "passed"),
     Arc: ("tail", "head", "weight", "kind"),
