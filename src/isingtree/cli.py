@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import generators
@@ -160,9 +161,21 @@ def cmd_verify(args) -> int:
 def _skipped_text(skipped) -> str:
     """' (route count > cap, route: reason, ...)', or '' when none."""
     parts = ["%s: %s" % (s.route, s.reason) if s.count <= s.cap else
-             ("%s %d > %d" if s.count < 10 ** 9 else "%s %.3g > %d")
-             % (s.route, s.count, s.cap) for s in skipped]
+             "%s %s > %d" % (s.route, _count_text(s.count), s.cap)
+             for s in skipped]
     return " (%s)" % ", ".join(parts) if parts else ""
+
+
+def _count_text(n) -> str:
+    """A predicted count in full below 10^9, else as '%.3g' writes it; an
+    int past float range is rounded in `Decimal` to the same form."""
+    if n < 10 ** 9:
+        return "%d" % n
+    try:
+        return "%.3g" % n
+    except OverflowError:
+        mant, exp = format(Decimal(n), ".3g").split("e")
+        return "%se%s" % (mant.rstrip("0").rstrip("."), exp)
 
 
 def cmd_export(args) -> int:

@@ -24,15 +24,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from typing import Mapping, NamedTuple
 
-from .derived import quadri_tiling
-from .isoradial import (BoundaryAngles, IsoradialData, critical_couplings,
-                        dimer_weights)
+from .isoradial import BoundaryAngles, IsoradialData
 from .maps import PlanarMap
-from .oracles import complex_det, dimer_Z, ising_Z, kac_ward_Z2
-from .report import Report, check
+from .oracles import complex_det
 
 EPS_NUM = 1e-9
 
@@ -164,29 +160,3 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     # keys of every row arrive in ascending column order
     return KasteleynMatrix(rows=tuple(rows), flatness=flat)
 
-
-def verify_squared_ising(m: PlanarMap, iso: IsoradialData) -> Report:
-    """Check Z_Ising(G, J)^2 = 2^|V| prod_e cosh(2 J_e) * Z_dimer(G^Q, nu(J))
-    to EPS_NUM, Z_Ising by full spin enumeration and Z_dimer by the exact
-    sum over perfect matchings of `dimer_Z` (a dynamic program over
-    matched-vertex sets), and the Kac-Ward value of Z_Ising^2 against the
-    spin sum, at the critical couplings and at three positive coupling
-    vectors drawn from seed 11."""
-    gq = quadri_tiling(m)
-    rng = random.Random(11)
-    rep = Report()
-    trials = [("critical", critical_couplings(iso))]
-    for k in range(3):
-        trials.append(("sample-%d" % (k + 1),
-                       tuple(rng.uniform(0.15, 1.2) for _ in range(m.n_edges))))
-    for label, J in trials:
-        nu = dimer_weights(J, gq)
-        zi = ising_Z(m, J)
-        zd = dimer_Z(gq, nu)
-        lhs = zi * zi
-        rhs = (2 ** m.n_vertices
-               * math.prod(math.cosh(2.0 * j) for j in J) * zd)
-        rep.add(check("squared-ising[%s]" % label, lhs, rhs, EPS_NUM))
-        rep.add(check("ising-Z2[kac-ward-vs-spins, %s]" % label,
-                      kac_ward_Z2(m, J), lhs, EPS_NUM))
-    return rep

@@ -320,12 +320,6 @@ class WeightedDigraph(NamedTuple):
     nodes: tuple[Hashable, ...]
     arcs: tuple[Arc, ...]
 
-    def out_map(self) -> dict[Hashable, list[int]]:
-        out: dict[Hashable, list[int]] = {v: [] for v in self.nodes}
-        for i, a in enumerate(self.arcs):
-            out[a.tail].append(i)
-        return out
-
 
 def _osts(out: Sequence[Sequence[tuple]],
           order: Sequence[int]) -> Iterator[tuple[list, complex]]:

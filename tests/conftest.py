@@ -6,11 +6,18 @@ the first time a test reads them; the objects are all immutable, so sharing
 is safe.
 """
 
+import math
+import random
+
 import pytest
 
 from isingtree import correspondence as co
 from isingtree.generators import cycle, grid
-from isingtree.oracles import Arc, WeightedDigraph, count_osts
+from isingtree.isoradial import critical_couplings, dimer_weights
+from isingtree.kasteleyn import EPS_NUM
+from isingtree.oracles import (Arc, WeightedDigraph, count_osts, dimer_Z,
+                               ising_Z, kac_ward_Z2)
+from isingtree.report import Report, check
 
 CORPUS = {"C3": lambda: cycle(3), "C4": lambda: cycle(4),
           "grid": lambda: grid(3, 3)}
@@ -60,3 +67,32 @@ def unit_tree_count():
         return count_osts(WeightedDigraph(tuple(range(m.n_vertices)),
                                           tuple(arcs)), root)
     return count
+
+
+@pytest.fixture(scope="session")
+def squared_ising_report():
+    """report(p): the squared-Ising identity of a corpus chain p checked by
+    enumeration at four coupling vectors, J = critical and three positive
+    vectors drawn from seed 11.  Per J it checks
+    Z_Ising(J)^2 = 2^|V| prod_e cosh(2 J_e) * Z_dimer(G^Q, nu(J)), Z_Ising
+    by full spin enumeration and Z_dimer by `dimer_Z`, and the Kac-Ward
+    value of Z_Ising^2 against the spin sum, both to EPS_NUM."""
+    def report(p):
+        rng = random.Random(11)
+        trials = [("critical", critical_couplings(p.iso))]
+        for k in range(3):
+            trials.append(("sample-%d" % (k + 1),
+                           tuple(rng.uniform(0.15, 1.2)
+                                 for _ in range(p.m.n_edges))))
+        rep = Report()
+        for label, J in trials:
+            zi = ising_Z(p.m, J)
+            zi2 = zi * zi
+            rhs = (2 ** p.m.n_vertices
+                   * math.prod(math.cosh(2.0 * j) for j in J)
+                   * dimer_Z(p.gq, dimer_weights(J, p.gq)))
+            rep.add(check("squared-ising[%s]" % label, zi2, rhs, EPS_NUM))
+            rep.add(check("ising-Z2[kac-ward-vs-spins, %s]" % label,
+                          kac_ward_Z2(p.m, J), zi2, EPS_NUM))
+        return rep
+    return report

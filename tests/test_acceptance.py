@@ -25,7 +25,7 @@ from collections import Counter
 
 from isingtree import correspondence as co
 from isingtree.isoradial import critical_couplings, dimer_weights
-from isingtree.kasteleyn import check_flat, assign_phases, verify_squared_ising
+from isingtree.kasteleyn import check_flat, assign_phases
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph, dimer_Z,
                                enumerate_matchings, enumerate_osts,
                                ising_Z, matrix_tree_Z, ost_Z, state_cap)
@@ -53,11 +53,12 @@ def enumeration_bound(g, root):
     return bound
 
 
-def test_criterion_01_squared_ising_partition_identity(pipelines):
+def test_criterion_01_squared_ising_partition_identity(pipelines,
+                                                      squared_ising_report):
     t0 = time.perf_counter()
     worst = 0.0
     for p in pipelines.values():
-        rep = verify_squared_ising(p.m, p.iso)   # 3 samples, EPS_NUM = TOL
+        rep = squared_ising_report(p)   # 3 samples, EPS_NUM = TOL
         assert len(rep.checks) == 8   # dimers and Kac-Ward per coupling
         worst = max(worst, max(c.err for c in rep.checks))
     elapsed = time.perf_counter() - t0

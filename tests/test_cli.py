@@ -12,8 +12,9 @@ import pytest
 
 import isingtree
 from isingtree import correspondence as co
-from isingtree.cli import EXPORT_TARGETS, main
+from isingtree.cli import EXPORT_TARGETS, _skipped_text, main
 from isingtree.generators import cycle
+from isingtree.report import Skip
 
 
 def test_generate_then_verify_file(tmp_path, capsys):
@@ -84,6 +85,20 @@ def test_verify_json_is_strict_past_float_overflow(capsys):
                for c in failed)
     assert [s["count"] for s in rep["skipped"]
             if s["route"] == "corner-trees"] == [None]
+
+
+def test_skipped_counts_past_float_range_keep_the_g_form():
+    # 2^1100 spins and 1.8e308 matchings cannot become floats: each is
+    # rounded from its digits to what '%.3g' writes, as a count below float
+    # range and a nan count from an overflowed determinant are
+    why = "predicted count exceeds the cap"
+    skipped = [Skip("spins", 2 ** 1100, 2 ** 24, why),
+               Skip("matchings[double]", 18 * 10 ** 307, 10 ** 7, why),
+               Skip("tree-pairs", 2 ** 1023, 10 ** 7, why),
+               Skip("corner-trees", float("nan"), 50000, why)]
+    assert _skipped_text(skipped) == (
+        " (spins 1.36e+331 > 16777216, matchings[double] 1.8e+308 > 10000000,"
+        " tree-pairs 8.99e+307 > 10000000, corner-trees nan > 50000)")
 
 
 def test_verify_writes_report_file(tmp_path, capsys):
@@ -391,7 +406,9 @@ def test_verify_json_does_not_depend_on_hash_seed():
 # of the checks that read them) moved; names, pass flags, skipped routes
 # and constants did not.  Re-recorded again, with the same fields moving,
 # when the dimer sums became a dynamic program over matched-vertex sets and
-# the tree-pair sum came to be added by math.fsum.
+# the tree-pair sum came to be added by math.fsum.  Grid 5x5 (2^25 spins)
+# declines every brute-force route, spins included, so its digest pins the
+# 2^V prefactors on a graph with no spin sum.
 VERIFY_DIGESTS = {
     "cycle:3":
         "c5390234d60b7ab1b9a9a99f860bb7f43501d383904b3b60246d49dc186cb5f3",
@@ -403,6 +420,8 @@ VERIFY_DIGESTS = {
         "5b25685c60cb03f456ed8e6589e7448342880c6f217c012ab9179935473f030c",
     "grid:4,4":
         "c3b7bc9c726fc9d972c664be25d095060be85a1dc7b017a6256428e008c3c52d",
+    "grid:5,5":
+        "5223fd00b43b3f1610f4aae4718095de960ed7cbe0c5b41ed44db5de0de29748",
     "rhombic:2,4,1/6":
         "92b51a64add8cc61c15b3a9ff87cfc0c42af04f85ec1b871317661010d792c20",
 }

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 import isingtree
 from isingtree import correspondence as co
 from isingtree.generators import grid, rhombic
-from isingtree.kasteleyn import (assign_phases, build_kasteleyn, check_flat,
-                                 verify_squared_ising)
+from isingtree.kasteleyn import assign_phases, build_kasteleyn, check_flat
 from isingtree.oracles import complex_det, dimer_Z, matrix_tree_Z
 from isingtree.isoradial import critical_couplings, dimer_weights
 
@@ -229,9 +228,8 @@ def test_build_keeps_the_flatness_report_of_its_phasing(pipelines):
 
 
 @pytest.mark.parametrize("name", ["C3", "C4", "grid"])
-def test_squared_ising_identity(pipelines, name):
-    p = pipelines[name]
-    rep = verify_squared_ising(p.m, p.iso)
+def test_squared_ising_identity(pipelines, squared_ising_report, name):
+    rep = squared_ising_report(pipelines[name])
     assert rep.passed
     # dimers and Kac-Ward at the critical couplings and three samples
     assert len(rep.checks) == 8
