@@ -42,7 +42,7 @@ from .maps import PlanarMap, dual_map
 from .oracles import (Arc, TooLargeError, WeightedDigraph, _osts,
                       count_osts, dimer_Z, ising_Z, is_spanning_tree,
                       kac_ward_Z2, matrix_tree_Z, ost_Z, signed_dimer_Z,
-                      spin_cap, state_cap)
+                      state_cap)
 from .report import Report, Skip, check
 
 ROOT = ("r",)
@@ -729,12 +729,12 @@ def verify_main_theorem(m: PlanarMap,
     route runs only when the number of configurations it visits, predicted
     exactly before it starts (2^V spins, a signed unit determinant for the
     matchings and for the tree pairs, a unit matrix-tree determinant for
-    the corner trees), fits the route's cap (`spin_cap()`, `state_cap()`,
-    `OST_CAP` for the corner trees).  A check reads the brute-force value
-    when that route ran, else the polynomial one; when both ran, an
-    agreement check compares them.  A declined route, or one whose
-    enumeration hits the state cap on the way, goes to `Report.skipped`
-    and the checks go on.
+    the corner trees), fits the route's cap: `OST_CAP` for the corner
+    trees, the state cap (`oracles.STATE_CAP`) for the others.  A check
+    reads the brute-force value when that route ran, else the polynomial
+    one; when both ran, an agreement check compares them.  A declined
+    route, or one whose enumeration hits the state cap on the way, goes to
+    `Report.skipped` and the checks go on.
     """
     c = Chain(m, theta_exact, s_dart)
     rep = Report()
@@ -760,7 +760,7 @@ def verify_main_theorem(m: PlanarMap,
 
     iso = c.iso
     J = critical_couplings(iso)
-    zi = route("spins", 2 ** m.n_vertices, spin_cap(), lambda: ising_Z(m, J))
+    zi = route("spins", 2 ** m.n_vertices, state_cap(), lambda: ising_Z(m, J))
     zi2 = agree("ising-Z2[kac-ward-vs-spins]", kac_ward_Z2(m, J),
                 None if zi is None else zi * zi)
     bnd, gq, K = c.bnd, c.gq, c.K

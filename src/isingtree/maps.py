@@ -22,6 +22,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Hashable, Mapping, Sequence
 
 
@@ -51,10 +52,10 @@ class PlanarMap:
     A map has at least one dart, and every vertex is a sigma-orbit, so no
     vertex is isolated.  Not validated on construction beyond structural
     consistency; the planarity / connectivity / simplicity / degree
-    invariants are enforced by :func:`build_map` for *input* graphs.
-    Derived constructions (duals, quadri-tilings, doubles) legitimately
-    produce multigraphs or degree-1 vertices and therefore use this
-    constructor directly.
+    invariants of *input* graphs are checked by :func:`validate_simple_input`,
+    which the generators, the CLI on ``--input`` files and :func:`build_map`
+    call.  Derived constructions (duals, quadri-tilings, doubles) legitimately
+    produce multigraphs or degree-1 vertices and therefore skip that check.
 
     Optional decorations:
 
@@ -290,35 +291,20 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
       coords: optional vertex key -> complex embedding.
       tags: optional vertex key -> tag.
     """
-    vertex_keys = list(rotations.keys())
-    edge_keys: list[Hashable] = []
-    # edge key -> its first-scanned dart 2e while the second is still to
-    # come, -1 once both are assigned (2e+1 goes to the second slot)
-    pending: dict[Hashable, int] = {}
-    darts_of: dict[Hashable, list[int]] = {}   # vertex key -> darts, ccw
-    for v in vertex_keys:
-        ds = []
-        for ek in rotations[v]:
-            d = pending.get(ek)
-            if d is None:
-                d = pending[ek] = 2 * len(edge_keys)
-                edge_keys.append(ek)
-            elif d < 0:
-                _raise_bad_edge_count(rotations, vertex_keys)
-            else:
-                pending[ek] = -1
-                d += 1
-            ds.append(d)
-        darts_of[v] = ds
-    if any(d >= 0 for d in pending.values()):
-        _raise_bad_edge_count(rotations, vertex_keys)
+    counts = Counter(ek for rot in rotations.values() for ek in rot)
+    for ek, c in counts.items():
+        if c != 2:
+            raise MapError("edge key %r occurs %d times (want 2)" % (ek, c))
+    edge_keys = list(counts)   # in order of first appearance
+    # edge e hands out dart 2e at its first occurrence, 2e+1 at its second
+    darts = {ek: iter((2 * e, 2 * e + 1)) for e, ek in enumerate(edge_keys)}
+    darts_of = {v: [next(darts[ek]) for ek in rot]   # vertex key -> ccw darts
+                for v, rot in rotations.items()}
 
     sigma = [0] * (2 * len(edge_keys))
-    for ds in filter(None, darts_of.values()):   # empty rotations: no darts
-        prev = ds[-1]
-        for d in ds:
-            sigma[prev] = d
-            prev = d
+    for ds in darts_of.values():
+        for d, succ in zip(ds, ds[1:] + ds[:1]):
+            sigma[d] = succ
 
     ov, oe = outer
     outer_dart = next((d for d, ek in zip(darts_of[ov], rotations[ov])
@@ -329,30 +315,17 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
     # vertex ids follow sigma-orbit numbering (by minimal dart), which need
     # not match rotations order; each non-empty rotation is one orbit, so
     # order the keys by their minimal dart.
-    ordered_keys = [v for _, v in sorted(
-        (min(ds), v) for v, ds in darts_of.items() if ds)]
+    ordered_keys = sorted((v for v, ds in darts_of.items() if ds),
+                          key=lambda v: min(darts_of[v]))
 
-    coord_list = None
+    coord_list = tag_list = None
     if coords is not None:
         coord_list = [complex(coords[k]) for k in ordered_keys]
-    tag_list = None
     if tags is not None:
         tag_list = [tags[k] for k in ordered_keys]
 
     return PlanarMap(sigma, outer_dart, coords=coord_list, tags=tag_list,
                      vertex_keys=ordered_keys, edge_keys=edge_keys)
-
-
-def _raise_bad_edge_count(rotations, vertex_keys) -> None:
-    """Name the first edge key, in order of first appearance, that does
-    not occur exactly twice."""
-    counts: dict[Hashable, int] = {}
-    for v in vertex_keys:
-        for ek in rotations[v]:
-            counts[ek] = counts.get(ek, 0) + 1
-    for ek, c in counts.items():
-        if c != 2:
-            raise MapError("edge key %r occurs %d times (want 2)" % (ek, c))
 
 
 def build_map(rotations: Mapping[Hashable, Sequence[Hashable]],

@@ -16,15 +16,12 @@ its arc's weight into the product of the frames below it, so a sum adds
 each configuration for one multiplication.  `dimer_Z` follows the matching
 search's choices but merges the partial matchings that cover the same
 vertices, so it visits each matched set once, whatever number of matchings
-pass through it; it uses no sign and no determinant.  Two caps,
-overridable through the environment, guard against runaway inputs:
-
-* ``ISINGTREE_SPIN_CAP``  (default 2^24): max number of spin configurations;
-* ``ISINGTREE_STATE_CAP`` (default 10^7): max states explored: for the
-  matching and tree searches one per node of the search tree, for
-  `dimer_Z` one per distinct set of matched vertices.
-
-Exceeding a cap raises :class:`TooLargeError` rather than silently grinding.
+pass through it; it uses no sign and no determinant.  One cap,
+:data:`STATE_CAP` (10^7), guards against runaway inputs: it bounds the
+states an enumeration explores -- one per spin configuration for
+:func:`ising_Z`, one per node of the search tree for the matching and tree
+searches, one per distinct set of matched vertices for `dimer_Z`.
+Exceeding it raises :class:`TooLargeError` rather than silently grinding.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-import os
 from itertools import compress
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -43,12 +39,12 @@ class TooLargeError(Exception):
     """Brute-force enumeration would exceed its configured cap."""
 
 
-def spin_cap() -> int:
-    return int(os.environ.get("ISINGTREE_SPIN_CAP", str(2 ** 24)))
+# read by state_cap() at each call: one patch governs every search and gate
+STATE_CAP = 10 ** 7
 
 
 def state_cap() -> int:
-    return int(os.environ.get("ISINGTREE_STATE_CAP", str(10 ** 7)))
+    return STATE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +55,7 @@ def ising_Z(m: PlanarMap, J: Sequence[float]) -> float:
     """Free-boundary Ising partition function by full spin enumeration:
     bit v of the configuration number set means spin -1 at vertex v."""
     n = m.n_vertices
-    if 2 ** n > spin_cap():
+    if 2 ** n > state_cap():
         raise TooLargeError("2^%d spin configurations exceed the cap" % n)
     edges = [(*m.endpoints(e), J[e]) for e in range(m.n_edges)]
     total = 0.0
@@ -292,7 +288,8 @@ def signed_dimer_Z(m: PlanarMap, weights: Mapping,
     det1 = complex_det(unit).real
     if abs(det1) < 0.5:
         return 0j, 0
-    eps = 1 if det1 > 0 else -1
+    # a NaN unit determinant (past float range) gives no sign: NaN, not -1
+    eps = 1 if det1 > 0 else -1 if det1 < 0 else math.nan
     return complex_det(weighted) * eps, _as_count(abs(det1))
 
 

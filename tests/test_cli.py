@@ -408,7 +408,9 @@ def test_verify_json_does_not_depend_on_hash_seed():
 # when the dimer sums became a dynamic program over matched-vertex sets and
 # the tree-pair sum came to be added by math.fsum.  Grid 5x5 (2^25 spins)
 # declines every brute-force route, spins included, so its digest pins the
-# 2^V prefactors on a graph with no spin sum.
+# 2^V prefactors on a graph with no spin sum.  Its digest was re-recorded
+# when the spin cap merged into the state cap: the spins skip's cap field
+# moved from 16777216 to 10000000, and nothing else.
 VERIFY_DIGESTS = {
     "cycle:3":
         "c5390234d60b7ab1b9a9a99f860bb7f43501d383904b3b60246d49dc186cb5f3",
@@ -421,7 +423,7 @@ VERIFY_DIGESTS = {
     "grid:4,4":
         "c3b7bc9c726fc9d972c664be25d095060be85a1dc7b017a6256428e008c3c52d",
     "grid:5,5":
-        "5223fd00b43b3f1610f4aae4718095de960ed7cbe0c5b41ed44db5de0de29748",
+        "92af49a1329d60ef651b5be50ac6343281c1e1f99eaca7a8e6e092e1e63d7454",
     "rhombic:2,4,1/6":
         "92b51a64add8cc61c15b3a9ff87cfc0c42af04f85ec1b871317661010d792c20",
 }
@@ -432,6 +434,16 @@ def test_verify_json_matches_golden_digest(generator, capsys):
     assert main(["verify", "--generator", generator, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[generator]
+
+
+def test_verify_reads_no_environment(monkeypatch, capsys):
+    # the caps are set in code: variables that once overrode them change
+    # nothing in the report
+    monkeypatch.setenv("ISINGTREE_STATE_CAP", "0")
+    monkeypatch.setenv("ISINGTREE_SPIN_CAP", "0")
+    assert main(["verify", "--generator", "cycle:3", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS["cycle:3"]
 
 
 @pytest.mark.parametrize("generator", ["cycle:4", "grid:2,3"])

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from isingtree import correspondence as co
+from isingtree import oracles
 from isingtree.generators import cycle, grid, rhombic
 from isingtree.isoradial import critical_couplings, dimer_weights
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
@@ -139,7 +140,7 @@ def test_local_rules_name_the_white_of_each_broken_pair(c4):
 
 
 def test_rule_tree_enumeration_respects_the_cap(monkeypatch, c4):
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", "100")
+    monkeypatch.setattr(oracles, "STATE_CAP", 100)
     with pytest.raises(TooLargeError):
         list(co.enumerate_rule_trees(c4.dd, c4.m))
 
@@ -329,14 +330,14 @@ def test_verify_rejects_interior_root(grid33, monkeypatch):
                                    s_dart=s_dart)
 
 
-def test_verify_skips_spins_past_the_spin_cap(grid33, monkeypatch):
-    # 2^V is compared with the spin cap before any spin is summed; the
+def test_verify_skips_spins_past_the_state_cap(grid33, monkeypatch):
+    # 2^V is compared with the state cap before any spin is summed; the
     # Kac-Ward value then stands in for the spin sum in every check
     def never(*args, **kwargs):
         raise AssertionError("spins summed past the cap")
 
     monkeypatch.setattr(co, "ising_Z", never)
-    monkeypatch.setenv("ISINGTREE_SPIN_CAP", str(2 ** 9 - 1))
+    monkeypatch.setattr(oracles, "STATE_CAP", 2 ** 9 - 1)
     rep = co.verify_main_theorem(grid33.m, grid33.theta_exact)
     assert rep.passed
     assert rep.skipped[0] == (
@@ -370,8 +371,7 @@ DESK.update({"grid2x3": lambda: grid(2, 3), "grid2x4": lambda: grid(2, 4),
 @pytest.mark.parametrize("name", sorted(DESK))
 def test_verify_with_every_cap_at_zero_runs_the_polynomial_routes(
         name, monkeypatch):
-    monkeypatch.setenv("ISINGTREE_SPIN_CAP", "0")
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", "0")
+    monkeypatch.setattr(oracles, "STATE_CAP", 0)
     monkeypatch.setattr(co, "OST_CAP", 0)
     rep = co.verify_main_theorem(*DESK[name]())
     assert rep.passed
@@ -390,7 +390,7 @@ def test_a_state_cap_hit_inside_a_route_keeps_the_report(c4, monkeypatch):
     # its search; the route lands in skipped, and the checks before it and
     # after it are all kept.  The quadri-tiling's sum needs 37 sets for its
     # 49 matchings, so it runs
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", "50")
+    monkeypatch.setattr(oracles, "STATE_CAP", 50)
     rep = co.verify_main_theorem(c4.m, c4.theta_exact)
     assert rep.passed
     assert rep.skipped[1] == ("matchings[double]", 45, 50,
@@ -437,7 +437,7 @@ C4_COUNTS = {"matchings[quadri-tiling]": 49, "corner-trees": 407,
 def test_a_state_cap_hit_inside_each_search_keeps_the_report(
         c4, monkeypatch, target):
     cap, hit = CAP_HITS[target]
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", str(cap))
+    monkeypatch.setattr(oracles, "STATE_CAP", cap)
     rep = co.verify_main_theorem(c4.m, c4.theta_exact)
     assert rep.passed
     assert [sk.route for sk in rep.skipped] == list(hit)

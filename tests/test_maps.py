@@ -105,14 +105,28 @@ def test_map_from_rotations_requires_two_occurrences():
         map_from_rotations({0: ["a"], 1: ["a", "b"]}, (0, "a"))
     with pytest.raises(MapError):
         map_from_rotations({0: ["a", "b"], 1: ["a", "b"]}, (0, "missing"))
+    # the first bad key in order of first appearance is named, though c's
+    # third occurrence is read before the scan ends
+    with pytest.raises(MapError,
+                       match=r"^edge key 'a' occurs 1 times \(want 2\)$"):
+        map_from_rotations({0: ["a", "b", "c"], 1: ["b", "c", "c"]}, (0, "b"))
 
 
 def test_map_from_rotations_loop_occurrence():
     # a loop plus a digon: legal as a bare map, rejected as simple input
     m = map_from_rotations({0: ["l", "l", "a", "b"], 1: ["b", "a"]}, (0, "l"))
     assert (m.n_vertices, m.n_edges) == (2, 3)
+    # the outer dart is the loop's first occurrence, dart 0, not its second
+    assert m.outer_dart == 0
     with pytest.raises(NotSimpleError):
         validate_simple_input(m)
+
+
+def test_map_from_rotations_leaves_out_empty_rotations():
+    m = map_from_rotations({0: ["a", "b"], "x": [], 1: ["b", "a"]}, (0, "a"),
+                           tags={0: "p", "x": "q", 1: "r"})
+    assert m.vertex_keys == (0, 1) and m.tags == ("p", "r")
+    assert m.n_vertices == 2
 
 
 def test_validate_simple_input_accepts_corpus(pipelines):

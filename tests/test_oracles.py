@@ -1,5 +1,6 @@
 """Brute-force oracles: spins, matchings, determinants, spanning trees."""
 
+import cmath
 import hashlib
 import inspect
 import itertools
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from isingtree import oracles
 from isingtree.correspondence import ROOT, Chain
 from isingtree.derived import quadri_tiling
 from isingtree.generators import cycle, grid
@@ -72,6 +74,20 @@ def test_signed_dimer_sum_without_a_perfect_matching(c3):
     white = c3.dd.tags.index("white")
     weights = dict.fromkeys(c3.dd.edge_keys, 1.0)
     assert signed_dimer_Z(c3.dd, weights, skip_vertex=white) == (0j, 0)
+
+
+def test_signed_dimer_sum_is_nan_when_the_unit_det_is(c4, monkeypatch):
+    # past float range the unit determinant can come out NaN; it carries no
+    # sign, so the sum is NaN, not the weighted determinant negated
+    real_det = oracles.complex_det
+
+    def det(rows):
+        unit = all(x in (1, -1) for row in rows for x in row.values())
+        return complex(math.nan, 0) if unit else real_det(rows)
+
+    monkeypatch.setattr(oracles, "complex_det", det)
+    total, n = signed_dimer_Z(c4.gq, dict.fromkeys(c4.gq.edge_keys, 2.0))
+    assert cmath.isnan(total) and math.isnan(n)
 
 
 def test_kac_ward_needs_coordinates(c3):
@@ -245,14 +261,14 @@ def test_arc_record_contract():
 
 
 def test_spin_cap_enforced(monkeypatch):
-    monkeypatch.setenv("ISINGTREE_SPIN_CAP", "4")
+    monkeypatch.setattr(oracles, "STATE_CAP", 4)
     m, _ = grid(3, 3)
     with pytest.raises(TooLargeError):
         ising_Z(m, (0.1,) * 12)
 
 
 def test_state_cap_enforced(monkeypatch, grid33):
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", "10")
+    monkeypatch.setattr(oracles, "STATE_CAP", 10)
     with pytest.raises(TooLargeError):
         list(enumerate_matchings(grid33.gq))
 
@@ -263,16 +279,16 @@ def test_dimer_sum_fits_where_the_matching_search_does_not(monkeypatch,
     # needs a state cap of 199,010 to reach them, the dimer sum one of
     # 1,674, one per matched set
     s = grid33.dd.vertex_id(grid33.s_key)
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", "5000")
+    monkeypatch.setattr(oracles, "STATE_CAP", 5000)
     z = dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s)
     assert z == pytest.approx(
         signed_dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s)[0], rel=1e-12)
     with pytest.raises(TooLargeError):
         list(enumerate_matchings(grid33.dd, skip_vertex=s))
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", "1673")
+    monkeypatch.setattr(oracles, "STATE_CAP", 1673)
     with pytest.raises(TooLargeError, match="matching enumeration"):
         dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s)
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", "1674")
+    monkeypatch.setattr(oracles, "STATE_CAP", 1674)
     assert dimer_Z(grid33.dd, grid33.tau2, skip_vertex=s) == z
 
 
@@ -289,7 +305,7 @@ def _osts_g0_c5():
     return enumerate_osts(Chain(*cycle(5)).g0.graph, ROOT)
 
 
-# enumeration -> (smallest ISINGTREE_STATE_CAP that lets it finish, number of
+# enumeration -> (smallest oracles.STATE_CAP that lets it finish, number of
 # yields, sha256 of the repr of the list it yields), all recorded from the
 # recursive enumerations; one cap unit is one partial state
 ENUMERATIONS = {
@@ -308,10 +324,10 @@ ENUMERATIONS = {
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
 def test_enumeration_state_cap_and_yield_order(name, monkeypatch):
     enum, cap, n_yields, digest = ENUMERATIONS[name]
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", str(cap - 1))
+    monkeypatch.setattr(oracles, "STATE_CAP", cap - 1)
     with pytest.raises(TooLargeError):
         list(enum())
-    monkeypatch.setenv("ISINGTREE_STATE_CAP", str(cap))
+    monkeypatch.setattr(oracles, "STATE_CAP", cap)
     seq = list(enum())
     assert len(seq) == n_yields
     assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
