@@ -1,10 +1,12 @@
 """Graphs derived from a planar map: diamond graph, quadri-tiling graph,
 extended primal/dual pair, and the extended double graph.
 
-Every builder numbers its darts straight from the darts of the input and
-constructs its :class:`PlanarMap` in one call, outer dart included; the
-numbering is the one :func:`~isingtree.maps.map_from_rotations` would give
-the same rotations.  Vertex and edge keys record provenance:
+The diamond graph, the quadri-tiling and the extended double number their
+darts straight from the darts of the input and construct their
+:class:`PlanarMap` in one call, outer dart included; the numbering is the
+one :func:`~isingtree.maps.map_from_rotations` would give the same
+rotations.  The extended pair is built by ``map_from_rotations`` itself.
+Vertex and edge keys record provenance:
 
 * diamond graph: vertices ``('p', v)`` / ``('f', F)``, one edge ``('c', d)``
   per corner dart d joining v(d) to the face left of d;
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .maps import PlanarMap, face_points, far_point
+from .maps import PlanarMap, face_points, far_point, map_from_rotations
 
 # vertex tag by key kind, for the quadri-tiling and the extended double
 _TAG = {"b": "black", "w": "white", "p": "black-primal", "f": "black-dual",
@@ -136,30 +138,27 @@ def quadri_tiling(m: PlanarMap) -> PlanarMap:
 # ---------------------------------------------------------------------------
 
 class ExtendedPair(NamedTuple):
-    """Extended primal graph, extended dual graph, and the primal root.
+    """Extended primal graph and extended dual graph.
 
     ``primal`` has vertex keys ('p', v) and ('r',); the root r is joined to
     each boundary vertex once per boundary corner by spokes ('bd', delta).
     ``dual`` replaces the outer-face vertex by one vertex ('u', delta) per
     boundary corner, joined cyclically by rim edges ('rim', delta); the dual
     of boundary edge e(delta) becomes the spoke ('dual', e) at ('u', delta).
-    ``root_id`` is the vertex id of ('r',) in ``primal``.
     """
     primal: PlanarMap
     dual: PlanarMap
-    root_id: int
 
 
 def extended_pair(m: PlanarMap) -> ExtendedPair:
-    """Extended primal and dual of m, numbered as from their rotations:
-    the vertices below take the next darts in ccw order, in turn, and an
-    edge gets its even dart at the first vertex that lists it.  Vertices
-    are numbered by smallest dart.
+    """Extended primal and dual of m, each built by
+    :func:`~isingtree.maps.map_from_rotations` from these ccw rotations:
 
     * dual: inner faces F (the dual edges of F's darts), then the boundary
       corners delta in outer-orbit order (``('rim', delta)``,
-      ``('dual', e(delta))``, ``('rim', phi delta)``); the outer face is the
-      all-rim face, whose smallest dart is the odd one of ('rim', delta0);
+      ``('dual', e(delta))``, ``('rim', phi delta)``); the outer dart is
+      ('rim', delta0) at the last corner, the odd dart of that rim, which
+      lies on the all-rim face;
     * primal: vertices v (the edges of v's darts, with the spoke
       ``('bd', d)`` after each outer dart d), then the root (the spokes in
       forward outer-orbit order, which keeps the outer face on its left and
@@ -169,66 +168,27 @@ def extended_pair(m: PlanarMap) -> ExtendedPair:
     boundary = m.outer_orbit  # clockwise
     d0 = boundary[0]
 
-    # link and dart write to sigma, first and edge_keys of the map being
-    # built: the dual's, then, rebound, the primal's
-    def link(ds: list[int], key: tuple) -> None:
-        """ds is the next vertex's rotation: close it in sigma."""
-        prev = ds[-1]
-        for d in ds:
-            sigma[prev] = d
-            prev = d
-        first[min(ds)] = key
-
-    def dart(table: list[int], i: int, key: tuple) -> int:
-        """Dart of edge `key` (table slot i) at the vertex being listed."""
-        x = table[i]
-        if x >= 0:
-            return x + 1
-        table[i] = x = 2 * len(edge_keys)
-        edge_keys.append(key)
-        return x
-
-    # --- extended dual ---
-    n_edges = m.n_edges + len(boundary)
-    sigma = [0] * (2 * n_edges)
-    first: list = [None] * len(sigma)   # vertex key at its smallest dart
-    edge_keys: list[tuple] = []
-    dual, rim = [-1] * m.n_edges, [-1] * len(m.sigma)
-    for f, rot in enumerate(m.faces):
-        if f != m.outer_face:
-            link([dart(dual, x >> 1, ("dual", x >> 1)) for x in rot], ("f", f))
+    rotations = {("f", f): [("dual", x >> 1) for x in rot]
+                 for f, rot in enumerate(m.faces) if f != m.outer_face}
     for delta in boundary:
-        nxt = m.phi(delta)
-        link([dart(rim, delta, ("rim", delta)),
-              dart(dual, delta >> 1, ("dual", delta >> 1)),
-              dart(rim, nxt, ("rim", nxt))], ("u", delta))
-    keys = [k for k in first if k is not None]
-    star = PlanarMap(sigma, rim[d0] + 1,
-                     tags=["dual" if k[0] == "f" else "outer" for k in keys],
-                     vertex_keys=keys, edge_keys=edge_keys)
+        rotations[("u", delta)] = [("rim", delta), ("dual", delta >> 1),
+                                   ("rim", m.phi(delta))]
+    star = map_from_rotations(
+        rotations, (("u", boundary[-1]), ("rim", d0)),
+        tags={k: "dual" if k[0] == "f" else "outer" for k in rotations})
 
-    # --- extended primal ---
-    sigma = [0] * (2 * n_edges)
-    first = [None] * len(sigma)
-    edge_keys = []
-    primal, spoke = [-1] * m.n_edges, [-1] * len(m.sigma)
-    for v, rot in enumerate(m.vertices):
-        ds = []
-        for d in rot:
-            ds.append(dart(primal, d >> 1, ("e", d >> 1)))
-            if m.is_outer_dart(d):
-                ds.append(dart(spoke, d, ("bd", d)))
-        link(ds, ("p", v))
-    link([dart(spoke, delta, ("bd", delta)) for delta in boundary], ("r",))
-    keys = [k for k in first if k is not None]
+    rotations = {("p", v): [k for d in rot for k in (("e", d >> 1), ("bd", d))
+                            if k[0] == "e" or m.is_outer_dart(d)]
+                 for v, rot in enumerate(m.vertices)}
+    rotations[("r",)] = [("bd", delta) for delta in boundary]
     coords = None
     if m.coords is not None:
-        root = far_point(m.coords)
-        coords = [root if k == ("r",) else m.coords[k[1]] for k in keys]
-    ext = PlanarMap(sigma, spoke[d0] + 1, coords=coords,
-                    tags=["root" if k == ("r",) else "primal" for k in keys],
-                    vertex_keys=keys, edge_keys=edge_keys)
-    return ExtendedPair(primal=ext, dual=star, root_id=ext.vertex_id(("r",)))
+        coords = {("p", v): z for v, z in enumerate(m.coords)}
+        coords[("r",)] = far_point(m.coords)
+    ext = map_from_rotations(
+        rotations, (("r",), ("bd", d0)), coords=coords,
+        tags={k: "root" if k == ("r",) else "primal" for k in rotations})
+    return ExtendedPair(primal=ext, dual=star)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ q meaning theta = q * pi), when the construction pins it down exactly.
 * ``rhombic(w, h, beta)`` -- rectangular grid of 2cos(beta) x 2sin(beta)
   cells; horizontal edges get theta = beta, vertical ones pi/2 - beta.
 
-Each generator writes sigma and its keys straight from the darts, numbered
-as :func:`~isingtree.maps.build_map` numbers the graph's ccw rotation data,
-and checks the map with :func:`~isingtree.maps.validate_simple_input`.
+``cycle`` hands its ccw rotation data to :func:`~isingtree.maps.build_map`.
+``rhombic`` (and so ``grid``) writes sigma and its keys straight from the
+darts, numbered as ``build_map`` would number the grid's rotation data, and
+checks the map with :func:`~isingtree.maps.validate_simple_input`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from .maps import NotSimpleError, PlanarMap, validate_simple_input
+from .maps import (NotSimpleError, PlanarMap, build_map,
+                   validate_simple_input)
 
 TWO_PI = 2.0 * cmath.pi
 
@@ -30,27 +32,17 @@ def cycle(n: int) -> tuple[PlanarMap, dict[int, Fraction]]:
 
     The single inner face is the circumscribed polygon itself; edge length
     2 sin(pi/n) gives theta_e = pi/2 - pi/n for every edge.  n = 2 would be a
-    doubled edge and raises NotSimpleError, n < 2 likewise.  Edge k joins
-    vertices k and k + 1 (mod n).
+    doubled edge and raises NotSimpleError, n < 2 likewise.  Edge key k
+    joins vertices k and k + 1 (mod n); the angles are keyed by edge id,
+    ``m.edge_id(k)``, in order of k.
     """
     if n < 3:
         raise NotSimpleError("cycle(%d) is not a simple graph" % n)
-    # rotation at k: edge k - 1, edge k.  Vertex 0, listed first, meets
-    # edge n - 1 first, so edge k is number (k + 1) % n.  Vertex 0 holds
-    # darts 0, 2, vertex k in 1..n-2 darts 2k+1, 2k+2, vertex n-1 darts
-    # 2n-1, 1; in order of smallest dart: 0, n-1, 1, ..., n-2
-    sigma = [0] * (2 * n)
-    for a, b in [(0, 2), (1, 2 * n - 1)] + [(2 * k + 1, 2 * k + 2)
-                                            for k in range(1, n - 1)]:
-        sigma[a], sigma[b] = b, a
-    keys = [0, n - 1, *range(1, n - 1)]
-    coords = [cmath.exp(1j * TWO_PI * k / n) for k in keys]
-    # dart 0 walks 0 -> n-1, clockwise along the polygon, outside on the left
-    m = validate_simple_input(PlanarMap(sigma, 0, coords=coords,
-                                        vertex_keys=keys,
-                                        edge_keys=[n - 1, *range(n - 1)]))
-    theta = {(k + 1) % n: Fraction(n - 2, 2 * n) for k in range(n)}
-    return m, theta
+    # rotation at k: edge k - 1, edge k; dart 0 walks 0 -> n-1, clockwise
+    # along the polygon, outside on the left
+    m = build_map({k: [(k - 1) % n, k] for k in range(n)}, (0, n - 1),
+                  coords={k: cmath.exp(1j * TWO_PI * k / n) for k in range(n)})
+    return m, {m.edge_id(k): Fraction(n - 2, 2 * n) for k in range(n)}
 
 
 def grid(w: int, h: int) -> tuple[PlanarMap, dict[int, Fraction]]:

@@ -287,7 +287,8 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
         (by minimal dart), edge ids the order of first appearance.
       outer: ``(vertex key, edge key)`` naming the dart originating at that
         vertex along that edge (its first occurrence in the vertex's
-        rotation, for a loop) whose *left* face is the outer face.
+        rotation, for a loop) whose *left* face is the outer face;
+        MapError if there is no such dart, an unknown vertex key included.
       coords: optional vertex key -> complex embedding.
       tags: optional vertex key -> tag.
     """
@@ -307,7 +308,8 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Hashable]],
             sigma[d] = succ
 
     ov, oe = outer
-    outer_dart = next((d for d, ek in zip(darts_of[ov], rotations[ov])
+    outer_dart = next((d for d, ek in zip(darts_of.get(ov, ()),
+                                          rotations.get(ov, ()))
                        if ek == oe), None)
     if outer_dart is None:
         raise MapError("outer dart (%r, %r) not found" % (ov, oe))

@@ -1,13 +1,14 @@
 """Derived graphs: quad graph, quadri-tiling, extended double and pair."""
 
 import cmath
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 from isingtree.derived import (extended_double, extended_pair, quad_graph,
                                quadri_tiling)
-from isingtree.generators import TWO_PI, cycle, grid, rhombic
+from isingtree.generators import cycle, grid, rhombic
 from isingtree.maps import build_map, dual_map, far_point, map_from_rotations
 
 
@@ -76,13 +77,48 @@ def test_extended_pair_shape(pipelines):
         P, S = p.ext.primal, p.ext.dual
         assert (P.n_vertices, P.n_edges) == primal_sizes[p.name]
         assert (S.n_vertices, S.n_edges) == dual_sizes[p.name]
-        assert P.vertex_key(p.ext.root_id) == ("r",)
+        assert P.tags[P.vertex_id(("r",))] == "root"
         # spokes pair with rims, primal edges with their duals
         p_kinds = Counter(k[0] for k in P.edge_keys)
         s_kinds = Counter(k[0] for k in S.edge_keys)
         boundary = len(p.m.outer_orbit)
         assert p_kinds == {"e": p.m.n_edges, "bd": boundary}
         assert s_kinds == {"dual": p.m.n_edges, "rim": boundary}
+
+
+def map_digest(g):
+    return hashlib.sha256(repr((g.sigma, g.outer_dart, g.vertex_keys,
+                                g.edge_keys, g.tags, repr(g.coords)))
+                          .encode()).hexdigest()
+
+
+# map_digest of the extended primal and dual, recorded from the
+# hand-numbered build before extended_pair called map_from_rotations
+PAIR_DIGESTS = {
+    "C4": ("c2d44b341d142f4ce20d38c9d96f316ad3f0c48ccc38fed1550ad557e8b870de",
+           "69caced6f0f8ed0d6f1bad76b108f5287e30bd53af783ab77284f12d75c17116"),
+    "grid 3x3":
+        ("40af4be5d7887380a553b2b1a1d0edbff788f0c6d963e4384d0029ad4f44eed8",
+         "aa2cc0584143d4657a2a2900065322de41139ce10745d3bfceacf40cb285a805"),
+    "rhombic 3x3 at 1/6":
+        ("35923542008abf67cfae2e60e36326d0cb253d4c3da93e7e1b82c5dab45686a2",
+         "aa2cc0584143d4657a2a2900065322de41139ce10745d3bfceacf40cb285a805"),
+}
+
+
+def test_extended_pair_keeps_its_numbering():
+    graphs = {"C4": cycle(4), "grid 3x3": grid(3, 3),
+              "rhombic 3x3 at 1/6": rhombic(3, 3, Fraction(1, 6))}
+    for name, (m, _) in graphs.items():
+        pair = extended_pair(m)
+        P, S = pair.primal, pair.dual
+        assert (map_digest(P), map_digest(S)) == PAIR_DIGESTS[name], name
+        # what no verify digest sees: the dual's outer face is the one face
+        # of rims only, and the primal's outer dart leaves the root
+        rims = [f for f, orb in enumerate(S.faces)
+                if all(S.edge_key(d >> 1)[0] == "rim" for d in orb)]
+        assert rims == [S.outer_face], name
+        assert P.vertex_key(P.vertex_of(P.outer_dart)) == ("r",), name
 
 
 # ---------------------------------------------------------------------------
@@ -175,54 +211,6 @@ def reference_quad_graph(m):
     return q.with_outer_dart(hits[0][0])
 
 
-def reference_extended_pair(m):
-    """The extended pair through map_from_rotations, the dual's outer face
-    found by search: the one face all of whose edges are rims."""
-    boundary = m.outer_orbit
-    rot_d = {}
-    for f in range(len(m.faces)):
-        if f != m.outer_face:
-            rot_d[("f", f)] = [("dual", m.edge_of(x)) for x in m.faces[f]]
-    for delta in boundary:
-        rot_d[("u", delta)] = [("rim", delta), ("dual", m.edge_of(delta)),
-                               ("rim", m.phi(delta))]
-    tags_d = {k: ("dual" if k[0] == "f" else "outer") for k in rot_d}
-    d0 = min(boundary)
-    star = map_from_rotations(rot_d, (("u", d0), ("rim", d0)), tags=tags_d)
-    rims = [orb for orb in star.faces
-            if all(star.edge_key(d >> 1)[0] == "rim" for d in orb)]
-    assert len(rims) == 1
-    star = star.with_outer_dart(rims[0][0])
-
-    rot_p = {}
-    for v in range(len(m.vertices)):
-        rot = []
-        for d in m.vertices[v]:
-            rot.append(("e", m.edge_of(d)))
-            if m.is_outer_dart(d):
-                rot.append(("bd", d))
-        rot_p[("p", v)] = rot
-    rot_p[("r",)] = [("bd", delta) for delta in boundary]
-    tags_p = {k: ("root" if k == ("r",) else "primal") for k in rot_p}
-    coords_p = None
-    if m.coords is not None:
-        center = sum(m.coords) / len(m.coords)
-        radius = max(abs(z - center) for z in m.coords) if len(m.coords) else 1.0
-        coords_p = {("p", v): m.coords[v] for v in range(len(m.vertices))}
-        coords_p[("r",)] = center + 2.5 * (radius if radius else 1.0)
-    ext = map_from_rotations(rot_p, (("r",), ("bd", d0)),
-                             coords=coords_p, tags=tags_p)
-    return ext, star, ext.vertex_id(("r",))
-
-
-def reference_cycle(n):
-    """cycle(n) through build_map, with the exact angle of every edge."""
-    rotations = {k: [(k - 1) % n, k] for k in range(n)}
-    coords = {k: cmath.exp(1j * TWO_PI * k / n) for k in range(n)}
-    m = build_map(rotations, (0, n - 1), coords=coords)
-    return m, {m.edge_id(e): Fraction(n - 2, 2 * n) for e in range(n)}
-
-
 def reference_rhombic(w, h, beta):
     """rhombic(w, h, beta) through build_map, with the exact angles."""
     if isinstance(beta, Fraction):
@@ -265,9 +253,8 @@ def reference_grid(w, h):
 
 
 def generator_corpus():
-    """(name, generator, its rotation-table reference, arguments)."""
-    for n in range(3, 10):
-        yield "C%d" % n, cycle, reference_cycle, (n,)
+    """(name, generator, its rotation-table reference, arguments) for the
+    generators that number their darts by hand."""
     for w in range(2, 11):
         for h in range(w, 11):
             yield "grid %dx%d" % (w, h), grid, reference_grid, (w, h)
@@ -277,6 +264,8 @@ def generator_corpus():
 
 
 def numbering_corpus():
+    for n in range(3, 10):
+        yield "C%d" % n, cycle(n)[0]
     for name, generator, _, args in generator_corpus():
         yield name, generator(*args)[0]
 
@@ -333,12 +322,3 @@ def test_generators_equal_the_rotation_table_build():
 def test_dart_built_quad_graph_equals_the_rotation_table_build():
     for name, m in corpus_with_float_beta():
         assert same_map(quad_graph(m), reference_quad_graph(m)), name
-
-
-def test_dart_built_extended_pair_equals_the_rotation_table_build():
-    for name, m in corpus_with_float_beta():
-        pair = extended_pair(m)
-        primal, dual, root_id = reference_extended_pair(m)
-        assert same_map(pair.primal, primal), name
-        assert same_map(pair.dual, dual), name
-        assert pair.root_id == root_id, name

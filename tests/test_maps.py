@@ -112,6 +112,17 @@ def test_map_from_rotations_requires_two_occurrences():
         map_from_rotations({0: ["a", "b", "c"], 1: ["b", "c", "c"]}, (0, "b"))
 
 
+def test_an_unknown_outer_vertex_is_a_map_error():
+    triangle = {0: [0, 1], 1: [1, 2], 2: [2, 0]}
+    # the same error as an outer edge missing at a listed vertex
+    with pytest.raises(MapError, match=r"^outer dart \(0, 2\) not found$"):
+        build_map(triangle, (0, 2))
+    with pytest.raises(MapError, match=r"^outer dart \(5, 0\) not found$"):
+        build_map(triangle, (5, 0))
+    with pytest.raises(MapError, match=r"^outer dart \('x', 0\) not found$"):
+        map_from_rotations(triangle, ("x", 0))
+
+
 def test_map_from_rotations_loop_occurrence():
     # a loop plus a digon: legal as a bare map, rejected as simple input
     m = map_from_rotations({0: ["l", "l", "a", "b"], 1: ["b", "a"]}, (0, "l"))

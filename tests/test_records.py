@@ -27,7 +27,7 @@ RECORDS = {
     CycleParity: ("length", "n1", "n2", "n3", "n4", "n5", "s_on",
                   "s_inside"),
     TreePair: ("primal_arcs", "dual_arcs"),
-    ExtendedPair: ("primal", "dual", "root_id"),
+    ExtendedPair: ("primal", "dual"),
     IsoradialData: ("map", "theta", "theta_exact", "centers", "regular"),
     BoundaryAngles: ("theta", "exact", "geometric", "max_mismatch"),
     TauWeights: ("primal", "spoke", "rim_cw"),
