@@ -600,8 +600,12 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     breadth-first search from s that takes a vertex's edges in primal edge
     order and multiplies the arc weights in discovery order, so the product
     order, hence the last digits of the sum, depends on no hash order.  The
-    terms are added by `math.fsum`, real and imaginary parts apart, in
-    blocks whose sums `_carry` passes on (rounded once, not term by term)."""
+    walk builds no set per tree: the tree's number stamps its edges and
+    the dual vertices reached, and arcs of weight exactly 1 (the ('dual', e)
+    arcs) are not multiplied, since a finite product times 1.0 keeps its
+    bits.  The terms are added by `math.fsum`, real and imaginary parts
+    apart, in blocks whose sums `_carry` passes on (rounded once, not term
+    by term)."""
     P, S = ext.primal, ext.dual
 
     def incidences(g: PlanarMap, edge_of: list[int],
@@ -629,24 +633,32 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
             if not seen[v]:
                 seen[v] = True
                 order.append(v)
+    # unit arcs carry None: the walk does not multiply them
+    s_inc = [[(e, v, None if a == 1 else a) for e, v, a in row]
+             for row in s_inc]
     s_root = S.vertex_id(s_key)
+    # tree number `count` stamps its edges (arc ids are primal edges) and
+    # the dual vertices its walk reaches
+    in_tree = [0] * P.n_edges
+    reached = [0] * S.n_vertices
     re: list[float] = []
     im: list[float] = []
     count = 0
     for tree, w in _osts(out, order[1:]):
-        in_tree = set(tree)   # arc ids are primal edges
-        seen = [False] * len(s_inc)
-        seen[s_root] = True
+        count += 1
+        for e in tree:
+            in_tree[e] = count
+        reached[s_root] = count
         queue = [s_root]
         for u in queue:
             for e, v, a in s_inc[u]:
-                if not seen[v] and e not in in_tree:
-                    seen[v] = True
+                if reached[v] != count and in_tree[e] != count:
+                    reached[v] = count
                     queue.append(v)
-                    w *= a
+                    if a is not None:
+                        w *= a
         re.append(w.real)
         im.append(w.imag)
-        count += 1
         if len(re) >= _BLOCK:
             re, im = _carry(re), _carry(im)
     return complex(math.fsum(re), math.fsum(im)), count

@@ -155,7 +155,9 @@ def test_criterion_06_boundary_splitting_preserves_tree_sums(pipelines):
                 w0 *= p.g0.graph.arcs[ai].weight
             for img in images:
                 assert img in split_trees and img not in covered
-                assert co.split_tree_preimage(p.g0, p.g, img) == t
+                # arc sets: the search yields a tree in its own node order
+                assert frozenset(co.split_tree_preimage(p.g0, p.g, img)) \
+                    == frozenset(t)
                 covered.add(img)
                 w = 1.0 + 0j
                 for ai in img:

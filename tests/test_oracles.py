@@ -307,7 +307,10 @@ def _osts_g0_c5():
 
 # enumeration -> (smallest oracles.STATE_CAP that lets it finish, number of
 # yields, sha256 of the repr of the list it yields), all recorded from the
-# recursive enumerations; one cap unit is one partial state
+# recursive enumerations; one cap unit is one partial state.  The corner-tree
+# entry was re-recorded when the oriented-tree search came to take the nodes
+# fewest out-arcs first: its cap fell from 4,254 to 3,851 and its yields
+# moved to that search order, the same 2,101 trees
 ENUMERATIONS = {
     "quadri_grid23": (_quadri_grid23, 2305, 530,
                       "5a7af282493fca5310d4ee2249277b8f"
@@ -315,9 +318,9 @@ ENUMERATIONS = {
     "double_grid23": (_double_grid23, 3271, 576,
                       "78303acc823283bb9d6ee05ee5cc755e"
                       "d748d21aa237a0b3b337d5fcdea6cf91"),
-    "osts_g0_c5": (_osts_g0_c5, 4254, 2101,
-                   "73b260249eb8a60f083c37f737c959c8"
-                   "2a71e39ed2e0a49b13796357525ad694"),
+    "osts_g0_c5": (_osts_g0_c5, 3851, 2101,
+                   "553857e4fce488fac54d5a0e271e8ba0"
+                   "c84fa0ff009658de192914677d15da85"),
 }
 
 
@@ -331,3 +334,23 @@ def test_enumeration_state_cap_and_yield_order(name, monkeypatch):
     seq = list(enum())
     assert len(seq) == n_yields
     assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
+
+
+# graph -> the smallest oracles.STATE_CAP that lets `ost_Z` finish on its
+# corner graph, for the graphs whose corner trees verify enumerates.  The
+# search takes the nodes fewest out-arcs first; in node order it needed
+# 162, 850, 4,254, 20,782 and 103,162
+OST_Z_CAPS = {"C3": (lambda: cycle(3), 143), "C4": (lambda: cycle(4), 762),
+              "C5": (lambda: cycle(5), 3851), "C6": (lambda: cycle(6), 18930),
+              "grid2x3": (lambda: grid(2, 3), 79441)}
+
+
+@pytest.mark.parametrize("name", sorted(OST_Z_CAPS))
+def test_corner_tree_sum_state_cap(name, monkeypatch):
+    make, cap = OST_Z_CAPS[name]
+    g = Chain(*make()).g0.graph
+    monkeypatch.setattr(oracles, "STATE_CAP", cap - 1)
+    with pytest.raises(TooLargeError):
+        ost_Z(g, ROOT)
+    monkeypatch.setattr(oracles, "STATE_CAP", cap)
+    assert ost_Z(g, ROOT) == pytest.approx(matrix_tree_Z(g, ROOT), rel=1e-12)
