@@ -587,6 +587,19 @@ def _carry(xs: list[float]) -> list[float]:
     return [s, math.fsum(xs)]
 
 
+def _outer_spokes(ext: ExtendedPair, s_key: tuple) -> tuple[list, int]:
+    """The root's darts, one per spoke ('bd', b_i), in its ccw rotation,
+    and the index j of s = ('u', b_j); ValueError when s is not an
+    outer ('u', delta)."""
+    P = ext.primal
+    darts = P.vertices[P.vertex_id(ROOT)]
+    try:
+        return darts, [("u", P.edge_key(d >> 1)[1])
+                       for d in darts].index(s_key)
+    except ValueError:
+        raise ValueError("s must be an outer-orbit dart") from None
+
+
 def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
                   s_key: tuple) -> tuple[complex, int]:
     """Sum over spanning trees T of the extended primal graph of
@@ -596,67 +609,78 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     The trees are searched as trees oriented to the root, once each: every
     vertex, in breadth-first order from the root, keeps one out-arc, tried
     in primal edge order, and the product of the primal arc weights rides
-    on the search stack.  Each dual complement is oriented by a
-    breadth-first search from s that takes a vertex's edges in primal edge
-    order and multiplies the arc weights in discovery order, so the product
-    order, hence the last digits of the sum, depends on no hash order.  The
-    walk builds no set per tree: the tree's number stamps its edges and
-    the dual vertices reached, and arcs of weight exactly 1 (the ('dual', e)
-    arcs) are not multiplied, since a finite product times 1.0 keeps its
-    bits.  The terms are added by `math.fsum`, real and imaginary parts
-    apart, in blocks whose sums `_carry` passes on (rounded once, not term
-    by term)."""
-    P, S = ext.primal, ext.dual
+    on the search stack.  The search gives each spoke its own sink, so a
+    vertex's chosen arc is named by its head, and the live list of arc ids
+    is the tree's head array.
 
-    def incidences(g: PlanarMap, edge_of: list[int],
-                   away: bool) -> list[list[tuple]]:
-        # per vertex x of g, in primal edge order: (primal edge, the other
-        # end y, weight of the arc x -> y when `away`, else of y -> x)
-        inc: list[list[tuple]] = [[] for _ in range(g.n_vertices)]
-        for e, ge in enumerate(edge_of):
-            key = g.edge_key(ge)
-            u, v = g.endpoints(ge)
-            ku, kv = g.vertex_key(u), g.vertex_key(v)
-            uv, vu = tw.arc(key, ku, kv), tw.arc(key, kv, ku)
-            inc[u].append((e, v, uv if away else vu))
-            inc[v].append((e, u, vu if away else uv))
-        return inc
-
-    out = incidences(P, list(range(P.n_edges)), True)
-    s_inc = incidences(S, [S.edge_id(("dual" if k[0] == "e" else "rim", k[1]))
-                           for k in P.edge_keys], False)
-    order = [P.vertex_id(ROOT)]
+    The dual complement T* is not walked.  Its ('dual', e) arcs weigh 1,
+    and its rim arcs follow from T by planar duality (the fundamental cycle
+    of a spoke is the dual of the fundamental cut of its rim edge).  Let
+    b_0 .. b_{k-1} be the spokes in the root's rotation and s = ('u', b_j).
+    The rim edge ('rim', b_i) lies in T* exactly when spoke i does not lie
+    in T; then, if the tree path from v(b_i) enters the root by spoke g,
+    the rim arc runs u_{b_{i-1}} -> u_{b_i} when (j - i) mod k < (g - i)
+    mod k, and back otherwise.  So per tree the heads are followed from
+    each spoke's vertex to its sink, and the rim factors are multiplied in
+    the root's rotation order, from a table of both directions built once.
+    The terms are added by `math.fsum`, real and imaginary parts apart, in
+    blocks whose sums `_carry` passes on (rounded once, not term by
+    term)."""
+    P = ext.primal
+    darts, j = _outer_spokes(ext, s_key)
+    k = len(darts)
+    root = P.vertex_id(ROOT)
+    # per vertex, in primal edge order: (the other end, edge key, weight of
+    # the arc away from the vertex)
+    inc: list[list[tuple]] = [[] for _ in range(P.n_vertices)]
+    for e, key in enumerate(P.edge_keys):
+        u, v = P.endpoints(e)
+        ku, kv = P.vertex_key(u), P.vertex_key(v)
+        inc[u].append((v, key, tw.arc(key, ku, kv)))
+        inc[v].append((u, key, tw.arc(key, kv, ku)))
+    order = [root]
     seen = [False] * P.n_vertices
-    seen[order[0]] = True
+    seen[root] = True
     for u in order:
-        for _, v, _ in out[u]:
+        for v, _, _ in inc[u]:
             if not seen[v]:
                 seen[v] = True
                 order.append(v)
-    # unit arcs carry None: the walk does not multiply them
-    s_inc = [[(e, v, None if a == 1 else a) for e, v, a in row]
-             for row in s_inc]
-    s_root = S.vertex_id(s_key)
-    # tree number `count` stamps its edges (arc ids are primal edges) and
-    # the dual vertices its walk reaches
-    in_tree = [0] * P.n_edges
-    reached = [0] * S.n_vertices
+    # vertices by breadth-first position 0 .. n-1, spoke i's sink n + i;
+    # each arc's id is its head
+    n = len(order) - 1
+    node = [0] * P.n_vertices
+    for i, v in enumerate(order[1:]):
+        node[v] = i
+    b = [P.edge_key(d >> 1)[1] for d in darts]
+    sink = {("bd", x): n + i for i, x in enumerate(b)}
+    out: list[list[tuple]] = [[] for _ in range(n + k)]
+    for u in order[1:]:
+        for v, key, a in inc[u]:
+            h = sink[key] if v == root else node[v]
+            out[node[u]].append((h, h, a))
+    # per spoke i: its vertex, and by exit spoke g the factor of rim edge
+    # i, None where it lies outside T* (g == i)
+    rims = []
+    for i, d in enumerate(darts):
+        key, near, far = ("rim", b[i]), ("u", b[i]), ("u", b[i - 1])
+        cw, ccw = tw.arc(key, far, near), tw.arc(key, near, far)
+        rims.append((node[P.vertex_of(d ^ 1)],
+                     [None if g == i else
+                      cw if (j - i) % k < (g - i) % k else ccw
+                      for g in range(k)]))
     re: list[float] = []
     im: list[float] = []
     count = 0
-    for tree, w in _osts(out, order[1:]):
+    for heads, w in _osts(out, range(n)):
         count += 1
-        for e in tree:
-            in_tree[e] = count
-        reached[s_root] = count
-        queue = [s_root]
-        for u in queue:
-            for e, v, a in s_inc[u]:
-                if reached[v] != count and in_tree[e] != count:
-                    reached[v] = count
-                    queue.append(v)
-                    if a is not None:
-                        w *= a
+        for v, factor in rims:
+            h = heads[v]
+            while h < n:
+                h = heads[h]
+            a = factor[h - n]
+            if a is not None:
+                w *= a
         re.append(w.real)
         im.append(w.imag)
         if len(re) >= _BLOCK:
@@ -674,7 +698,8 @@ def tree_pair_det(ext: ExtendedPair, tw: TauWeights, s_key: tuple) -> complex:
     is prod w times the oriented-tree sum of the extended dual rooted at s
     in which each arc weighs `tw.arc` divided by w of the primal edge it
     crosses: ('dual', e) crosses ('e', e) and ('rim', delta) crosses
-    ('bd', delta)."""
+    ('bd', delta).  ValueError when s is not an outer ('u', delta)."""
+    _outer_spokes(ext, s_key)
     S = ext.dual
     w = {**tw.primal, **tw.spoke}
     arcs = []

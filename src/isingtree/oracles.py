@@ -320,12 +320,12 @@ class WeightedDigraph(NamedTuple):
 
 def _osts(out: Sequence[Sequence[tuple]],
           order: Sequence[int]) -> Iterator[tuple[list, complex]]:
-    """Backtracking over the spanning trees oriented towards the one node
-    of ``range(len(out))`` that `order` leaves out: each node of `order`, in
-    turn, keeps one out-arc (arc id, head, weight) of ``out[node]`` that
-    closes no cycle.  Yields the live list of arc ids, one per depth, with
-    the product of their weights in depth order; each partial state costs
-    one unit of the state cap."""
+    """Backtracking over the spanning trees oriented towards the nodes of
+    ``range(len(out))`` that `order` leaves out (one root, or several that
+    stand for one): each node of `order`, in turn, keeps one out-arc (arc
+    id, head, weight) of ``out[node]`` that closes no cycle.  Yields the
+    live list of arc ids, one per depth, with the product of their weights
+    in depth order; each partial state costs one unit of the state cap."""
     budget = state_cap() - 1
     if budget < 0:
         raise TooLargeError("tree enumeration exceeded the state cap")

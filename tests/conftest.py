@@ -6,8 +6,10 @@ the first time a test reads them; the objects are all immutable, so sharing
 is safe.
 """
 
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,12 +17,25 @@ from isingtree import correspondence as co
 from isingtree.generators import cycle, grid
 from isingtree.isoradial import critical_couplings, dimer_weights
 from isingtree.kasteleyn import EPS_NUM
+from isingtree.maps import build_map
 from isingtree.oracles import (Arc, WeightedDigraph, count_osts, dimer_Z,
                                ising_Z, kac_ward_Z2)
 from isingtree.report import Report, check
 
 CORPUS = {"C3": lambda: cycle(3), "C4": lambda: cycle(4),
           "grid": lambda: grid(3, 3)}
+
+
+def bowtie():
+    """Two equilateral triangles of circumradius 1 that share vertex 0, so
+    the outer face meets vertex 0 at two corners; every theta is pi/6."""
+    w = cmath.exp(2j * cmath.pi / 3)
+    coords = {0: 0j, 1: w - 1, 2: w.conjugate() - 1,
+              3: 1 - w.conjugate(), 4: 1 - w}
+    # edges a, b, c bound the left triangle, d, e, f the right one
+    m = build_map({0: ["d", "a", "c", "f"], 1: ["b", "a"], 2: ["c", "b"],
+                   3: ["d", "e"], 4: ["e", "f"]}, (1, "a"), coords=coords)
+    return m, {e: Fraction(1, 6) for e in range(m.n_edges)}
 
 
 class Pipeline(co.Chain):

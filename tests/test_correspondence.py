@@ -20,6 +20,8 @@ from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                count_osts, dimer_Z, enumerate_matchings,
                                enumerate_osts, matrix_tree_Z, ost_Z)
 
+from conftest import bowtie
+
 SMALL = ("C3", "C4")
 OST_COUNTS = {"C3": (73, 248), "C4": (407, 1904)}
 MATCHING_COUNTS = {"C3": 16, "C4": 45, "grid": 24000}
@@ -546,8 +548,10 @@ def plain_tree_pair_sum(ext, tw, s_key):
     tree of the extended primal: the set of its edges; its arcs multiplied
     in breadth-first order of their tails from the root; then a
     breadth-first walk from s over the dual edges that cross no tree edge,
-    which multiplies every arc it takes, the weight-1 ones too.  Both walks
-    take a vertex's edges in primal edge order.  The terms are added by one
+    which decides the direction of every arc it takes.  Every arc it takes
+    but the rim arcs must weigh exactly 1; the rim arcs are multiplied in
+    the order of their spokes in the root's rotation.  Both walks take a
+    vertex's edges in primal edge order.  The terms are added by one
     `math.fsum` per part."""
     P, S = ext.primal, ext.dual
     g = tau_primal_digraph(ext, tw)
@@ -561,13 +565,14 @@ def plain_tree_pair_sum(ext, tw, s_key):
         a, b = S.endpoints(S.edge_id(dkey))
         ka, kb = S.vertex_key(a), S.vertex_key(b)
         # stepping a -> b away from s adds the arc b -> a towards s
-        dual[a].append((e, b, tw.arc(dkey, kb, ka)))
-        dual[b].append((e, a, tw.arc(dkey, ka, kb)))
+        dual[a].append((e, b, dkey, tw.arc(dkey, kb, ka)))
+        dual[b].append((e, a, dkey, tw.arc(dkey, ka, kb)))
     bfs = [P.vertex_id(co.ROOT)]
     for u in bfs:
         for v in nbrs[u]:
             if v not in bfs:
                 bfs.append(v)
+    rims = [("rim", P.edge_key(d >> 1)[1]) for d in P.vertices[bfs[0]]]
     s = S.vertex_id(s_key)
     terms = []
     for tree in enumerate_osts(g, co.ROOT):
@@ -576,27 +581,93 @@ def plain_tree_pair_sum(ext, tw, s_key):
         p = 1.0 + 0j
         for v in bfs[1:]:
             p *= weight_of[P.vertex_key(v)]
+        rim_arcs = {}
         seen = {s}
         queue = [s]
         for u in queue:
-            for e, v, a in dual[u]:
+            for e, v, dkey, a in dual[u]:
                 if v not in seen and e not in edges:
                     seen.add(v)
                     queue.append(v)
-                    p *= a
+                    if dkey[0] == "rim":
+                        rim_arcs[dkey] = a
+                    else:
+                        assert a == 1.0
+        for key in rims:
+            if key in rim_arcs:
+                p *= rim_arcs[key]
         terms.append(p)
     return (complex(math.fsum(t.real for t in terms),
                     math.fsum(t.imag for t in terms)), len(terms))
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE))
-def test_tree_pair_sum_matches_a_plain_per_pair_loop(name):
-    # same bits, signed zeros included: the stamped walk that leaves the
-    # weight-1 arcs out and the blocked sum change no digit.  With every rim
-    # arc weighing 1 + 5e-13, both ways, only arcs of weight exactly 1 may
-    # go unmultiplied
-    c = co.Chain(*REFERENCE[name]())
+def assert_same_bits_as_the_plain_loop(c):
+    # same bits, signed zeros included: the rim directions read off the
+    # primal tree, the rim factors in the root's rotation order and the
+    # blocked sum change no digit.  With every rim arc weighing 1 + 5e-13,
+    # both ways, a rim arc taken the wrong way or left out shows
     near_one = c.tw._replace(rim_cw={k: 1 + 5e-13 + 0j for k in c.tw.rim_cw})
     for tw in (c.tw, near_one):
         assert repr(co.tree_pair_sum(c.ext, tw, c.s_key)) \
             == repr(plain_tree_pair_sum(c.ext, tw, c.s_key))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_tree_pair_sum_matches_a_plain_per_pair_loop(name):
+    assert_same_bits_as_the_plain_loop(co.Chain(*REFERENCE[name]()))
+
+
+@pytest.mark.parametrize("name, s_dart", [
+    (name, d) for name in ("C5", "grid2x3", "rhombic2x4-1/6")
+    for d in REFERENCE[name]()[0].outer_orbit])
+def test_tree_pair_sum_matches_a_plain_per_pair_loop_for_every_s(name,
+                                                                  s_dart):
+    assert_same_bits_as_the_plain_loop(
+        co.Chain(*REFERENCE[name](), s_dart))
+
+
+def test_a_vertex_with_two_boundary_corners(unit_tree_count):
+    # the bowtie's shared vertex meets the outer face twice, so it carries
+    # two spokes to the root; every s passes every check by every route
+    m, theta = bowtie()
+    assert len(m.outer_orbit) == 6 and m.n_vertices == 5
+    for d in m.outer_orbit:
+        rep = co.verify_main_theorem(m, theta, s_dart=d)
+        assert rep.passed and not rep.skipped
+        assert tuple(ch.name for ch in rep.checks) == FULL_CHECKS
+        c = co.Chain(m, theta, d)
+        P = c.ext.primal
+        _, n = co.tree_pair_sum(c.ext, c.tw, c.s_key)
+        assert n == unit_tree_count(P, P.vertex_id(co.ROOT))
+        assert_same_bits_as_the_plain_loop(c)
+
+
+@pytest.mark.parametrize("s_key", [("f", 0), ("u", 999), ("r",), "s"])
+def test_tree_pair_routes_reject_an_s_off_the_outer_orbit(c4, s_key):
+    for route in (co.tree_pair_sum, co.tree_pair_det):
+        with pytest.raises(ValueError, match="s must be an outer-orbit dart"):
+            route(c4.ext, c4.tw, s_key)
+
+
+# the smallest state cap that lets tree_pair_sum finish: one unit per
+# partial state of the oriented-tree search on the extended primal
+TREE_PAIR_CAPS = {"C3": (lambda: cycle(3), 28), "C4": (lambda: cycle(4), 78),
+                  "C6": (lambda: cycle(6), 552),
+                  "C9": (lambda: cycle(9), 9956),
+                  "grid2x3": (lambda: grid(2, 3), 968),
+                  "grid3x3": (lambda: grid(3, 3), 39159),
+                  "rhombic2x4": (lambda: rhombic(2, 4, Fraction(1, 5)),
+                                 12113)}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_PAIR_CAPS))
+def test_tree_pair_sum_state_cap(name, monkeypatch):
+    make, cap = TREE_PAIR_CAPS[name]
+    c = co.Chain(*make())
+    monkeypatch.setattr(oracles, "STATE_CAP", cap - 1)
+    with pytest.raises(TooLargeError):
+        co.tree_pair_sum(c.ext, c.tw, c.s_key)
+    monkeypatch.setattr(oracles, "STATE_CAP", cap)
+    zrs, _ = co.tree_pair_sum(c.ext, c.tw, c.s_key)
+    assert zrs == pytest.approx(co.tree_pair_det(c.ext, c.tw, c.s_key),
+                                rel=1e-13, abs=0)
