@@ -40,9 +40,9 @@ from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
 from .kasteleyn import KasteleynMatrix, build_kasteleyn
 from .maps import PlanarMap, dual_map
 from .oracles import (Arc, TooLargeError, WeightedDigraph, _osts,
-                      count_osts, dimer_Z, ising_Z, is_spanning_tree,
-                      kac_ward_Z2, matrix_tree_Z, ost_Z, signed_dimer_Z,
-                      state_cap)
+                      _rounded_sum, count_osts, dimer_Z, ising_Z,
+                      is_spanning_tree, kac_ward_Z2, matrix_tree_Z, ost_Z,
+                      signed_dimer_Z, state_cap)
 from .report import Report, Skip, check
 
 ROOT = ("r",)
@@ -572,21 +572,6 @@ def tree_pair_weight(tp: TreePair, tw: TauWeights) -> complex:
     return p
 
 
-# tree_pair_sum adds its terms in blocks of this many
-_BLOCK = 4096
-
-
-def _carry(xs: list[float]) -> list[float]:
-    """A block of terms as two floats: their exactly rounded sum and the
-    rounding error of that sum, itself exactly rounded.  Their sum differs
-    from the block's exact sum by about 2^-106 of it, so carrying the pair
-    into the next block adds the terms rounded once, up to that much per
-    block, in memory that does not grow with the number of terms."""
-    s = math.fsum(xs)
-    xs.append(-s)
-    return [s, math.fsum(xs)]
-
-
 def _outer_spokes(ext: ExtendedPair, s_key: tuple) -> tuple[list, int]:
     """The root's darts, one per spoke ('bd', b_i), in its ccw rotation,
     and the index j of s = ('u', b_j); ValueError when s is not an
@@ -623,9 +608,8 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     mod k, and back otherwise.  So per tree the heads are followed from
     each spoke's vertex to its sink, and the rim factors are multiplied in
     the root's rotation order, from a table of both directions built once.
-    The terms are added by `math.fsum`, real and imaginary parts apart, in
-    blocks whose sums `_carry` passes on (rounded once, not term by
-    term)."""
+    The terms are added by `oracles._rounded_sum`, rounded once, like the
+    corner trees of `ost_Z`."""
     P = ext.primal
     darts, j = _outer_spokes(ext, s_key)
     k = len(darts)
@@ -669,23 +653,19 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
                      [None if g == i else
                       cw if (j - i) % k < (g - i) % k else ccw
                       for g in range(k)]))
-    re: list[float] = []
-    im: list[float] = []
-    count = 0
-    for heads, w in _osts(out, range(n)):
-        count += 1
-        for v, factor in rims:
-            h = heads[v]
-            while h < n:
-                h = heads[h]
-            a = factor[h - n]
-            if a is not None:
-                w *= a
-        re.append(w.real)
-        im.append(w.imag)
-        if len(re) >= _BLOCK:
-            re, im = _carry(re), _carry(im)
-    return complex(math.fsum(re), math.fsum(im)), count
+
+    def terms():
+        for heads, w in _osts(out, range(n)):
+            for v, factor in rims:
+                h = heads[v]
+                while h < n:
+                    h = heads[h]
+                a = factor[h - n]
+                if a is not None:
+                    w *= a
+            yield w
+
+    return _rounded_sum(terms())
 
 
 def tree_pair_det(ext: ExtendedPair, tw: TauWeights, s_key: tuple) -> complex:
@@ -754,7 +734,7 @@ class Chain:
 
 
 def verify_main_theorem(m: PlanarMap,
-                        theta_exact: Mapping | None = None,
+                        theta_exact: Mapping | None = None, *,
                         tol: float = 1e-9,
                         s_dart: int | None = None) -> Report:
     """Run the whole chain on one isoradial map and check every identity.

@@ -13,7 +13,10 @@ matchings and one for oriented spanning trees
 each backtracks on an explicit stack over integer adjacency lists.  The
 tree search carries the weight products on its stack: a frame multiplies
 its arc's weight into the product of the frames below it, so a sum adds
-each configuration for one multiplication.  `dimer_Z` follows the matching
+each configuration for one multiplication.  Both tree sums, `ost_Z` and
+``correspondence.tree_pair_sum``, add their terms by one rule,
+:func:`_rounded_sum`: the sum is rounded once, so it does not depend on the
+order in which the search finds the trees.  `dimer_Z` follows the matching
 search's choices but merges the partial matchings that cover the same
 vertices, so it visits each matched set once, whatever number of matchings
 pass through it; it uses no sign and no determinant.  One cap,
@@ -29,7 +32,8 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from itertools import compress
+from itertools import compress, islice
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .maps import PlanarMap
@@ -366,6 +370,43 @@ def _osts(out: Sequence[Sequence[tuple]],
             todo[i] = iter(out[order[i]])
 
 
+# _rounded_sum adds its terms in blocks of this many
+_BLOCK = 4096
+
+
+def _carry(xs: list[float]) -> list[float]:
+    """The floats `xs` (extended in place) as a few floats with the same
+    exact sum: their exactly rounded sum, then the exactly rounded sum of
+    what that leaves, and so on until what is left is 0 (or the sum is not
+    finite); each round leaves at most half a unit in the last place of the
+    part before, a multiple of 2^-1074, so there are at most about 40.
+    Carried into the next block, they lose nothing, so the last block's
+    `math.fsum` rounds the sum of all the terms once, wherever the blocks
+    end, in memory that does not grow with their number."""
+    parts = [math.fsum(xs)]
+    while parts[-1] and math.isfinite(parts[-1]):
+        xs.append(-parts[-1])
+        parts.append(math.fsum(xs))
+    return parts
+
+
+def _rounded_sum(terms: Iterable[complex]) -> tuple[complex, int]:
+    """The sum of `terms` and their number: (sum, count).  The sum is
+    rounded once, not term by term: `math.fsum` adds the real and imaginary
+    parts apart, and before each block of `_BLOCK` terms joins them, the
+    parts so far are cut down by `_carry` to a few floats with the same
+    exact sum."""
+    terms = iter(terms)
+    re: list[float] = []
+    im: list[float] = []
+    count = 0
+    while block := list(islice(terms, _BLOCK)):
+        count += len(block)
+        re = _carry(re) + [w.real for w in block]
+        im = _carry(im) + [w.imag for w in block]
+    return complex(math.fsum(re), math.fsum(im)), count
+
+
 def _ost_args(g: WeightedDigraph, root: Hashable) -> tuple[list, list]:
     """`_osts` arguments for `g`: out-arcs by node index, and the non-root
     node indices fewest out-arcs first, ties in node order (a stable sort).
@@ -396,12 +437,10 @@ def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ..
 
 def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
     """Partition function of oriented spanning trees rooted at `root`,
-    by exhaustive enumeration: the trees of `enumerate_osts`, in its order,
-    each weight product multiplied in its search order and added in turn."""
-    total = 0j
-    for _, p in _osts(*_ost_args(g, root)):
-        total += p
-    return total
+    by exhaustive enumeration: the trees of `enumerate_osts`, each weight
+    product multiplied in its search order, added by `_rounded_sum`, so the
+    sum does not depend on the order in which the trees are found."""
+    return _rounded_sum(map(itemgetter(1), _osts(*_ost_args(g, root))))[0]
 
 
 def count_osts(g: WeightedDigraph, root: Hashable) -> int | float:

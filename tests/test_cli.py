@@ -424,15 +424,20 @@ def test_verify_json_does_not_depend_on_hash_seed():
 # digits of the tree-pair sum moved, so only the rhs and rel_err of
 # tree-pair-sum[...], matched-split-transfer[...] and, on grid 2x3,
 # main-theorem[*] moved.  C3, grid 4x4 and grid 5x5 kept their digests.
+# C3, C6 and grid 2x3 were re-recorded when the corner trees came to be
+# added like the tree pairs, rounded once instead of one by one in search
+# order: only the lhs and rel_err of corner-tree-enumeration-vs-det moved
+# (rel_err 4.0e-16 -> 2.2e-16, 4.2e-15 -> 3.6e-16, 1.5e-14 -> 5.2e-16).
+# C7, grid 4x4, grid 5x5 and rhombic 2x4 at 1/6 kept their digests.
 VERIFY_DIGESTS = {
     "cycle:3":
-        "3a7882ac612ea197bd42495ba0446180946392898e0e474f082786d1d9c3cfff",
+        "ad5311cf5bd00ffbc0eece53cc073cda7034dab337f2979f814129ab39deac6a",
     "cycle:6":
-        "ef26fbd3d138f2696718611bdb6a2fc5e8db1d0b53bd78ac1281f5774a91b966",
+        "043554b6455d75a61fb96256035fc62c2030ce6f5574f738e651651f36a83e73",
     "cycle:7":
         "4d1edc0b179f0ce62fbc0c73f48eac221a7cf4f21e2ef5d01868e86f864baf85",
     "grid:2,3":
-        "6aa826579e80ed2be1406b57304ee9d163128981c1a6ba716a3713e867c938be",
+        "62c3753db9a40062175e16b49d121ebea88c68c5fe7124f06f8a9c318f391602",
     "grid:4,4":
         "c3b7bc9c726fc9d972c664be25d095060be85a1dc7b017a6256428e008c3c52d",
     "grid:5,5":
@@ -457,6 +462,16 @@ def test_verify_reads_no_environment(monkeypatch, capsys):
     assert main(["verify", "--generator", "cycle:3", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS["cycle:3"]
+
+
+def test_python_m_isingtree_runs_the_cli():
+    src = str(Path(isingtree.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "isingtree", "verify", "--generator",
+         "cycle:3", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, timeout=120, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_DIGESTS["cycle:3"]
 
 
 @pytest.mark.parametrize("generator", ["grid:2,3"])

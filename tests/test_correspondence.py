@@ -314,6 +314,12 @@ def test_verify_main_theorem_on_the_corpus(pipelines):
         assert abs(rep.constants["class_prefactor"]) == pytest.approx(1.0)
 
 
+def test_verify_takes_its_settings_by_keyword(c3):
+    # a dart passed third must not become the tolerance
+    with pytest.raises(TypeError):
+        co.verify_main_theorem(c3.m, c3.theta_exact, 0)
+
+
 def test_verify_accepts_any_outer_root(c3):
     other = max(c3.m.outer_orbit)
     rep = co.verify_main_theorem(c3.m, c3.theta_exact, s_dart=other)
@@ -485,14 +491,6 @@ def products(configurations, w):
         yield p
 
 
-def reference_sum(configurations, w):
-    """The products added one by one, in yield order."""
-    total = 0j
-    for p in products(configurations, w):
-        total += p
-    return total
-
-
 def exact_sum(configurations, w):
     """The products added by `math.fsum`, real and imaginary parts apart:
     each product rounded, the sum rounded once."""
@@ -512,7 +510,7 @@ def test_brute_force_sums_match_a_per_configuration_loop(
         digraphs.append(c.g0.graph)
     for g in digraphs:
         w = [a.weight for a in g.arcs]
-        assert ost_Z(g, co.ROOT) == reference_sum(enumerate_osts(g, co.ROOT), w)
+        assert ost_Z(g, co.ROOT) == exact_sum(enumerate_osts(g, co.ROOT), w)
     # perfect matchings of the quadri-tiling and of the double minus s
     nu = dimer_weights(critical_couplings(c.iso), c.gq)
     s = c.dd.vertex_id(c.s_key)
@@ -533,14 +531,33 @@ def test_brute_force_sums_match_a_per_configuration_loop(
 
 @pytest.mark.parametrize("name", ["C6", "grid2x3"])
 def test_tree_pair_sum_is_rounded_once_across_blocks(name, monkeypatch):
-    # carrying each block's rounded sum and its rounding error into the
-    # next block gives the bits of one fsum over all the terms
+    # carrying each block's exact sum into the next block gives the bits of
+    # one fsum over all the terms, for the tree pairs and, on C6, for the
+    # corner trees, whose imaginary part, a near-cancelling sum, a carry of
+    # two floats misses by up to 9 units in the last place
     c = co.Chain(*REFERENCE[name]())
-    monkeypatch.setattr(co, "_BLOCK", 10 ** 9)
-    whole = co.tree_pair_sum(c.ext, c.tw, c.s_key)
+    sums = [lambda: co.tree_pair_sum(c.ext, c.tw, c.s_key)]
+    if name == "C6":
+        sums.append(lambda: ost_Z(c.g0.graph, co.ROOT))
+    monkeypatch.setattr(oracles, "_BLOCK", 10 ** 9)
+    wholes = [f() for f in sums]
     for block in (1, 3, 7, 64):
-        monkeypatch.setattr(co, "_BLOCK", block)
-        assert co.tree_pair_sum(c.ext, c.tw, c.s_key) == whole
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+        assert [f() for f in sums] == wholes
+
+
+@pytest.mark.parametrize("name", ["C5", "C6", "grid2x3"])
+def test_ost_Z_does_not_depend_on_the_search_order(name, monkeypatch):
+    # every node's out-arcs listed in reverse: the search finds the same
+    # trees in another order, and each product multiplies in the same node
+    # order, so a sum rounded once keeps its bits
+    g = co.Chain(*REFERENCE[name]()).g0.graph
+    flipped = WeightedDigraph(g.nodes, g.arcs[::-1])
+    assert list(enumerate_osts(flipped, co.ROOT)) != [
+        tuple(len(g.arcs) - 1 - ai for ai in t)
+        for t in enumerate_osts(g, co.ROOT)]
+    monkeypatch.setattr(oracles, "_BLOCK", 10 ** 9)
+    assert ost_Z(flipped, co.ROOT) == ost_Z(g, co.ROOT)
 
 
 def plain_tree_pair_sum(ext, tw, s_key):

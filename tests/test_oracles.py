@@ -115,6 +115,17 @@ def test_oriented_tree_enumeration_by_hand():
     assert ost_Z(g, 0) == pytest.approx(2 * 3 + 2 * 7 + 5 * 3)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_rounded_sum_carries_every_bit(block, monkeypatch):
+    # 2^-60 is lost below 1.0 in a two-float carry; the exact sum keeps it,
+    # in both parts, whatever the block size
+    monkeypatch.setattr(oracles, "_BLOCK", block)
+    terms = [1e300, 1.0, 2.0 ** -60, -1e300, -1.0]
+    z, n = oracles._rounded_sum(complex(x, -x) for x in terms)
+    assert (z, n) == (complex(2.0 ** -60, -2.0 ** -60), 5)
+    assert oracles._rounded_sum([]) == (0j, 0)
+
+
 def test_matrix_tree_matches_enumeration():
     g = three_node_digraph()
     for root in (0, 1, 2):
