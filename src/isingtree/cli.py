@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -19,6 +18,7 @@ from .correspondence import Chain, verify_main_theorem
 from .isoradial import AngleOutOfRangeError, NotIsoradialError
 from .maps import MapError, validate_simple_input
 from .oracles import TooLargeError
+from .report import tolerance
 from .serialize import (digraph_to_dot, dumps_digraph, dumps_map,
                         dumps_report, loads_map, map_to_dot)
 
@@ -79,16 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(text: str) -> float:
-    """A tolerance that can tell a true identity from a false one: NaN,
-    infinite and negative values would pass every identity or none."""
+    """`--tolerance` as `report.tolerance` admits it, else a usage error."""
     try:
-        tol = float(text)
+        return tolerance(float(text))
     except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(
             "expected a finite number >= 0, not %r" % text)
-    return tol
 
 
 def _graph_source(p: argparse.ArgumentParser) -> None:

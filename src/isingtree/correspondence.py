@@ -43,7 +43,7 @@ from .oracles import (Arc, TooLargeError, WeightedDigraph, _osts,
                       _rounded_sum, count_osts, dimer_Z, ising_Z,
                       is_spanning_tree, kac_ward_Z2, matrix_tree_Z, ost_Z,
                       signed_dimer_Z, state_cap)
-from .report import Report, Skip, check
+from .report import Report, Skip, check, magnitude, tolerance
 
 ROOT = ("r",)
 # verify_main_theorem enumerates the corner graph's oriented spanning trees
@@ -751,8 +751,10 @@ def verify_main_theorem(m: PlanarMap,
     reads the brute-force value when that route ran, else the polynomial
     one; when both ran, an agreement check compares them.  A declined
     route, or one whose enumeration hits the state cap on the way, goes to
-    `Report.skipped` and the checks go on.
+    `Report.skipped` and the checks go on.  A NaN, infinite or negative
+    `tol` raises ValueError.
     """
+    tol = tolerance(tol)
     c = Chain(m, theta_exact, s_dart)
     rep = Report()
 
@@ -790,7 +792,7 @@ def verify_main_theorem(m: PlanarMap,
     zq = agree("dimer-sum[signed-det-vs-enumeration, quadri-tiling]", zq,
                route("matchings[quadri-tiling]", n_quadri, state_cap(),
                      lambda: dimer_Z(gq, nu)))
-    rep.add(check("dimer-sum-vs-det[quadri-tiling]", zq, abs(detK), tol))
+    rep.add(check("dimer-sum-vs-det[quadri-tiling]", zq, magnitude(detK), tol))
 
     # 2^V as V exact doublings, which overflow to inf instead of raising
     # as float(2 ** V) does from V = 1024 on
@@ -849,10 +851,10 @@ def verify_main_theorem(m: PlanarMap,
                   zdd, c_split * zrs, tol))
 
     rep.add(check("main-theorem[spin-route]", zi2,
-                  math.prod(doubled, start=abs(zrs)), tol))
+                  math.prod(doubled, start=magnitude(zrs)), tol))
     cosprod = math.prod(math.cos(t) for t in iso.theta)
-    rep.add(check("main-theorem[determinant-route]", abs(zrs),
-                  abs(detK) / cosprod, tol))
+    rep.add(check("main-theorem[determinant-route]", magnitude(zrs),
+                  magnitude(detK) / cosprod, tol))
 
     rep.constants.update({
         "det_K": detK,

@@ -4,7 +4,10 @@ systems derived from them.
 An embedding is isoradial when every inner face is inscribed in a circle of
 radius 1 whose center lies in the face.  Each edge e = xy is then a diagonal
 of the unit rhombus spanned by x, y and the two circumcenters, and carries a
-half-angle theta_e = arccos(|e|/2) in (0, pi/2).
+half-angle theta_e = arccos(|e|/2) in (0, pi/2).  An inscribed face is
+convex, and its center lies sin theta_e from the line of each edge e, never
+on it once theta_e is in range: the center is in the closed face exactly
+when it lies strictly left of every counterclockwise edge.
 
 Boundary corners get an extra angle: reflecting the circumcenter of the inner
 face across a boundary edge produces the phantom outer center u of that edge,
@@ -63,6 +66,8 @@ def validate_isoradial(m: PlanarMap,
     Raises NotIsoradialError when some inner face has no common unit-distance
     center for its vertices (or an exact angle disagrees with the geometry),
     AngleOutOfRangeError when an edge is degenerate (length 0 or 2).
+    `regular` takes one half-plane test per edge, with no tolerance: past
+    the range check each center lies sin theta_e > 4e-5 off every edge line.
     """
     if m.coords is None:
         raise NotIsoradialError("map carries no coordinates")
@@ -99,8 +104,10 @@ def validate_isoradial(m: PlanarMap,
         if c is None:
             raise NotIsoradialError("face %d is not inscribed in a unit circle" % f)
         centers[f] = c
-        if not _in_closed_polygon(c, pts):
-            regular = False
+        # left of a -> b: (c - a) / (b - a) has a positive imaginary part
+        regular = regular and all(
+            ((c - a) * (b - a).conjugate()).imag > 0.0
+            for a, b in zip(pts, pts[1:] + pts[:1]))
 
     return IsoradialData(map=m, theta=tuple(theta), theta_exact=tuple(exact),
                          centers=centers, regular=regular)
@@ -126,27 +133,6 @@ def _circumcenter_unit(pts: list[complex]) -> complex | None:
     return None
 
 
-def _in_closed_polygon(pt: complex, poly: list[complex]) -> bool:
-    # distance to boundary segments first: "closure" with tolerance
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        t = ((pt - a) / (b - a)).real if b != a else 0.0
-        t = min(max(t, 0.0), 1.0)
-        if abs(pt - (a + t * (b - a))) <= EPS_GEOM:
-            return True
-    inside = False
-    x, y = pt.real, pt.imag
-    for i in range(n):
-        ax, ay = poly[i].real, poly[i].imag
-        bx, by = poly[(i + 1) % n].real, poly[(i + 1) % n].imag
-        if (ay > y) != (by > y):
-            t = (y - ay) / (by - ay)
-            if x < ax + t * (bx - ax):
-                inside = not inside
-    return inside
-
-
 # ---------------------------------------------------------------------------
 # boundary angles
 # ---------------------------------------------------------------------------
@@ -155,23 +141,22 @@ class BoundaryAngles(NamedTuple):
     """Boundary angle per boundary corner (keyed by outer-orbit dart).
 
     theta[delta] is the closure value (primary), exact[delta] its Fraction-
-    of-pi form when available, geometric[delta] the reflected-center value,
-    and max_mismatch the largest |closure - geometric| seen.
+    of-pi form when available, and max_mismatch the largest |closure -
+    reflected-center value| seen.
     """
     theta: Mapping[int, float]
     exact: Mapping[int, Fraction | None]
-    geometric: Mapping[int, float]
     max_mismatch: float
 
 
 def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
+    """Boundary angles by closure at each boundary vertex, checked against
+    the phantom centers u_delta, each reflected once per outer dart."""
     m = iso.map
+    u = {delta: outer_center(iso, delta) for delta in m.outer_orbit}
     corners_at: dict[int, list[int]] = {}
     for delta in m.outer_orbit:
         corners_at.setdefault(m.vertex_of(delta), []).append(delta)
-
-    geometric = {delta: _geometric_boundary_angle(iso, delta)
-                 for delta in m.outer_orbit}
 
     theta: dict[int, float] = {}
     exact: dict[int, Fraction | None] = {}
@@ -186,25 +171,24 @@ def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
                 "boundary vertex %d leaves no room for a boundary angle" % x)
         fracs = [iso.theta_exact[m.edge_of(d)] for d in m.vertices[x]]
         res_exact = (Fraction(1) - sum(fracs)) if all(q is not None for q in fracs) else None
+        # half the clockwise angle at x from u_{alpha sigma delta} to u_delta
+        z = m.coords[x]
+        geometric = [cmath.phase((u[m.sigma[d] ^ 1] - z) / (u[d] - z))
+                     % (2.0 * math.pi) / 2.0 for d in corners]
+        max_mismatch = max(max_mismatch,
+                           abs(residual - reduce(add, geometric, 0.0)))
         if len(corners) == 1:
-            delta = corners[0]
-            theta[delta] = residual
-            exact[delta] = res_exact
-            max_mismatch = max(max_mismatch, abs(residual - geometric[delta]))
+            theta[corners[0]], exact[corners[0]] = residual, res_exact
         else:
             # several boundary corners at one vertex: take each geometrically,
             # the closure then constrains only their sum
-            total = reduce(add, (geometric[d] for d in corners), 0.0)
-            max_mismatch = max(max_mismatch, abs(residual - total))
-            for delta in corners:
-                theta[delta] = geometric[delta]
-                exact[delta] = None
+            theta.update(zip(corners, geometric))
+            exact.update(dict.fromkeys(corners))
     if max_mismatch > 1e-7:
         raise NotIsoradialError(
             "closure and reflected-center boundary angles disagree by %.3g"
             % max_mismatch)
-    return BoundaryAngles(theta=theta, exact=exact, geometric=geometric,
-                          max_mismatch=max_mismatch)
+    return BoundaryAngles(theta=theta, exact=exact, max_mismatch=max_mismatch)
 
 
 def outer_center(iso: IsoradialData, delta: int) -> complex:
@@ -217,16 +201,6 @@ def outer_center(iso: IsoradialData, delta: int) -> complex:
     a = m.coords[m.vertex_of(2 * e)]
     b = m.coords[m.vertex_of(2 * e + 1)]
     return a + (b - a) * ((c - a) / (b - a)).conjugate()
-
-
-def _geometric_boundary_angle(iso: IsoradialData, delta: int) -> float:
-    m = iso.map
-    x = m.coords[m.vertex_of(delta)]
-    u_first = outer_center(iso, m.sigma[delta] ^ 1)  # across edge of sigma(delta)
-    u_second = outer_center(iso, delta)
-    # half the clockwise angle at x from u_first to u_second
-    ang = cmath.phase((u_first - x) / (u_second - x)) % (2.0 * math.pi)
-    return ang / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+from functools import reduce
 from itertools import compress, islice
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .maps import PlanarMap
+from .report import magnitude
 
 
 class TooLargeError(Exception):
@@ -374,6 +376,14 @@ def _osts(out: Sequence[Sequence[tuple]],
 _BLOCK = 4096
 
 
+def _fsum(xs: list[float]) -> float:
+    """`math.fsum(xs)`, or the running sum where fsum's partials overflow."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return reduce(add, xs, 0.0)
+
+
 def _carry(xs: list[float]) -> list[float]:
     """The floats `xs` (extended in place) as a few floats with the same
     exact sum: their exactly rounded sum, then the exactly rounded sum of
@@ -381,12 +391,12 @@ def _carry(xs: list[float]) -> list[float]:
     finite); each round leaves at most half a unit in the last place of the
     part before, a multiple of 2^-1074, so there are at most about 40.
     Carried into the next block, they lose nothing, so the last block's
-    `math.fsum` rounds the sum of all the terms once, wherever the blocks
-    end, in memory that does not grow with their number."""
-    parts = [math.fsum(xs)]
+    `_fsum` rounds the sum of all the terms once, wherever the blocks end,
+    in memory that does not grow with their number."""
+    parts = [_fsum(xs)]
     while parts[-1] and math.isfinite(parts[-1]):
         xs.append(-parts[-1])
-        parts.append(math.fsum(xs))
+        parts.append(_fsum(xs))
     return parts
 
 
@@ -395,7 +405,7 @@ def _rounded_sum(terms: Iterable[complex]) -> tuple[complex, int]:
     rounded once, not term by term: `math.fsum` adds the real and imaginary
     parts apart, and before each block of `_BLOCK` terms joins them, the
     parts so far are cut down by `_carry` to a few floats with the same
-    exact sum."""
+    exact sum; past float range a part reads as a running total (`_fsum`)."""
     terms = iter(terms)
     re: list[float] = []
     im: list[float] = []
@@ -404,7 +414,7 @@ def _rounded_sum(terms: Iterable[complex]) -> tuple[complex, int]:
         count += len(block)
         re = _carry(re) + [w.real for w in block]
         im = _carry(im) + [w.imag for w in block]
-    return complex(math.fsum(re), math.fsum(im)), count
+    return complex(_fsum(re), _fsum(im)), count
 
 
 def _ost_args(g: WeightedDigraph, root: Hashable) -> tuple[list, list]:
@@ -449,7 +459,7 @@ def count_osts(g: WeightedDigraph, root: Hashable) -> int | float:
     arc weight set to 1."""
     unit = WeightedDigraph(g.nodes, tuple(a._replace(weight=1.0)
                                           for a in g.arcs))
-    return _as_count(abs(matrix_tree_Z(unit, root)))
+    return _as_count(magnitude(matrix_tree_Z(unit, root)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
+
+
+def magnitude(z: complex) -> float:
+    """abs(z), or inf where abs() overflows on finite parts."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def tolerance(tol: float) -> float:
+    """tol, or ValueError for NaN, inf or a negative value: those would
+    pass every identity or none."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("expected a finite number >= 0, not %r" % tol)
+    return tol
 
 
 def rel_err(lhs: complex, rhs: complex) -> float:
     """|lhs - rhs| scaled by the larger magnitude (floor guards 0 = 0)."""
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return magnitude(lhs - rhs) / max(magnitude(lhs), magnitude(rhs), 1e-300)
 
 
 class CheckResult(NamedTuple):
@@ -30,7 +47,7 @@ def check(name: str, lhs: complex, rhs: complex, tol: float,
           absolute: bool = False) -> CheckResult:
     """Build a CheckResult; `absolute` compares |lhs - rhs| directly instead
     of relatively (for identities whose exact value is 0)."""
-    err = abs(lhs - rhs) if absolute else rel_err(lhs, rhs)
+    err = magnitude(lhs - rhs) if absolute else rel_err(lhs, rhs)
     return CheckResult(name=name, lhs=complex(lhs), rhs=complex(rhs),
                        err=err, passed=(err <= tol))
 

@@ -38,6 +38,14 @@ def bowtie():
     return m, {e: Fraction(1, 6) for e in range(m.n_edges)}
 
 
+def off_center_triangle():
+    """C3 on the unit circle at 0, 0.5 and 1.0 rad, with coordinates only:
+    its one inner face is inscribed, but the center 0 lies outside it."""
+    coords = {k: cmath.exp(1j * a) for k, a in enumerate((0.0, 0.5, 1.0))}
+    return build_map({0: ["a", "c"], 1: ["b", "a"], 2: ["c", "b"]}, (0, "a"),
+                     coords=coords)
+
+
 class Pipeline(co.Chain):
     """One corpus graph and its chain, with the double weights unpacked."""
 

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import isingtree
+from conftest import off_center_triangle
 from isingtree import correspondence as co
 from isingtree.cli import EXPORT_TARGETS, _skipped_text, main
 from isingtree.generators import cycle
 from isingtree.report import Skip
+from isingtree.serialize import dumps_map
 
 
 def test_generate_then_verify_file(tmp_path, capsys):
@@ -27,6 +29,15 @@ def test_generate_then_verify_file(tmp_path, capsys):
     assert out.count("[ok  ]") == 15
     assert out.endswith("15/15 identities hold, 0 routes skipped\n")
     assert "FAIL" not in out
+
+
+def test_verify_an_off_center_face_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "triangle.json"
+    path.write_text(dumps_map(off_center_triangle()))
+    assert main(["verify", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_generate_rejects_degenerate_cycle(capsys):

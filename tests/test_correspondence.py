@@ -320,6 +320,13 @@ def test_verify_takes_its_settings_by_keyword(c3):
         co.verify_main_theorem(c3.m, c3.theta_exact, 0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_verify_rejects_a_tolerance_that_cannot_fail_or_pass(c3, tol):
+    # the rule of the CLI's --tolerance, which reports it as a usage error
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        co.verify_main_theorem(c3.m, c3.theta_exact, tol=tol)
+
+
 def test_verify_accepts_any_outer_root(c3):
     other = max(c3.m.outer_orbit)
     rep = co.verify_main_theorem(c3.m, c3.theta_exact, s_dart=other)

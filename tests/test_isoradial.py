@@ -2,17 +2,20 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import off_center_triangle
+from isingtree.correspondence import verify_main_theorem
 from isingtree.generators import cycle, rhombic
 from isingtree.isoradial import (AngleOutOfRangeError, NotIsoradialError,
                                  critical_couplings, dimer_weights,
                                  outer_center, validate_isoradial)
-from isingtree.maps import PlanarMap
+from isingtree.maps import PlanarMap, build_map
 
 
 def test_c3_angles_and_couplings(c3):
@@ -26,6 +29,51 @@ def test_c4_angles_and_couplings(c4):
     assert c4.iso.theta == pytest.approx((math.pi / 4,) * 4)
     J = critical_couplings(c4.iso)
     assert J == pytest.approx((0.5 * math.log(1 + math.sqrt(2)),) * 4)
+
+
+def test_off_center_face_is_not_regular():
+    m = off_center_triangle()
+    assert validate_isoradial(m).regular is False
+    # the reflected phantom centers then disagree with the closure
+    with pytest.raises(NotIsoradialError):
+        verify_main_theorem(m)
+
+
+def ray_cast_inside(pt, poly):
+    """Even-odd ray cast towards +x: is pt inside the polygon poly?"""
+    inside = False
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        if (a.imag > pt.imag) != (b.imag > pt.imag):
+            t = (pt.imag - a.imag) / (b.imag - a.imag)
+            if pt.real < a.real + t * (b.real - a.real):
+                inside = not inside
+    return inside
+
+
+def test_regular_matches_a_ray_cast_on_random_inscribed_cycles():
+    # random angles in increasing order put the vertices 0..n-1 of the
+    # cycle counterclockwise on their circle; an arc of less than pi puts
+    # the center outside the face
+    rng = random.Random(27)
+    seen = {True: 0, False: 0}
+    for _ in range(2500):
+        n = rng.randint(3, 8)
+        span = rng.choice((rng.uniform(0.5, math.pi), 2 * math.pi))
+        angles = sorted(rng.uniform(0.0, span) for _ in range(n))
+        center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        pts = [center + cmath.exp(1j * a) for a in angles]
+        if not all(1e-6 < abs(b - a) < 2 - 1e-6
+                   for a, b in zip(pts, pts[1:] + pts[:1])):
+            continue
+        # the rotations of `cycle`: vertex k between edges k - 1 and k
+        m = build_map({k: [(k - 1) % n, k] for k in range(n)}, (0, n - 1),
+                      coords=dict(enumerate(pts)))
+        iso = validate_isoradial(m)
+        (c,) = iso.centers.values()
+        assert abs(c - center) < 1e-9
+        assert iso.regular == ray_cast_inside(c, pts)
+        seen[iso.regular] += 1
+    assert min(seen.values()) > 500 and sum(seen.values()) >= 2000, seen
 
 
 @pytest.mark.parametrize("name,expected", [

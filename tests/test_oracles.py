@@ -126,6 +126,29 @@ def test_rounded_sum_carries_every_bit(block, monkeypatch):
     assert oracles._rounded_sum([]) == (0j, 0)
 
 
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_rounded_sum_past_float_range_is_the_running_sum(block, monkeypatch):
+    # math.fsum raises "intermediate overflow" on these terms; a running
+    # total reads inf, and so does the rounded sum, in each part
+    monkeypatch.setattr(oracles, "_BLOCK", block)
+    terms = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(terms)
+    total = 0.0
+    for x in terms:
+        total += x
+    z, n = oracles._rounded_sum(complex(x, -x) for x in terms)
+    assert total == math.inf
+    assert (z, n) == (complex(total, -total), 3)
+
+
+def test_count_past_float_range_reads_inf(monkeypatch):
+    # a unit matrix-tree determinant whose modulus passes float range
+    monkeypatch.setattr(oracles, "matrix_tree_Z",
+                        lambda g, root: complex(1.5e308, 1.5e308))
+    assert oracles.count_osts(three_node_digraph(), 0) == math.inf
+
+
 def test_matrix_tree_matches_enumeration():
     g = three_node_digraph()
     for root in (0, 1, 2):

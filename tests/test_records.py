@@ -29,7 +29,7 @@ RECORDS = {
     TreePair: ("primal_arcs", "dual_arcs"),
     ExtendedPair: ("primal", "dual"),
     IsoradialData: ("map", "theta", "theta_exact", "centers", "regular"),
-    BoundaryAngles: ("theta", "exact", "geometric", "max_mismatch"),
+    BoundaryAngles: ("theta", "exact", "max_mismatch"),
     TauWeights: ("primal", "spoke", "rim_cw"),
     FlatnessReport: ("curvatures", "max_deviation", "flat"),
     KasteleynMatrix: ("rows", "flatness"),
