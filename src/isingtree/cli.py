@@ -105,7 +105,8 @@ def _make_graph(name: str, params: list[str]):
         if name == "rhombic":
             w, h, beta = params
             return generators.rhombic(int(w), int(h), Fraction(beta))
-    except (ValueError, ZeroDivisionError) as exc:
+    # ArithmeticError: a number past float or index range, or 1/0
+    except (ValueError, ArithmeticError) as exc:
         raise ValueError("bad parameters for %r: %s" % (name, exc))
     raise ValueError("unknown generator %r (expected cycle, grid or rhombic)"
                      % name)

@@ -38,11 +38,12 @@ from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
                         boundary_angles, critical_couplings, dimer_weights,
                         double_weights, tree_weights_tau, validate_isoradial)
 from .kasteleyn import KasteleynMatrix, build_kasteleyn
+from . import oracles
 from .maps import PlanarMap, dual_map
 from .oracles import (Arc, TooLargeError, WeightedDigraph, _osts,
                       _rounded_sum, count_osts, dimer_Z, ising_Z,
                       is_spanning_tree, kac_ward_Z2, matrix_tree_Z, ost_Z,
-                      signed_dimer_Z, state_cap)
+                      signed_dimer_Z)
 from .report import Report, Skip, check, magnitude, tolerance
 
 ROOT = ("r",)
@@ -272,7 +273,7 @@ def enumerate_rule_trees(dd: PlanarMap, m: PlanarMap) -> Iterator[frozenset]:
     state cap."""
     pairs = [pair for _, two in _white_rules(m) for pair in two]
     total = math.prod(len(pair) for pair in pairs)
-    if total > state_cap():
+    if total > oracles.STATE_CAP:
         raise TooLargeError("%d rule configurations exceed the state cap" % total)
     ends, n = dd.key_ends, dd.n_vertices
     for keys in itertools.product(*pairs):
@@ -470,15 +471,15 @@ def _strictly_inside(dd: PlanarMap, cycle_keys: frozenset) -> set[int]:
     while stack:
         f = stack.pop()
         for d in dd.faces[f]:
-            if dd.edge_key(dd.edge_of(d)) in cycle_keys:
+            if dd.edge_key(d >> 1) in cycle_keys:
                 continue
-            g = dd.face_of(d ^ 1)
+            g = dd.face_of[d ^ 1]
             if g not in reached:
                 reached.add(g)
                 stack.append(g)
     inside = set()
     for v in range(dd.n_vertices):
-        if all(dd.face_of(d) not in reached for d in dd.vertices[v]):
+        if all(dd.face_of[d] not in reached for d in dd.vertices[v]):
             inside.add(v)
     return inside
 
@@ -504,18 +505,18 @@ def matching_to_tree_pair(m: PlanarMap, matching: frozenset) -> TreePair:
     * ('hr', delta, 1):  dual rim arc u_delta -> u_{alpha sigma delta}.
     """
     def side(x: int):
-        return ("u", x) if m.is_outer_dart(x) else ("f", m.face_of(x))
+        return ("u", x) if m.is_outer_dart(x) else ("f", m.face_of[x])
 
     primal, dual = [], []
     for k in sorted(matching):
         kind = k[0]
         if kind == "hp":
             d = k[1]
-            primal.append((("p", m.vertex_of(d)), ("p", m.vertex_of(d ^ 1)),
+            primal.append((("p", m.vertex_of[d]), ("p", m.vertex_of[d ^ 1]),
                            ("e", d >> 1)))
         elif kind == "hb":
             delta = k[1]
-            primal.append((("p", m.vertex_of(delta)), ROOT, ("bd", delta)))
+            primal.append((("p", m.vertex_of[delta]), ROOT, ("bd", delta)))
         elif kind == "hd":
             d = k[1]
             dual.append((side(d), side(d ^ 1), ("dual", d >> 1)))
@@ -649,7 +650,7 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     for i, d in enumerate(darts):
         key, near, far = ("rim", b[i]), ("u", b[i]), ("u", b[i - 1])
         cw, ccw = tw.arc(key, far, near), tw.arc(key, near, far)
-        rims.append((node[P.vertex_of(d ^ 1)],
+        rims.append((node[P.vertex_of[d ^ 1]],
                      [None if g == i else
                       cw if (j - i) % k < (g - i) % k else ccw
                       for g in range(k)]))
@@ -779,7 +780,7 @@ def verify_main_theorem(m: PlanarMap,
 
     iso = c.iso
     J = critical_couplings(iso)
-    zi = route("spins", 2 ** m.n_vertices, state_cap(), lambda: ising_Z(m, J))
+    zi = route("spins", 2 ** m.n_vertices, oracles.STATE_CAP, lambda: ising_Z(m, J))
     zi2 = agree("ising-Z2[kac-ward-vs-spins]", kac_ward_Z2(m, J),
                 None if zi is None else zi * zi)
     bnd, gq, K = c.bnd, c.gq, c.K
@@ -790,7 +791,7 @@ def verify_main_theorem(m: PlanarMap,
     nu = dimer_weights(J, gq)
     zq, n_quadri = signed_dimer_Z(gq, nu)
     zq = agree("dimer-sum[signed-det-vs-enumeration, quadri-tiling]", zq,
-               route("matchings[quadri-tiling]", n_quadri, state_cap(),
+               route("matchings[quadri-tiling]", n_quadri, oracles.STATE_CAP,
                      lambda: dimer_Z(gq, nu)))
     rep.add(check("dimer-sum-vs-det[quadri-tiling]", zq, magnitude(detK), tol))
 
@@ -808,7 +809,7 @@ def verify_main_theorem(m: PlanarMap,
         srow = reduce(add, row.values(), 0j)
         delta = m.sigma_inv[w]
         if m.is_outer_dart(delta):
-            th = iso.theta[m.edge_of(w)]
+            th = iso.theta[w >> 1]
             tb = bnd.theta[delta]
             want = (1j * complex(math.cos(th), -math.sin(th))
                     * (1 - complex(math.cos(tb), -math.sin(tb))))
@@ -836,12 +837,12 @@ def verify_main_theorem(m: PlanarMap,
     pref = class_prefactor(iso, bnd)
     zdd, n_double = signed_dimer_Z(dd, tau2, skip_vertex=s)
     zdd = agree("dimer-sum[signed-det-vs-enumeration, double]", zdd,
-                route("matchings[double]", n_double, state_cap(),
+                route("matchings[double]", n_double, oracles.STATE_CAP,
                       lambda: dimer_Z(dd, tau2, skip_vertex=s)))
     rep.add(check("double-tree-sum-vs-split-tree", pref * zdd, zg_det, tol))
 
     # Temperley: the tree pairs are as many as the double's matchings
-    pairs = route("tree-pairs", n_double, state_cap(),
+    pairs = route("tree-pairs", n_double, oracles.STATE_CAP,
                   lambda: tree_pair_sum(c.ext, c.tw, c.s_key))
     zrs, n_trees = (None, n_double) if pairs is None else pairs
     zrs = agree("tree-pair-sum[matrix-tree-vs-enumeration]",

@@ -64,7 +64,7 @@ def quad_graph(m: PlanarMap) -> PlanarMap:
         pos[d] = i
     sigma = [0] * (2 * len(order))
     sigma[0::2] = [2 * pos[m.sigma[d]] for d in order]
-    sigma[1::2] = [2 * pos[m.phi(d)] + 1 for d in order]
+    sigma[1::2] = [2 * pos[m.phi[d]] + 1 for d in order]
     # index into the primal vertices, then the faces, at each smallest dart
     first: list = [None] * len(sigma)
     for v, rot in enumerate(m.vertices):
@@ -80,8 +80,8 @@ def quad_graph(m: PlanarMap) -> PlanarMap:
         coords = [all_coords[i] for i in ids]
 
     d0 = min(m.outer_orbit)
-    outer = min(2 * pos[d0] + 1, 2 * pos[m.phi(d0 ^ 1)],
-                2 * pos[d0 ^ 1] + 1, 2 * pos[m.phi(d0)])
+    outer = min(2 * pos[d0] + 1, 2 * pos[m.phi[d0 ^ 1]],
+                2 * pos[d0 ^ 1] + 1, 2 * pos[m.phi[d0]])
     return PlanarMap(sigma, outer, coords=coords,
                      tags=["primal" if i < n_v else "dual" for i in ids],
                      vertex_keys=keys,
@@ -172,7 +172,7 @@ def extended_pair(m: PlanarMap) -> ExtendedPair:
                  for f, rot in enumerate(m.faces) if f != m.outer_face}
     for delta in boundary:
         rotations[("u", delta)] = [("rim", delta), ("dual", delta >> 1),
-                                   ("rim", m.phi(delta))]
+                                   ("rim", m.phi[delta])]
     star = map_from_rotations(
         rotations, (("u", boundary[-1]), ("rim", d0)),
         tags={k: "dual" if k[0] == "f" else "outer" for k in rotations})
@@ -248,8 +248,8 @@ def extended_double(m: PlanarMap) -> PlanarMap:
             close(("f", f), start)
     for delta in boundary:
         k = 2 * len(edge_keys)
-        hr1[delta], hd[delta], hr0[m.phi(delta)] = k + 1, k + 3, k + 5
-        edge_keys += (("hr", delta, 1), ("hd", delta), ("hr", m.phi(delta), 0))
+        hr1[delta], hd[delta], hr0[m.phi[delta]] = k + 1, k + 3, k + 5
+        edge_keys += (("hr", delta, 1), ("hd", delta), ("hr", m.phi[delta], 0))
         close(("u", delta), k)
     for e in range(m.n_edges):
         w0, w1, w2, w3 = hp[2 * e + 1], hd[2 * e], hp[2 * e], hd[2 * e + 1]

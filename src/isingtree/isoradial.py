@@ -99,7 +99,7 @@ def validate_isoradial(m: PlanarMap,
     for f in range(len(m.faces)):
         if f == m.outer_face:
             continue
-        pts = [m.coords[m.vertex_of(d)] for d in m.faces[f]]
+        pts = [m.coords[m.vertex_of[d]] for d in m.faces[f]]
         c = _circumcenter_unit(pts)
         if c is None:
             raise NotIsoradialError("face %d is not inscribed in a unit circle" % f)
@@ -156,7 +156,7 @@ def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
     u = {delta: outer_center(iso, delta) for delta in m.outer_orbit}
     corners_at: dict[int, list[int]] = {}
     for delta in m.outer_orbit:
-        corners_at.setdefault(m.vertex_of(delta), []).append(delta)
+        corners_at.setdefault(m.vertex_of[delta], []).append(delta)
 
     theta: dict[int, float] = {}
     exact: dict[int, Fraction | None] = {}
@@ -165,11 +165,11 @@ def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
         # left folds: sum() compensates float adds from CPython 3.12 on,
         # which would change the last digits of every boundary angle
         residual = math.pi - reduce(
-            add, (iso.theta[m.edge_of(d)] for d in m.vertices[x]), 0.0)
+            add, (iso.theta[d >> 1] for d in m.vertices[x]), 0.0)
         if residual <= EPS_GEOM:
             raise AngleOutOfRangeError(
                 "boundary vertex %d leaves no room for a boundary angle" % x)
-        fracs = [iso.theta_exact[m.edge_of(d)] for d in m.vertices[x]]
+        fracs = [iso.theta_exact[d >> 1] for d in m.vertices[x]]
         res_exact = (Fraction(1) - sum(fracs)) if all(q is not None for q in fracs) else None
         # half the clockwise angle at x from u_{alpha sigma delta} to u_delta
         z = m.coords[x]
@@ -195,11 +195,8 @@ def outer_center(iso: IsoradialData, delta: int) -> complex:
     """Phantom center u_delta: the circumcenter of the inner face of the
     boundary edge e(delta), reflected across that edge."""
     m = iso.map
-    e = m.edge_of(delta)
-    inner = m.face_of(delta ^ 1)
-    c = iso.centers[inner]
-    a = m.coords[m.vertex_of(2 * e)]
-    b = m.coords[m.vertex_of(2 * e + 1)]
+    c = iso.centers[m.face_of[delta ^ 1]]
+    a, b = (m.coords[v] for v in m.endpoints(delta >> 1))
     return a + (b - a) * ((c - a) / (b - a)).conjugate()
 
 

@@ -46,7 +46,7 @@ def assign_phases(gq: PlanarMap, iso: IsoradialData,
         elif kind == "cp":
             phases[key] = math.pi / 2.0
         elif kind == "ex":
-            th = iso.theta[m.edge_of(m.sigma[d])]
+            th = iso.theta[m.sigma[d] >> 1]
             phi = 1.5 * math.pi - th
             if m.is_outer_dart(d):
                 phi -= bnd.theta[d]

@@ -64,6 +64,13 @@ class PlanarMap:
     * ``vertex_keys`` / ``edge_keys``: the caller's labels, kept so derived
       graphs can be queried by provenance instead of by raw index.
 
+    The permutations and orbits are plain tuples, read by index (the edge
+    of dart d is ``d >> 1``): ``phi[d]`` is the next dart along the face
+    left of d (ccw on inner faces); ``vertices`` lists the ccw sigma-orbits
+    and ``vertex_of[d]`` is the vertex d leaves; ``faces`` lists the
+    phi-orbits, ``faces[outer_face]`` running clockwise along the boundary,
+    and ``face_of[d]`` is the face left of d.
+
     The constructor walks the sigma-orbits and the phi-orbits once each,
     numbering every dart's orbit during the walk; phi itself is sigma^{-1}
     read with its even and odd darts swapped.  Attributes are always set in
@@ -92,17 +99,17 @@ class PlanarMap:
         self.sigma_inv = inv
         self.n_edges = n // 2
 
-        self._vertices, self._vertex_of = _orbits(sigma)
+        self.vertices, self.vertex_of = _orbits(sigma)
         # phi = sigma^{-1} o alpha: next dart along the face left of d.
         phi = [0] * n
         phi[0::2] = self.sigma_inv[1::2]
         phi[1::2] = self.sigma_inv[0::2]
-        self._phi = phi = tuple(phi)
-        self._faces, self._face_of = _orbits(phi)
+        self.phi = phi = tuple(phi)
+        self.faces, self.face_of = _orbits(phi)
         self.outer_dart = outer_dart
-        self.outer_face = self._face_of[outer_dart]
-        self.n_faces = len(self._faces)
-        self.n_vertices = len(self._vertices)
+        self.outer_face = self.face_of[outer_dart]
+        self.n_faces = len(self.faces)
+        self.n_vertices = len(self.vertices)
         self.coords = tuple(coords) if coords is not None else None
         self.tags = tuple(tags) if tags is not None else None
         self.vertex_keys = tuple(vertex_keys) if vertex_keys is not None else None
@@ -118,47 +125,17 @@ class PlanarMap:
         # attribute reads on this map)
         self._key_ends: dict[Hashable, tuple[int, int]] | None = None
 
-    # -- permutations ------------------------------------------------------
-
-    def phi(self, d: int) -> int:
-        """Next dart along the face left of d (ccw on inner faces)."""
-        return self._phi[d]
-
     # -- incidences --------------------------------------------------------
 
-    @property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        """Sigma-orbits (ccw dart lists), one per vertex."""
-        return self._vertices
-
-    @property
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Phi-orbits; ``faces[outer_face]`` runs clockwise on the boundary."""
-        return self._faces
-
-    def vertex_of(self, d: int) -> int:
-        return self._vertex_of[d]
-
-    def face_of(self, d: int) -> int:
-        """Face left of dart d."""
-        return self._face_of[d]
-
-    def degree(self, v: int) -> int:
-        return len(self._vertices[v])
-
-    @staticmethod
-    def edge_of(d: int) -> int:
-        return d >> 1
-
     def endpoints(self, e: int) -> tuple[int, int]:
-        return self._vertex_of[2 * e], self._vertex_of[2 * e + 1]
+        return self.vertex_of[2 * e], self.vertex_of[2 * e + 1]
 
     @property
     def outer_orbit(self) -> tuple[int, ...]:
-        return self._faces[self.outer_face]
+        return self.faces[self.outer_face]
 
     def is_outer_dart(self, d: int) -> bool:
-        return self._face_of[d] == self.outer_face
+        return self.face_of[d] == self.outer_face
 
     def with_outer_dart(self, d: int) -> PlanarMap:
         """The same map, orbits included, with the face left of dart d as
@@ -171,7 +148,7 @@ class PlanarMap:
         m = PlanarMap.__new__(PlanarMap)
         for name, value in vars(self).items():
             setattr(m, name, value)
-        m.outer_dart, m.outer_face = d, self._face_of[d]
+        m.outer_dart, m.outer_face = d, self.face_of[d]
         return m
 
     # -- label lookups -----------------------------------------------------
@@ -209,12 +186,12 @@ class PlanarMap:
     def is_connected(self) -> bool:
         """Every vertex is reached from vertex 0 along edges (a search over
         vertices: each dart is read once, and only vertices are stacked)."""
-        vertex_of = self._vertex_of
+        vertex_of = self.vertex_of
         seen = [False] * self.n_vertices
         seen[0] = True
         stack = [0]
         while stack:
-            for d in self._vertices[stack.pop()]:
+            for d in self.vertices[stack.pop()]:
                 u = vertex_of[d ^ 1]
                 if not seen[u]:
                     seen[u] = True
@@ -365,7 +342,7 @@ def validate_simple_input(m: PlanarMap) -> PlanarMap:
     """
     n = m.n_vertices
     seen_pairs = set()   # min * n + max of the ends of each edge so far
-    ends = m._vertex_of
+    ends = m.vertex_of
     for u, v in zip(ends[0::2], ends[1::2]):
         if u == v:
             raise NotSimpleError("loop at vertex %d" % u)
@@ -403,7 +380,7 @@ def dual_map(m: PlanarMap) -> PlanarMap:
     """
     # dual vertices are phi-orbits numbered by min dart: m's face numbering
     coords = face_points(m) if m.coords is not None else None
-    return PlanarMap(m._phi, m.sigma[m.outer_dart] ^ 1, coords=coords,
+    return PlanarMap(m.phi, m.sigma[m.outer_dart] ^ 1, coords=coords,
                      edge_keys=m.edge_keys)
 
 
@@ -418,7 +395,7 @@ def far_point(coords: Sequence[complex]) -> complex:
 def face_points(m: PlanarMap) -> list[complex]:
     """A point per face of an embedded map: the centroid of an inner
     face's corners, `far_point` of the vertices for the outer face."""
-    pts = [sum(m.coords[m.vertex_of(d)] for d in rot) / len(rot)
+    pts = [sum(m.coords[m.vertex_of[d]] for d in rot) / len(rot)
            for rot in m.faces]
     pts[m.outer_face] = far_point(m.coords)
     return pts

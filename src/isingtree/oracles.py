@@ -45,12 +45,8 @@ class TooLargeError(Exception):
     """Brute-force enumeration would exceed its configured cap."""
 
 
-# read by state_cap() at each call: one patch governs every search and gate
+# looked up at each call, so one patch governs every search and gate
 STATE_CAP = 10 ** 7
-
-
-def state_cap() -> int:
-    return STATE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +57,7 @@ def ising_Z(m: PlanarMap, J: Sequence[float]) -> float:
     """Free-boundary Ising partition function by full spin enumeration:
     bit v of the configuration number set means spin -1 at vertex v."""
     n = m.n_vertices
-    if 2 ** n > state_cap():
+    if 2 ** n > STATE_CAP:
         raise TooLargeError("2^%d spin configurations exceed the cap" % n)
     edges = [(*m.endpoints(e), J[e]) for e in range(m.n_edges)]
     total = 0.0
@@ -84,13 +80,13 @@ def kac_ward_Z2(m: PlanarMap, J: Sequence[float]) -> complex:
     if m.coords is None:
         raise ValueError("the Kac-Ward route needs vertex coordinates")
     xy, vertex_of = m.coords, m.vertex_of
-    step = [xy[vertex_of(d ^ 1)] - xy[vertex_of(d)]
+    step = [xy[vertex_of[d ^ 1]] - xy[vertex_of[d]]
             for d in range(len(m.sigma))]
     t = [math.tanh(j) for j in J]
     rows = []
     for d, sd in enumerate(step):
         row = {d: 1.0 + 0j}
-        for f in m.vertices[vertex_of(d ^ 1)]:
+        for f in m.vertices[vertex_of[d ^ 1]]:
             if f != d ^ 1:
                 turn = step[f] / sd
                 # the principal root of the unit turn is e^{i alpha/2}
@@ -136,7 +132,7 @@ def enumerate_matchings(m: PlanarMap,
     n = len(incid)
     if n % 2:
         return
-    budget = state_cap() - 1
+    budget = STATE_CAP - 1
     if budget < 0:
         raise TooLargeError("matching enumeration exceeded the state cap")
     if n == 0:
@@ -198,7 +194,7 @@ def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> c
     n = len(incid)
     if n % 2:
         return 0j
-    budget = state_cap() - 1
+    budget = STATE_CAP - 1
     if budget < 0:
         raise TooLargeError("matching enumeration exceeded the state cap")
     w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
@@ -241,7 +237,7 @@ def kasteleyn_signs(m: PlanarMap) -> list[int]:
     order = [0]
     for v in order:
         for d in m.vertices[v]:
-            u = vertex_of(d ^ 1)
+            u = vertex_of[d ^ 1]
             if not seen[u]:
                 seen[u] = in_tree[d >> 1] = True
                 order.append(u)
@@ -250,7 +246,7 @@ def kasteleyn_signs(m: PlanarMap) -> list[int]:
     faces = [m.outer_face]
     for f in faces:
         for d in m.faces[f]:
-            g = face_of(d ^ 1)
+            g = face_of[d ^ 1]
             if not in_tree[d >> 1] and parent[g] < 0:
                 parent[g] = d >> 1
                 faces.append(g)
@@ -278,7 +274,7 @@ def signed_dimer_Z(m: PlanarMap, weights: Mapping,
     sign = kasteleyn_signs(m)
     cols, rows = index = ({}, {})   # black -> column, white -> row
     for d in range(len(m.sigma)):
-        v = m.vertex_of(d)
+        v = m.vertex_of[d]
         if v != skip_vertex:
             index[d & 1].setdefault(v, len(index[d & 1]))
     if len(rows) != len(cols):
@@ -332,7 +328,7 @@ def _osts(out: Sequence[Sequence[tuple]],
     id, head, weight) of ``out[node]`` that closes no cycle.  Yields the
     live list of arc ids, one per depth, with the product of their weights
     in depth order; each partial state costs one unit of the state cap."""
-    budget = state_cap() - 1
+    budget = STATE_CAP - 1
     if budget < 0:
         raise TooLargeError("tree enumeration exceeded the state cap")
     depth = len(order)

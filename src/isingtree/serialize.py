@@ -52,7 +52,7 @@ def map_to_json_dict(m: PlanarMap,
     vertices = [{"id": v, "x": x, "y": y, "tag": tag}
                 for v, x, y, tag in _vertex_rows(m)]
     darts = [{"id": d, "twin": d ^ 1, "next": m.sigma[d],
-              "vertex": m.vertex_of(d)} for d in range(len(m.sigma))]
+              "vertex": m.vertex_of[d]} for d in range(len(m.sigma))]
     out = {"vertices": vertices, "darts": darts, "outer_face": m.outer_face}
     angles = {key: {"radians": rad, "pi_rational": q}
               for key, rad, q in _angle_rows(m, theta, theta_exact)}
@@ -144,10 +144,10 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     if len(vertices) > len(m.vertices):
         raise MapError("more vertices than sigma orbits")
     for r in darts:
-        if m.vertex_of(r["id"]) != r["vertex"]:
+        if m.vertex_of[r["id"]] != r["vertex"]:
             raise MapError("dart %d: vertex %d does not match the rotation "
                            "orbits (expected %d)"
-                           % (r["id"], r["vertex"], m.vertex_of(r["id"])))
+                           % (r["id"], r["vertex"], m.vertex_of[r["id"]]))
     m = m.with_outer_dart(m.faces[outer][0])
 
     exact = None
@@ -166,7 +166,13 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
             if type(q) is bool:
                 raise MapError("angle %s: pi_rational must be a string, a "
                                "number or null" % key)
-            exact[e] = None if q is None else Fraction(q)
+            if q is not None:
+                q = Fraction(q)
+                # half-angles lie in (0, pi/2); exact, before any float(q)
+                if not 0 < q < Fraction(1, 2):
+                    raise MapError("angle %s: pi_rational %s is not in "
+                                   "(0, 1/2)" % (key, entry["pi_rational"]))
+            exact[e] = q
     return m, exact
 
 
@@ -195,7 +201,7 @@ def dumps_map(m: PlanarMap, theta=None, theta_exact=None) -> str:
         parts.append('  "angles": {\n%s\n  },\n' % ",\n".join(
             [_ANGLE % (key, sc(q), sc(rad)) for key, rad, q in angles]))
     parts.append('  "darts": %s,\n' % _json_list(
-        [_DART % (d, sigma[d], d ^ 1, vertex_of(d))
+        [_DART % (d, sigma[d], d ^ 1, vertex_of[d])
          for d in range(len(sigma))]))
     parts.append('  "outer_face": %d,\n' % m.outer_face)
     parts.append('  "vertices": %s\n}\n' % _json_list(

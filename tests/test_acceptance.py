@@ -24,11 +24,12 @@ import time
 from collections import Counter
 
 from isingtree import correspondence as co
+from isingtree import oracles
 from isingtree.isoradial import critical_couplings, dimer_weights
 from isingtree.kasteleyn import check_flat, assign_phases
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph, dimer_Z,
                                enumerate_matchings, enumerate_osts,
-                               ising_Z, matrix_tree_Z, ost_Z, state_cap)
+                               ising_Z, matrix_tree_Z, ost_Z)
 from isingtree.report import rel_err
 
 TOL = 1e-9
@@ -139,7 +140,7 @@ def test_criterion_06_boundary_splitting_preserves_tree_sums(pipelines):
         z1 = matrix_tree_Z(p.g.graph, co.ROOT)
         worst = max(worst, rel_err(z0, z1))
         bound = enumeration_bound(p.g0.graph, co.ROOT)
-        if bound > state_cap():
+        if bound > oracles.STATE_CAP:
             notes.append("%s enumeration declined (%d candidate functions "
                          "> cap)" % (p.name, bound))
             continue
@@ -207,7 +208,7 @@ def test_criterion_08_class_weights_match_closed_forms(pipelines):
     for p in pipelines.values():
         pref = co.class_prefactor(p.iso, p.bnd)
         matchings = matchings_minus_s(p)
-        full = enumeration_bound(p.g0.graph, co.ROOT) <= state_cap()
+        full = enumeration_bound(p.g0.graph, co.ROOT) <= oracles.STATE_CAP
         chosen = matchings if full else sorted(matchings, key=sorted)[:3]
         for mk in chosen:
             cl = co.matching_to_trees(p.dd, p.m, mk, p.rho_star, p.tau2, pref)

@@ -45,6 +45,26 @@ def test_generate_rejects_degenerate_cycle(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# numbers past float range (the rhombic angle) or past index range (a grid
+# side): each is one error line, not a traceback
+OVERFLOWING_SPECS = {
+    "verify-rhombic-1e400": ["verify", "--generator", "rhombic:2,2,1e400"],
+    "generate-rhombic-1e400": ["generate", "rhombic", "2", "2", "1e400"],
+    "verify-grid-past-index-range": [
+        "verify", "--generator", "grid:2,99999999999999999999999"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_SPECS.values(),
+                         ids=OVERFLOWING_SPECS)
+def test_overflowing_generator_numbers_fail_cleanly(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad parameters for ")
+    assert captured.err.count("\n") == 1
+
+
 def test_generate_rejects_unknown_name(capsys):
     assert main(["generate", "banana", "3"]) == 1
     assert "unknown generator" in capsys.readouterr().err
@@ -207,6 +227,10 @@ MALFORMED = {
     "vertex-float": _edit(lambda d: d["darts"][0].update(vertex=0.0)),
     "pi-rational-true": _edit(
         lambda d: d["angles"]["0"].update(pi_rational=True)),
+    "pi-rational-huge": _edit(
+        lambda d: d["angles"]["0"].update(pi_rational="1e400")),
+    "pi-rational-half": _edit(
+        lambda d: d["angles"]["0"].update(pi_rational="1/2")),
     "id-float": _edit(lambda d: d["darts"][0].update(id=0.0)),
     "next-float": _edit(lambda d: d["darts"][0].update(
         next=float(d["darts"][0]["next"]))),
@@ -226,6 +250,7 @@ def test_malformed_input_fails_cleanly(edit, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_export_is_deterministic(capsys):

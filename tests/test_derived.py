@@ -38,7 +38,7 @@ def test_quadri_tiling_is_cubic_and_bipartite(pipelines):
     for p in pipelines.values():
         gq = p.gq
         assert (gq.n_vertices, gq.n_edges) == sizes[p.name]
-        assert all(gq.degree(v) == 3 for v in range(gq.n_vertices))
+        assert all(len(gq.vertices[v]) == 3 for v in range(gq.n_vertices))
         by_colour = Counter(k[0] for k in gq.vertex_keys)
         assert by_colour["w"] == by_colour["b"] == gq.n_vertices // 2
         for e in range(gq.n_edges):
@@ -60,7 +60,7 @@ def test_extended_double_shape(pipelines):
         for v in range(dd.n_vertices):
             if dd.tags[v] == "white":
                 key = dd.vertex_key(v)
-                assert dd.degree(v) == (4 if key[0] == "we" else 3)
+                assert len(dd.vertices[v]) == (4 if key[0] == "we" else 3)
 
 
 def test_extended_double_edge_kinds(c4):
@@ -118,7 +118,7 @@ def test_extended_pair_keeps_its_numbering():
         rims = [f for f, orb in enumerate(S.faces)
                 if all(S.edge_key(d >> 1)[0] == "rim" for d in orb)]
         assert rims == [S.outer_face], name
-        assert P.vertex_key(P.vertex_of(P.outer_dart)) == ("r",), name
+        assert P.vertex_key(P.vertex_of[P.outer_dart]) == ("r",), name
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def reference_quadri_tiling(m):
     d0 = min(m.outer_orbit)
     q = map_from_rotations(rotations, (("b", d0), ("ex", d0)), tags=tags)
     e = q.edge_id(("ex", d0))
-    sides = [f for f in (q.face_of(2 * e), q.face_of(2 * e + 1))
+    sides = [f for f in (q.face_of[2 * e], q.face_of[2 * e + 1])
              if ("cp", d0) not in {q.edge_key(x >> 1) for x in q.faces[f]}]
     assert len(sides) == 1
     return q.with_outer_dart(next(x for x in q.faces[sides[0]]
@@ -165,7 +165,7 @@ def reference_extended_double(m):
             tags[("f", f)] = "black-dual"
     for delta in boundary:
         rotations[("u", delta)] = [("hr", delta, 1), ("hd", delta),
-                                   ("hr", m.phi(delta), 0)]
+                                   ("hr", m.phi[delta], 0)]
         tags[("u", delta)] = "black-dual"
     for e in range(m.n_edges):
         d = 2 * e
@@ -196,15 +196,15 @@ def reference_quad_graph(m):
     if m.coords is not None:
         coords = {("p", v): m.coords[v] for v in range(len(m.vertices))}
         for f in range(len(m.faces)):
-            pts = [m.coords[m.vertex_of(d)] for d in m.faces[f]]
+            pts = [m.coords[m.vertex_of[d]] for d in m.faces[f]]
             coords[("f", f)] = sum(pts) / len(pts)
         coords[("f", m.outer_face)] = far_point(m.coords)
     tags = {k: ("primal" if k[0] == "p" else "dual") for k in rotations}
     d0 = min(m.outer_orbit)
-    q = map_from_rotations(rotations, (("p", m.vertex_of(d0)), ("c", d0)),
+    q = map_from_rotations(rotations, (("p", m.vertex_of[d0]), ("c", d0)),
                            coords=coords, tags=tags)
     want = frozenset(("c", x) for x in
-                     (d0, m.phi(d0), d0 ^ 1, m.phi(d0 ^ 1)))
+                     (d0, m.phi[d0], d0 ^ 1, m.phi[d0 ^ 1]))
     hits = [orb for orb in q.faces
             if frozenset(q.edge_key(d >> 1) for d in orb) == want]
     assert len(hits) == 1

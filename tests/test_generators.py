@@ -65,7 +65,7 @@ def test_outer_orbit_walks_clockwise(pipelines):
     # the boundary polygon traced by the outer orbit has negative signed area
     for p in pipelines.values():
         m = p.m
-        pts = [m.coords[m.vertex_of(d)] for d in m.outer_orbit]
+        pts = [m.coords[m.vertex_of[d]] for d in m.outer_orbit]
         area = sum(a.real * b.imag - b.real * a.imag
                    for a, b in zip(pts, pts[1:] + pts[:1])) / 2.0
         assert area < 0
@@ -76,4 +76,4 @@ def test_every_generated_face_has_unit_circumradius(pipelines):
         m = p.m
         for f, c in p.iso.centers.items():
             for d in m.faces[f]:
-                assert abs(abs(m.coords[m.vertex_of(d)] - c) - 1.0) < 1e-12
+                assert abs(abs(m.coords[m.vertex_of[d]] - c) - 1.0) < 1e-12

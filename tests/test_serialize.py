@@ -133,6 +133,11 @@ LOADER_ERRORS = [
     (lambda d: d.clear(), "malformed graph document: 'darts'"),
     (lambda d: d.update(angles=[]), "angles must be a JSON object"),
     (lambda d: d.update(angles={"0": 5}), "angle 0 must be a JSON object"),
+    # half-angles lie in (0, pi/2): pi_rational in (0, 1/2), checked exactly
+    (lambda d: d.update(angles={"1": {"pi_rational": "1e400"}}),
+     "angle 1: pi_rational 1e400 is not in (0, 1/2)"),
+    (lambda d: d.update(angles={"1": {"pi_rational": 0}}),
+     "angle 1: pi_rational 0 is not in (0, 1/2)"),
     (lambda d: d["vertices"][1].update(tag=[1]),
      "vertex 1: tag must be null or a string"),
     (lambda d: d["vertices"][2].update(tag={"a": 1}),
