@@ -104,13 +104,30 @@ def validate_isoradial(m: PlanarMap,
         if c is None:
             raise NotIsoradialError("face %d is not inscribed in a unit circle" % f)
         centers[f] = c
-        # left of a -> b: (c - a) / (b - a) has a positive imaginary part
-        regular = regular and all(
-            ((c - a) * (b - a).conjugate()).imag > 0.0
-            for a, b in zip(pts, pts[1:] + pts[:1]))
+        regular = regular and _contains(pts, c)
 
     return IsoradialData(map=m, theta=tuple(theta), theta_exact=tuple(exact),
                          centers=centers, regular=regular)
+
+
+def _contains(pts: list[complex], c: complex) -> bool:
+    """Whether c lies strictly left of every edge a -> b of the
+    counterclockwise polygon pts: (c - a) / (b - a) has a positive
+    imaginary part."""
+    return all(((c - a) * (b - a).conjugate()).imag > 0.0
+               for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+def _off_center(iso: IsoradialData, why: str) -> str:
+    """`why`, led by the first inner face whose circumcenter lies outside
+    it when the embedding is not regular: the cause a boundary-angle
+    failure then has."""
+    if iso.regular:
+        return why
+    m = iso.map
+    f = next(f for f, c in iso.centers.items() if not _contains(
+        [m.coords[m.vertex_of[d]] for d in m.faces[f]], c))
+    return "face %d does not contain its circumcenter, so %s" % (f, why)
 
 
 def _circumcenter_unit(pts: list[complex]) -> complex | None:
@@ -167,8 +184,9 @@ def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
         residual = math.pi - reduce(
             add, (iso.theta[d >> 1] for d in m.vertices[x]), 0.0)
         if residual <= EPS_GEOM:
-            raise AngleOutOfRangeError(
-                "boundary vertex %d leaves no room for a boundary angle" % x)
+            raise AngleOutOfRangeError(_off_center(
+                iso, "boundary vertex %d leaves no room for a boundary angle"
+                % x))
         fracs = [iso.theta_exact[d >> 1] for d in m.vertices[x]]
         res_exact = (Fraction(1) - sum(fracs)) if all(q is not None for q in fracs) else None
         # half the clockwise angle at x from u_{alpha sigma delta} to u_delta
@@ -185,9 +203,9 @@ def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
             theta.update(zip(corners, geometric))
             exact.update(dict.fromkeys(corners))
     if max_mismatch > 1e-7:
-        raise NotIsoradialError(
-            "closure and reflected-center boundary angles disagree by %.3g"
-            % max_mismatch)
+        raise NotIsoradialError(_off_center(
+            iso, "closure and reflected-center boundary angles disagree by "
+            "%.3g" % max_mismatch))
     return BoundaryAngles(theta=theta, exact=exact, max_mismatch=max_mismatch)
 
 

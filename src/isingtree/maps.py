@@ -406,15 +406,17 @@ def face_points(m: PlanarMap) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 def canonical_key(m: PlanarMap) -> tuple:
-    """Canonical invariant of a connected map under dart relabeling.
+    """Canonical invariant of a connected map under dart relabeling, outer
+    face included.
 
-    Breadth-first relabeling from every possible anchor dart; the minimal
-    encoding wins.  Encodes sigma and alpha in the new labels plus which
-    face is outer.  Quadratic in the dart count -- test-sized inputs only.
+    Breadth-first relabeling from each dart of the outer face; the minimal
+    encoding wins.  An isomorphism keeps the outer face, so these anchors
+    alone give one key per isomorphism class, and the anchor's label 0
+    marks the outer face.  Encodes sigma and alpha in the new labels.
+    Costs one relabeling per outer dart: O(|outer face| * darts).
     """
-    n = len(m.sigma)
     best = None
-    for anchor in range(n):
+    for anchor in m.outer_orbit:
         labels = {anchor: 0}
         order = [anchor]
         head = 0
@@ -429,7 +431,6 @@ def canonical_key(m: PlanarMap) -> tuple:
         for d in order:
             enc.append(labels[m.sigma[d]])
             enc.append(labels[d ^ 1])
-        enc.append(min(labels[d] for d in m.outer_orbit))
         key = tuple(enc)
         if best is None or key < best:
             best = key

@@ -7,24 +7,25 @@ for det K and the matrix-tree minors -- so results can serve as ground
 truth for the structured constructions.  Beside the spin and dimer sums sit
 their polynomial routes, which use none of the chain's constructions: the
 Kac-Ward determinant (:func:`kac_ward_Z2`) and the determinant with +-1
-Kasteleyn signs (:func:`signed_dimer_Z`).  There is one search for perfect
-matchings and one for oriented spanning trees
-(``correspondence.tree_pair_sum`` runs the latter on the extended primal);
-each backtracks on an explicit stack over integer adjacency lists.  The
-tree search carries the weight products on its stack: a frame multiplies
-its arc's weight into the product of the frames below it, so a sum adds
-each configuration for one multiplication.  Both tree sums, `ost_Z` and
-``correspondence.tree_pair_sum``, add their terms by one rule,
+Kasteleyn signs (:func:`signed_dimer_Z`).  There is one search for
+oriented spanning trees (``correspondence.tree_pair_sum`` also runs it, on
+the extended primal); it backtracks on an explicit stack over integer
+adjacency lists and carries the weight products on its stack: a frame
+multiplies its arc's weight into the product of the frames below it, so a
+sum adds each configuration for one multiplication.  Both tree sums,
+`ost_Z` and ``correspondence.tree_pair_sum``, add their terms by one rule,
 :func:`_rounded_sum`: the sum is rounded once, so it does not depend on the
-order in which the search finds the trees.  `dimer_Z` follows the matching
-search's choices but merges the partial matchings that cover the same
-vertices, so it visits each matched set once, whatever number of matchings
-pass through it; it uses no sign and no determinant.  One cap,
-:data:`STATE_CAP` (10^7), guards against runaway inputs: it bounds the
-states an enumeration explores -- one per spin configuration for
-:func:`ising_Z`, one per node of the search tree for the matching and tree
-searches, one per distinct set of matched vertices for `dimer_Z`.
-Exceeding it raises :class:`TooLargeError` rather than silently grinding.
+order in which the search finds the trees.  `dimer_Z` makes a matching
+search's choices (the first unmatched vertex, along each free edge in edge
+order) but merges the partial matchings that cover the same vertices, so
+it visits each matched set once, whatever number of matchings pass through
+it; it uses no sign and no determinant.  One cap, :data:`STATE_CAP`
+(10^7), guards against runaway inputs: it bounds the states an enumeration
+explores -- one per spin configuration for :func:`ising_Z`, one per node
+of the search tree for the tree search, one per distinct set of matched
+vertices for `dimer_Z`.  Exceeding it raises :class:`TooLargeError`
+rather than silently grinding.  The reference enumerations of the test
+suite (``tests/reference.py``) read the same cap.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import cmath
 import heapq
 import math
 from functools import reduce
-from itertools import compress, islice
+from itertools import islice
 from operator import add, itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -105,9 +106,8 @@ def _lower_incidences(m: PlanarMap,
                       skip_vertex: int | None) -> list[list[tuple[int, int]]]:
     """The vertices of m other than `skip_vertex`, renumbered 0..n-1 in
     vertex order, each with its (edge, other end) pairs in edge order.
-    `enumerate_matchings` and `dimer_Z` both match the first unmatched
-    vertex, so the vertices before it are all matched already and an edge
-    is listed at its lower end only."""
+    `dimer_Z` matches the first unmatched vertex, so the vertices before it
+    are all matched already and an edge is listed at its lower end only."""
     pos = {v: i for i, v in enumerate(
         v for v in range(m.n_vertices) if v != skip_vertex)}
     incid: list[list[tuple[int, int]]] = [[] for _ in pos]
@@ -119,70 +119,14 @@ def _lower_incidences(m: PlanarMap,
     return incid
 
 
-def enumerate_matchings(m: PlanarMap,
-                        skip_vertex: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All perfect matchings (as sorted edge-id tuples), optionally of the
-    graph minus one vertex.  Yields nothing when no perfect matching exists
-    (in particular for odd vertex counts).
-
-    Backtracking on an explicit stack: the first unmatched vertex is matched
-    along each free incident edge in edge order; each partial state costs
-    one unit of the state cap."""
-    incid = _lower_incidences(m, skip_vertex)
-    n = len(incid)
-    if n % 2:
-        return
-    budget = STATE_CAP - 1
-    if budget < 0:
-        raise TooLargeError("matching enumeration exceeded the state cap")
-    if n == 0:
-        yield ()
-        return
-    matched = [False] * (n + 1)   # matched[n] stays False: a scan sentinel
-    matched[0] = True
-    chosen: list[int] = []
-    # one frame per matched pair: the first unmatched vertex v, its
-    # incidences still to try and the partner of the pair that led to it
-    # (the sentinel n for the first); the live frame is held in locals, the
-    # ones below it in saved
-    v, todo, back = 0, iter(incid[0]), n
-    saved: list[tuple] = []
-    while True:
-        for e, o in todo:
-            if not matched[o]:
-                break
-        else:
-            matched[v] = matched[back] = False
-            if not saved:
-                return
-            chosen.pop()   # undo the pair that led to this frame
-            v, todo, back = saved.pop()
-            continue
-        matched[o] = True
-        chosen.append(e)
-        budget -= 1
-        if budget < 0:
-            raise TooLargeError("matching enumeration exceeded the state cap")
-        u = v + 1
-        while matched[u]:
-            u += 1
-        if u == n:
-            yield tuple(sorted(chosen))
-            chosen.pop()
-            matched[o] = False
-        else:
-            matched[u] = True
-            saved.append((v, todo, back))
-            v, todo, back = u, iter(incid[u]), o
-
-
 def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> complex:
     """Weighted dimer partition function: sum over perfect matchings of the
     product of edge weights (of m minus `skip_vertex`, when given).
     `weights` holds every edge's weight, keyed by edge key when the map
     carries edge keys, else by edge id.
 
-    A forward dynamic program over the search of `enumerate_matchings`:
+    A forward dynamic program over a backtracking matching search that
+    matches the first unmatched vertex along each free edge, in edge order:
     what that search still has to do depends only on the set of vertices
     matched so far, so it keeps, per first unmatched vertex, a dict from
     the bitmask of matched vertices to the sum of the weight products of
@@ -428,31 +372,18 @@ def _ost_args(g: WeightedDigraph, root: Hashable) -> tuple[list, list]:
     return out, sorted(order, key=lambda i: len(out[i]))
 
 
-def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ...]]:
-    """All spanning trees oriented towards `root`: every non-root node keeps
-    exactly one out-arc and following out-arcs always reaches the root.
-    Yields tuples of arc indices, one per non-root node in the search order
-    of `_ost_args` (fewest out-arcs first, ties in node order), the trees
-    in the order that search finds them.
-
-    Backtracking on an explicit stack, one depth per non-root node; each
-    partial state costs one unit of the state cap."""
-    for chosen, _ in _osts(*_ost_args(g, root)):
-        yield tuple(chosen)
-
-
 def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
     """Partition function of oriented spanning trees rooted at `root`,
-    by exhaustive enumeration: the trees of `enumerate_osts`, each weight
-    product multiplied in its search order, added by `_rounded_sum`, so the
+    by exhaustive enumeration: the trees `_osts` finds in the order of
+    `_ost_args`, each weight product multiplied in that order, added by `_rounded_sum`, so the
     sum does not depend on the order in which the trees are found."""
     return _rounded_sum(map(itemgetter(1), _osts(*_ost_args(g, root))))[0]
 
 
 def count_osts(g: WeightedDigraph, root: Hashable) -> int | float:
-    """The number of spanning trees oriented towards `root`, as
-    `enumerate_osts` yields them: the matrix-tree determinant with every
-    arc weight set to 1."""
+    """The number of spanning trees oriented towards `root`, as `ost_Z`
+    adds them up: the matrix-tree determinant with every arc weight set to
+    1."""
     unit = WeightedDigraph(g.nodes, tuple(a._replace(weight=1.0)
                                           for a in g.arcs))
     return _as_count(magnitude(matrix_tree_Z(unit, root)))
@@ -564,44 +495,3 @@ def complex_det(rows: Sequence[Mapping[int, complex]]) -> complex:
             col_of_row[i], col_of_row[j] = col_of_row[j], j
             det = -det
     return det
-
-
-def det_cofactor(rows: Sequence[Sequence[complex]]) -> complex:
-    """Cofactor-expansion determinant (independent cross-check, n <= 7)."""
-    n = len(rows)
-    if n > 7:
-        raise TooLargeError("cofactor oracle limited to n <= 7")
-    if n == 0:
-        return 1.0 + 0j
-    if n == 1:
-        return complex(rows[0][0])
-    total = 0j
-    for j in compress(range(n), rows[0]):
-        sub = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * complex(rows[0][j]) * det_cofactor(sub)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# undirected spanning trees
-# ---------------------------------------------------------------------------
-
-def _find(p: list[int], x: int) -> int:
-    """Root of x in the union-find parent list p, halving the path."""
-    while p[x] != x:
-        p[x] = p[p[x]]
-        x = p[x]
-    return x
-
-
-def is_spanning_tree(n_vertices: int,
-                     edges: Iterable[tuple[int, int]]) -> bool:
-    p = list(range(n_vertices))
-    count = 0
-    for u, v in edges:
-        ru, rv = _find(p, u), _find(p, v)
-        if ru == rv:
-            return False
-        p[ru] = rv
-        count += 1
-    return count == n_vertices - 1

@@ -23,14 +23,16 @@ import random
 import time
 from collections import Counter
 
+from isingtree import construction as cn
 from isingtree import correspondence as co
 from isingtree import oracles
 from isingtree.isoradial import critical_couplings, dimer_weights
 from isingtree.kasteleyn import check_flat, assign_phases
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph, dimer_Z,
-                               enumerate_matchings, enumerate_osts,
                                ising_Z, matrix_tree_Z, ost_Z)
 from isingtree.report import rel_err
+
+from reference import enumerate_matchings, enumerate_osts
 
 TOL = 1e-9
 
@@ -149,7 +151,7 @@ def test_criterion_06_boundary_splitting_preserves_tree_sums(pipelines):
                        for t in enumerate_osts(p.g.graph, co.ROOT)}
         covered = set()
         for t in enumerate_osts(p.g0.graph, co.ROOT):
-            images = co.map_ost_A_to_D(p.g0, p.g, t)
+            images = cn.map_ost_A_to_D(p.g0, p.g, t)
             total = 0j
             w0 = 1.0 + 0j
             for ai in t:
@@ -157,7 +159,7 @@ def test_criterion_06_boundary_splitting_preserves_tree_sums(pipelines):
             for img in images:
                 assert img in split_trees and img not in covered
                 # arc sets: the search yields a tree in its own node order
-                assert frozenset(co.split_tree_preimage(p.g0, p.g, img)) \
+                assert frozenset(cn.split_tree_preimage(p.g0, p.g, img)) \
                     == frozenset(t)
                 covered.add(img)
                 w = 1.0 + 0j
@@ -176,22 +178,22 @@ def test_criterion_07_round_trip_classes_and_zero_rejections(pipelines):
     notes = []
     for p in pipelines.values():
         try:
-            rule_trees = set(co.enumerate_rule_trees(p.dd, p.m))
+            rule_trees = set(cn.enumerate_rule_trees(p.dd, p.m))
         except TooLargeError as exc:
             notes.append("%s: %s" % (p.name, exc))
             continue
         # (a) every split tree maps to a rule tree and back
         for t in enumerate_osts(p.g.graph, co.ROOT):
-            edges = co.dual_in_double(p.g, frozenset(t))
-            assert co.check_local_rules(p.m, edges) == []
+            edges = cn.dual_in_double(p.g, frozenset(t))
+            assert cn.check_local_rules(p.m, edges) == []
             assert edges in rule_trees
-            assert co.rule_tree_to_split_tree(p.g, edges) == frozenset(t)
+            assert cn.rule_tree_to_split_tree(p.g, edges) == frozenset(t)
         # (b) + (c) classes partition the rule trees with no rejections
         pref = co.class_prefactor(p.iso, p.bnd)
         seen = set()
         rejected = 0
         for mk in matchings_minus_s(p):
-            cl = co.matching_to_trees(p.dd, p.m, mk, p.rho_star, p.tau2, pref)
+            cl = cn.matching_to_trees(p.dd, p.m, mk, p.rho_star, p.tau2, pref)
             rejected += cl.n_rejected
             ts = set(cl.trees)
             assert not ts & seen
@@ -211,7 +213,7 @@ def test_criterion_08_class_weights_match_closed_forms(pipelines):
         full = enumeration_bound(p.g0.graph, co.ROOT) <= oracles.STATE_CAP
         chosen = matchings if full else sorted(matchings, key=sorted)[:3]
         for mk in chosen:
-            cl = co.matching_to_trees(p.dd, p.m, mk, p.rho_star, p.tau2, pref)
+            cl = cn.matching_to_trees(p.dd, p.m, mk, p.rho_star, p.tau2, pref)
             worst = max(worst, rel_err(cl.weight_sum, cl.closed_form))
         # aggregate identity over *all* matchings: the closed forms sum to
         # the split-graph tree partition function
@@ -269,7 +271,7 @@ def test_criterion_10_superposition_cycles_odd_interior(pipelines):
     for name in ("C3", "C4"):
         p = pipelines[name]
         for m1, m2 in itertools.combinations(matchings_minus_s(p), 2):
-            for cyc in co.parity_check(p.dd, p.s_key, m1, m2):
+            for cyc in cn.parity_check(p.dd, p.s_key, m1, m2):
                 n_cycles += 1
                 turn_balanced &= cyc.n2 == cyc.n3
                 turns_fill_cycle &= cyc.n1 + cyc.n2 + cyc.n3 == cyc.length // 2

@@ -38,6 +38,8 @@ def test_verify_an_off_center_face_is_one_error_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # it names the face and the cause, not only the symptom
+    assert err.startswith("error: face 1 does not contain its circumcenter")
 
 
 def test_generate_rejects_degenerate_cycle(capsys):

@@ -12,15 +12,16 @@ from fractions import Fraction
 
 import pytest
 
+from isingtree import construction as cn
 from isingtree import correspondence as co
 from isingtree import oracles
 from isingtree.generators import cycle, grid, rhombic
 from isingtree.isoradial import critical_couplings, dimer_weights
 from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
-                               count_osts, dimer_Z, enumerate_matchings,
-                               enumerate_osts, matrix_tree_Z, ost_Z)
+                               count_osts, dimer_Z, matrix_tree_Z, ost_Z)
 
 from conftest import bowtie
+from reference import enumerate_matchings, enumerate_osts
 
 SMALL = ("C3", "C4")
 OST_COUNTS = {"C3": (73, 248), "C4": (407, 1904)}
@@ -96,7 +97,7 @@ def test_split_images_partition_the_split_trees(pipelines, name):
     corner_trees = list(enumerate_osts(p.g0.graph, co.ROOT))
     seen = {}
     for t in corner_trees:
-        images = co.map_ost_A_to_D(p.g0, p.g, t)
+        images = cn.map_ost_A_to_D(p.g0, p.g, t)
         assert sum(weight(p.g.graph, img) for img in images) == pytest.approx(
             weight(p.g0.graph, t), rel=1e-12)
         for img in images:
@@ -104,7 +105,7 @@ def test_split_images_partition_the_split_trees(pipelines, name):
             seen[img] = t
             # as arc sets: a tree keeps one arc per non-root node, and the
             # search yields them in its own node order
-            assert frozenset(co.split_tree_preimage(p.g0, p.g, img)) \
+            assert frozenset(cn.split_tree_preimage(p.g0, p.g, img)) \
                 == frozenset(t)
     split_trees = {frozenset(t) for t in enumerate_osts(p.g.graph, co.ROOT)}
     assert set(seen) == split_trees
@@ -119,20 +120,20 @@ def test_rule_trees_biject_with_split_trees(pipelines, name):
     split_trees = [frozenset(t) for t in enumerate_osts(p.g.graph, co.ROOT)]
     images = set()
     for t in split_trees:
-        edges = co.dual_in_double(p.g, t)
-        assert co.check_local_rules(p.m, edges) == []
-        assert co.rule_tree_to_split_tree(p.g, edges) == t
+        edges = cn.dual_in_double(p.g, t)
+        assert cn.check_local_rules(p.m, edges) == []
+        assert cn.rule_tree_to_split_tree(p.g, edges) == t
         w = 1.0 + 0j
         for k in edges:
             w *= p.rho_star[k]
         assert w == pytest.approx(weight(p.g.graph, t), rel=1e-12)
         images.add(edges)
-    rule_trees = set(co.enumerate_rule_trees(p.dd, p.m))
+    rule_trees = set(cn.enumerate_rule_trees(p.dd, p.m))
     assert images == rule_trees
 
 
 def test_local_rules_name_the_white_of_each_broken_pair(c4):
-    tree = next(co.enumerate_rule_trees(c4.dd, c4.m))
+    tree = next(cn.enumerate_rule_trees(c4.dd, c4.m))
     pair = (("hp", 0), ("hd", 1))    # the first pair of edge 0's white
     (kept,) = [k for k in pair if k in tree]
     (sibling,) = [k for k in pair if k != kept]
@@ -140,14 +141,14 @@ def test_local_rules_name_the_white_of_each_broken_pair(c4):
     for edited, white in ((tree - {kept}, ("we", 0)),
                           (tree | {sibling}, ("we", 0)),
                           (tree - {("hr", delta, 0)}, ("wb", delta))):
-        bad = co.check_local_rules(c4.m, edited)
+        bad = cn.check_local_rules(c4.m, edited)
         assert len(bad) == 1 and repr(white) in bad[0], bad
 
 
 def test_rule_tree_enumeration_respects_the_cap(monkeypatch, c4):
     monkeypatch.setattr(oracles, "STATE_CAP", 100)
     with pytest.raises(TooLargeError):
-        list(co.enumerate_rule_trees(c4.dd, c4.m))
+        list(cn.enumerate_rule_trees(c4.dd, c4.m))
 
 
 def test_double_root_is_the_minimal_outer_corner(pipelines):
@@ -162,17 +163,17 @@ def test_matchings_index_disjoint_covering_classes(pipelines, name):
     matchings = matchings_minus_s(p)
     assert len(matchings) == MATCHING_COUNTS[name]
     pref = co.class_prefactor(p.iso, p.bnd)
-    all_trees = set(co.enumerate_rule_trees(p.dd, p.m))
+    all_trees = set(cn.enumerate_rule_trees(p.dd, p.m))
     seen = set()
     for mk in matchings:
-        cl = co.matching_to_trees(p.dd, p.m, mk, p.rho_star, p.tau2, pref)
+        cl = cn.matching_to_trees(p.dd, p.m, mk, p.rho_star, p.tau2, pref)
         assert cl.n_rejected == 0
         assert cl.weight_sum == pytest.approx(cl.closed_form, rel=1e-12)
         ts = set(cl.trees)
         assert ts and not ts & seen
         seen |= ts
         for t in cl.trees:
-            assert co.tree_to_matching(p.dd, p.s_key, t) == mk
+            assert cn.tree_to_matching(p.dd, p.s_key, t) == mk
     assert seen == all_trees
 
 
@@ -184,7 +185,7 @@ def test_class_prefactor_has_unit_modulus(pipelines):
 def test_tree_to_matching_rejects_non_spanning_sets(c3):
     some = frozenset(list(c3.dd.edge_keys)[:3])
     with pytest.raises(ValueError):
-        co.tree_to_matching(c3.dd, c3.s_key, some)
+        cn.tree_to_matching(c3.dd, c3.s_key, some)
 
 
 # --- superposition parity -----------------------------------------------------
@@ -194,7 +195,7 @@ def test_superposition_cycles_on_c3(c3):
     hist = Counter()
     n_cycles = 0
     for m1, m2 in itertools.combinations(matchings, 2):
-        rep = co.parity_check(c3.dd, c3.s_key, m1, m2)
+        rep = cn.parity_check(c3.dd, c3.s_key, m1, m2)
         assert rep  # distinct matchings always differ
         for cyc in rep:
             n_cycles += 1
@@ -210,7 +211,7 @@ def test_superposition_cycles_on_c3(c3):
 
 def test_parity_of_identical_matchings_is_empty(c3):
     mk = matchings_minus_s(c3)[0]
-    assert co.parity_check(c3.dd, c3.s_key, mk, mk) == ()
+    assert cn.parity_check(c3.dd, c3.s_key, mk, mk) == ()
 
 
 # --- stage 4: tree pairs ------------------------------------------------------
@@ -228,9 +229,9 @@ def test_matchings_biject_onto_tree_pairs(pipelines, name, unit_tree_count):
     all_keys = {P.edge_key(e) for e in range(P.n_edges)}
     primal_trees = set()
     for mk in matchings_minus_s(p):
-        tp = co.matching_to_tree_pair(p.m, mk)
-        assert co.arcs_form_ost(tp.primal_arcs, p_nodes, co.ROOT)
-        assert co.arcs_form_ost(tp.dual_arcs, s_nodes, p.s_key)
+        tp = cn.matching_to_tree_pair(p.m, mk)
+        assert cn.arcs_form_ost(tp.primal_arcs, p_nodes, co.ROOT)
+        assert cn.arcs_form_ost(tp.dual_arcs, s_nodes, p.s_key)
         pset = frozenset(k for _, _, k in tp.primal_arcs)
         dset = frozenset(k for _, _, k in tp.dual_arcs)
         assert dset == {dual_key(k) for k in all_keys - pset}
@@ -247,8 +248,8 @@ def test_tree_pair_weight_identity_per_matching(pipelines, name):
         lhs = 1.0 + 0j
         for k in mk:
             lhs *= p.tau2[k]
-        tp = co.matching_to_tree_pair(p.m, mk)
-        assert lhs == pytest.approx(ck * co.tree_pair_weight(tp, p.tw),
+        tp = cn.matching_to_tree_pair(p.m, mk)
+        assert lhs == pytest.approx(ck * cn.tree_pair_weight(tp, p.tw),
                                     rel=1e-12)
 
 

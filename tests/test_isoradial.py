@@ -13,8 +13,9 @@ from conftest import off_center_triangle
 from isingtree.correspondence import verify_main_theorem
 from isingtree.generators import cycle, rhombic
 from isingtree.isoradial import (AngleOutOfRangeError, NotIsoradialError,
-                                 critical_couplings, dimer_weights,
-                                 outer_center, validate_isoradial)
+                                 boundary_angles, critical_couplings,
+                                 dimer_weights, outer_center,
+                                 validate_isoradial)
 from isingtree.maps import PlanarMap, build_map
 
 
@@ -37,6 +38,16 @@ def test_off_center_face_is_not_regular():
     # the reflected phantom centers then disagree with the closure
     with pytest.raises(NotIsoradialError):
         verify_main_theorem(m)
+
+
+def test_a_boundary_angle_failure_names_the_off_center_face():
+    iso = validate_isoradial(off_center_triangle())
+    inner = [f for f in range(len(iso.map.faces)) if f != iso.map.outer_face]
+    with pytest.raises(NotIsoradialError) as info:
+        boundary_angles(iso)
+    assert str(info.value) == (
+        "face %d does not contain its circumcenter, so closure and "
+        "reflected-center boundary angles disagree by 2.14" % inner[0])
 
 
 def ray_cast_inside(pt, poly):

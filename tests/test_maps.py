@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isingtree.derived import extended_double
-from isingtree.generators import cycle, grid
+from isingtree.generators import cycle, grid, rhombic
 from isingtree.maps import (DegreeTooLowError, DisconnectedError, MapError,
                             NonPlanarError, NotSimpleError, PlanarMap,
                             _orbits, build_map, canonical_key, dual_map,
@@ -194,6 +194,42 @@ def test_canonical_key_ignores_labelling(order):
 
 def test_canonical_key_separates_cycles():
     assert not is_isomorphic(cycle(3)[0], cycle(4)[0])
+
+
+def full_anchor_key(m):
+    """Breadth-first relabeling from every dart, the minimal encoding of
+    sigma and alpha followed by the outer face's least label: a canonical
+    key with no reliance on the outer face to pick the anchors."""
+    best = None
+    for anchor in range(len(m.sigma)):
+        labels = {anchor: 0}
+        order = [anchor]
+        for d in order:
+            for nxt in (m.sigma[d], d ^ 1):
+                if nxt not in labels:
+                    labels[nxt] = len(order)
+                    order.append(nxt)
+        enc = [x for d in order for x in (labels[m.sigma[d]], labels[d ^ 1])]
+        key = (*enc, min(labels[d] for d in m.outer_orbit))
+        best = key if best is None else min(best, key)
+    return best
+
+
+def test_canonical_key_agrees_with_every_anchor_on_every_rerooting():
+    c3, _ = cycle(3)
+    maps = [cycle(5)[0], grid(3, 3)[0], dual_map(grid(2, 3)[0]),
+            extended_double(c3), rhombic(2, 3, 0.2)[0]]
+    # one map per (map, face) pair: every choice of outer face of each
+    rerooted = [m.with_outer_dart(rot[0]) for m in maps for rot in m.faces]
+    keys = [canonical_key(m) for m in rerooted]
+    ref = [full_anchor_key(m) for m in rerooted]
+    for m, key in zip(rerooted, keys):
+        # sigma and alpha only: the anchor, label 0, marks the outer face
+        assert len(key) == 2 * len(m.sigma)
+    same = [[a == b for b in keys] for a in keys]
+    assert same == [[a == b for b in ref] for a in ref]
+    # rerootings are not all apart: C5's two faces, grid 3x3's corners
+    assert sum(map(sum, same)) > len(keys)
 
 
 def test_outer_face_choice_matters():

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import isingtree
-from isingtree.correspondence import (CompatClass, CycleParity, DirectedModel,
-                                      TreePair)
+from isingtree.construction import CompatClass, CycleParity, TreePair
+from isingtree.correspondence import DirectedModel
 from isingtree.derived import ExtendedPair
 from isingtree.isoradial import BoundaryAngles, IsoradialData, TauWeights
 from isingtree.kasteleyn import FlatnessReport, KasteleynMatrix
