@@ -33,8 +33,7 @@ def cycle(n: int) -> tuple[PlanarMap, dict[int, Fraction]]:
     The single inner face is the circumscribed polygon itself; edge length
     2 sin(pi/n) gives theta_e = pi/2 - pi/n for every edge.  n = 2 would be a
     doubled edge and raises NotSimpleError, n < 2 likewise.  Edge key k
-    joins vertices k and k + 1 (mod n); the angles are keyed by edge id,
-    ``m.edge_id(k)``, in order of k.
+    joins vertices k and k + 1 (mod n), and all n angles are equal.
     """
     if n < 3:
         raise NotSimpleError("cycle(%d) is not a simple graph" % n)
@@ -42,7 +41,7 @@ def cycle(n: int) -> tuple[PlanarMap, dict[int, Fraction]]:
     # along the polygon, outside on the left
     m = build_map({k: [(k - 1) % n, k] for k in range(n)}, (0, n - 1),
                   coords={k: cmath.exp(1j * TWO_PI * k / n) for k in range(n)})
-    return m, {m.edge_id(k): Fraction(n - 2, 2 * n) for k in range(n)}
+    return m, dict.fromkeys(range(n), Fraction(n - 2, 2 * n))
 
 
 def grid(w: int, h: int) -> tuple[PlanarMap, dict[int, Fraction]]:

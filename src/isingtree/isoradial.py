@@ -47,14 +47,12 @@ class IsoradialData(NamedTuple):
 
     theta[e] is the rhombus half-angle of edge e; theta_exact[e] its exact
     value as a Fraction q (meaning q*pi) when known, else None.  centers maps
-    each inner face id to its circumcenter.  regular is True when every
-    circumcenter lies in the closure of its face.
+    each inner face id to its circumcenter, which lies in the closed face.
     """
     map: PlanarMap
     theta: tuple[float, ...]
     theta_exact: tuple[Fraction | None, ...]
     centers: Mapping[int, complex]
-    regular: bool
 
 
 def validate_isoradial(m: PlanarMap,
@@ -64,10 +62,11 @@ def validate_isoradial(m: PlanarMap,
     angles.
 
     Raises NotIsoradialError when some inner face has no common unit-distance
-    center for its vertices (or an exact angle disagrees with the geometry),
-    AngleOutOfRangeError when an edge is degenerate (length 0 or 2).
-    `regular` takes one half-plane test per edge, with no tolerance: past
-    the range check each center lies sin theta_e > 4e-5 off every edge line.
+    center for its vertices or does not contain that center (or an exact
+    angle disagrees with the geometry), AngleOutOfRangeError when an edge is
+    degenerate (length 0 or 2).  Containment takes one half-plane test per
+    edge, with no tolerance: past the range check each center lies
+    sin theta_e > 4e-5 off every edge line.
     """
     if m.coords is None:
         raise NotIsoradialError("map carries no coordinates")
@@ -95,7 +94,6 @@ def validate_isoradial(m: PlanarMap,
             exact[e] = q
 
     centers: dict[int, complex] = {}
-    regular = True
     for f in range(len(m.faces)):
         if f == m.outer_face:
             continue
@@ -103,11 +101,13 @@ def validate_isoradial(m: PlanarMap,
         c = _circumcenter_unit(pts)
         if c is None:
             raise NotIsoradialError("face %d is not inscribed in a unit circle" % f)
+        if not _contains(pts, c):
+            raise NotIsoradialError(
+                "face %d does not contain its circumcenter" % f)
         centers[f] = c
-        regular = regular and _contains(pts, c)
 
     return IsoradialData(map=m, theta=tuple(theta), theta_exact=tuple(exact),
-                         centers=centers, regular=regular)
+                         centers=centers)
 
 
 def _contains(pts: list[complex], c: complex) -> bool:
@@ -116,18 +116,6 @@ def _contains(pts: list[complex], c: complex) -> bool:
     imaginary part."""
     return all(((c - a) * (b - a).conjugate()).imag > 0.0
                for a, b in zip(pts, pts[1:] + pts[:1]))
-
-
-def _off_center(iso: IsoradialData, why: str) -> str:
-    """`why`, led by the first inner face whose circumcenter lies outside
-    it when the embedding is not regular: the cause a boundary-angle
-    failure then has."""
-    if iso.regular:
-        return why
-    m = iso.map
-    f = next(f for f, c in iso.centers.items() if not _contains(
-        [m.coords[m.vertex_of[d]] for d in m.faces[f]], c))
-    return "face %d does not contain its circumcenter, so %s" % (f, why)
 
 
 def _circumcenter_unit(pts: list[complex]) -> complex | None:
@@ -184,9 +172,8 @@ def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
         residual = math.pi - reduce(
             add, (iso.theta[d >> 1] for d in m.vertices[x]), 0.0)
         if residual <= EPS_GEOM:
-            raise AngleOutOfRangeError(_off_center(
-                iso, "boundary vertex %d leaves no room for a boundary angle"
-                % x))
+            raise AngleOutOfRangeError(
+                "boundary vertex %d leaves no room for a boundary angle" % x)
         fracs = [iso.theta_exact[d >> 1] for d in m.vertices[x]]
         res_exact = (Fraction(1) - sum(fracs)) if all(q is not None for q in fracs) else None
         # half the clockwise angle at x from u_{alpha sigma delta} to u_delta
@@ -203,9 +190,9 @@ def boundary_angles(iso: IsoradialData) -> BoundaryAngles:
             theta.update(zip(corners, geometric))
             exact.update(dict.fromkeys(corners))
     if max_mismatch > 1e-7:
-        raise NotIsoradialError(_off_center(
-            iso, "closure and reflected-center boundary angles disagree by "
-            "%.3g" % max_mismatch))
+        raise NotIsoradialError(
+            "closure and reflected-center boundary angles disagree by %.3g"
+            % max_mismatch)
     return BoundaryAngles(theta=theta, exact=exact, max_mismatch=max_mismatch)
 
 

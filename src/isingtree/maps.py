@@ -114,12 +114,6 @@ class PlanarMap:
         self.tags = tuple(tags) if tags is not None else None
         self.vertex_keys = tuple(vertex_keys) if vertex_keys is not None else None
         self.edge_keys = tuple(edge_keys) if edge_keys is not None else None
-        self._vertex_index = (
-            dict(zip(self.vertex_keys, range(len(self.vertex_keys))))
-            if self.vertex_keys is not None else None)
-        self._edge_index = (
-            dict(zip(self.edge_keys, range(len(self.edge_keys))))
-            if self.edge_keys is not None else None)
         # filled by key_ends; set here so that filling it changes no key
         # of the instance dict (a new key costs CPython 3.11 its fast
         # attribute reads on this map)
@@ -154,14 +148,7 @@ class PlanarMap:
     # -- label lookups -----------------------------------------------------
 
     def vertex_id(self, key: Hashable) -> int:
-        if self._vertex_index is None:
-            raise KeyError("map carries no vertex keys")
-        return self._vertex_index[key]
-
-    def edge_id(self, key: Hashable) -> int:
-        if self._edge_index is None:
-            raise KeyError("map carries no edge keys")
-        return self._edge_index[key]
+        return self.vertex_keys.index(key)
 
     def vertex_key(self, v: int) -> Hashable:
         """The caller's label of vertex v; v itself without keys."""

@@ -17,7 +17,7 @@ from isingtree import correspondence as co
 from isingtree.generators import cycle, grid
 from isingtree.isoradial import critical_couplings, dimer_weights
 from isingtree.kasteleyn import EPS_NUM
-from isingtree.maps import build_map
+from isingtree.maps import PlanarMap, build_map
 from isingtree.oracles import (Arc, WeightedDigraph, count_osts, dimer_Z,
                                ising_Z, kac_ward_Z2)
 from isingtree.report import Report, check
@@ -44,6 +44,31 @@ def off_center_triangle():
     coords = {k: cmath.exp(1j * a) for k, a in enumerate((0.0, 0.5, 1.0))}
     return build_map({0: ["a", "c"], 1: ["b", "a"], 2: ["c", "b"]}, (0, "a"),
                      coords=coords)
+
+
+def folded_grid():
+    """grid(5, 5)'s map with vertex (i, j) moved to P(i + j, j - i), where
+    P(p, q) = sum_{p' < p} e^{i a_p'} + sum_{q' < q} e^{i b_q'} (for q < 0
+    minus the sum over q <= q' < 0).  Every step of P is a unit vector, so
+    each face is inscribed in a unit circle centered at a lattice point.
+    a_p = 0 and b_q = pi/2 give a rotated square grid.  With a_4 = 0.9 >
+    b_0 = 0.6 the two faces whose corners lie in both steps' directions
+    from their center, 10 and 11 (grid squares (1, 2)-(2, 3) and
+    (2, 2)-(3, 3)), miss their centers: two corners of each lie an arc of
+    pi + a_4 - b_0 apart."""
+    m, _ = grid(5, 5)
+
+    def steps(angles, k):
+        # the e^{i angle} of the steps from 0 to k, signed
+        if k >= 0:
+            return sum(cmath.exp(1j * angles(t)) for t in range(k))
+        return -sum(cmath.exp(1j * angles(t)) for t in range(k, 0))
+
+    a = lambda p: 0.9 if p == 4 else 0.0
+    b = lambda q: 0.6 if q == 0 else math.pi / 2
+    coords = [steps(a, i + j) + steps(b, j - i) for i, j in m.vertex_keys]
+    return PlanarMap(m.sigma, m.outer_dart, coords=coords,
+                     vertex_keys=m.vertex_keys, edge_keys=m.edge_keys)
 
 
 class Pipeline(co.Chain):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import isingtree
-from conftest import off_center_triangle
+from conftest import folded_grid, off_center_triangle
 from isingtree import correspondence as co
 from isingtree.cli import EXPORT_TARGETS, _skipped_text, main
 from isingtree.generators import cycle
@@ -37,9 +37,18 @@ def test_verify_an_off_center_face_is_one_error_line(tmp_path, capsys):
     assert main(["verify", "--input", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
     # it names the face and the cause, not only the symptom
-    assert err.startswith("error: face 1 does not contain its circumcenter")
+    assert err == "error: face 1 does not contain its circumcenter\n"
+
+
+def test_verify_an_off_center_face_inside_the_graph_is_one_error_line(
+        tmp_path, capsys):
+    path = tmp_path / "folded.json"
+    path.write_text(dumps_map(folded_grid()))
+    assert main(["verify", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: face 10 does not contain its circumcenter\n"
 
 
 def test_generate_rejects_degenerate_cycle(capsys):

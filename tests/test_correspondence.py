@@ -587,7 +587,7 @@ def plain_tree_pair_sum(ext, tw, s_key):
         nbrs[u].append(v)
         nbrs[v].append(u)
         dkey = ("dual" if key[0] == "e" else "rim", key[1])
-        a, b = S.endpoints(S.edge_id(dkey))
+        a, b = S.endpoints(S.edge_keys.index(dkey))
         ka, kb = S.vertex_key(a), S.vertex_key(b)
         # stepping a -> b away from s adds the arc b -> a towards s
         dual[a].append((e, b, dkey, tw.arc(dkey, kb, ka)))

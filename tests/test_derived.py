@@ -138,7 +138,7 @@ def reference_quadri_tiling(m):
         tags[("w", d)] = "white"
     d0 = min(m.outer_orbit)
     q = map_from_rotations(rotations, (("b", d0), ("ex", d0)), tags=tags)
-    e = q.edge_id(("ex", d0))
+    e = q.edge_keys.index(("ex", d0))
     sides = [f for f in (q.face_of[2 * e], q.face_of[2 * e + 1])
              if ("cp", d0) not in {q.edge_key(x >> 1) for x in q.faces[f]}]
     assert len(sides) == 1
@@ -245,7 +245,7 @@ def reference_rhombic(w, h, beta):
     coords = {(i, j): complex(i * dx, j * dy)
               for j in range(h) for i in range(w)}
     m = build_map(rotations, ((0, 0), index[("v", 0, 0)]), coords=coords)
-    return m, {m.edge_id(k): v for k, v in enumerate(edge_frac)}
+    return m, {m.edge_keys.index(k): v for k, v in enumerate(edge_frac)}
 
 
 def reference_grid(w, h):

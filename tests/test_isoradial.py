@@ -22,7 +22,7 @@ from isingtree.maps import PlanarMap, build_map
 def test_c3_angles_and_couplings(c3):
     assert c3.iso.theta == pytest.approx((math.pi / 6,) * 3)
     assert c3.iso.theta_exact == (Fraction(1, 6),) * 3
-    assert c3.iso.regular
+    assert list(c3.iso.centers.values()) == pytest.approx([0j])
     assert critical_couplings(c3.iso) == pytest.approx((math.log(3) / 4,) * 3)
 
 
@@ -33,21 +33,32 @@ def test_c4_angles_and_couplings(c4):
 
 
 def test_off_center_face_is_not_regular():
-    m = off_center_triangle()
-    assert validate_isoradial(m).regular is False
-    # the reflected phantom centers then disagree with the closure
-    with pytest.raises(NotIsoradialError):
-        verify_main_theorem(m)
+    with pytest.raises(NotIsoradialError) as info:
+        validate_isoradial(off_center_triangle())
+    assert str(info.value) == "face 1 does not contain its circumcenter"
 
 
 def test_a_boundary_angle_failure_names_the_off_center_face():
-    iso = validate_isoradial(off_center_triangle())
-    inner = [f for f in range(len(iso.map.faces)) if f != iso.map.outer_face]
+    # validation stops the chain before any boundary angle is taken
     with pytest.raises(NotIsoradialError) as info:
-        boundary_angles(iso)
+        verify_main_theorem(off_center_triangle())
+    assert str(info.value) == "face 1 does not contain its circumcenter"
+
+
+def test_a_closure_that_leaves_no_room_names_the_vertex(c4):
+    # two right half-angles at each corner of the square fill pi
+    with pytest.raises(AngleOutOfRangeError) as info:
+        boundary_angles(c4.iso._replace(theta=(math.pi / 2,) * 4))
     assert str(info.value) == (
-        "face %d does not contain its circumcenter, so closure and "
-        "reflected-center boundary angles disagree by 2.14" % inner[0])
+        "boundary vertex 0 leaves no room for a boundary angle")
+
+
+def test_a_closure_off_the_reflected_centers_is_not_isoradial(c4):
+    theta = (math.pi / 4 + 0.01,) + c4.iso.theta[1:]
+    with pytest.raises(NotIsoradialError) as info:
+        boundary_angles(c4.iso._replace(theta=theta))
+    assert str(info.value) == (
+        "closure and reflected-center boundary angles disagree by 0.01")
 
 
 def ray_cast_inside(pt, poly):
@@ -67,6 +78,7 @@ def test_regular_matches_a_ray_cast_on_random_inscribed_cycles():
     # the center outside the face
     rng = random.Random(27)
     seen = {True: 0, False: 0}
+    off_center = "face %d does not contain its circumcenter"
     for _ in range(2500):
         n = rng.randint(3, 8)
         span = rng.choice((rng.uniform(0.5, math.pi), 2 * math.pi))
@@ -79,11 +91,16 @@ def test_regular_matches_a_ray_cast_on_random_inscribed_cycles():
         # the rotations of `cycle`: vertex k between edges k - 1 and k
         m = build_map({k: [(k - 1) % n, k] for k in range(n)}, (0, n - 1),
                       coords=dict(enumerate(pts)))
-        iso = validate_isoradial(m)
-        (c,) = iso.centers.values()
-        assert abs(c - center) < 1e-9
-        assert iso.regular == ray_cast_inside(c, pts)
-        seen[iso.regular] += 1
+        try:
+            (c,) = validate_isoradial(m).centers.values()
+        except NotIsoradialError as exc:
+            assert str(exc) == off_center % (1 - m.outer_face)
+            inside = False
+        else:
+            assert abs(c - center) < 1e-9
+            inside = True
+        assert inside == ray_cast_inside(center, pts)
+        seen[inside] += 1
     assert min(seen.values()) > 500 and sum(seen.values()) >= 2000, seen
 
 

@@ -28,7 +28,7 @@ RECORDS = {
                   "s_inside"),
     TreePair: ("primal_arcs", "dual_arcs"),
     ExtendedPair: ("primal", "dual"),
-    IsoradialData: ("map", "theta", "theta_exact", "centers", "regular"),
+    IsoradialData: ("map", "theta", "theta_exact", "centers"),
     BoundaryAngles: ("theta", "exact", "max_mismatch"),
     TauWeights: ("primal", "spoke", "rim_cw"),
     FlatnessReport: ("curvatures", "max_deviation", "flat"),
