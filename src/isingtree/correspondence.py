@@ -190,8 +190,8 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     vertex, in breadth-first order from the root, keeps one out-arc, tried
     in primal edge order, and the product of the primal arc weights rides
     on the search stack.  The search gives each spoke its own sink, so a
-    vertex's chosen arc is named by its head, and the live list of arc ids
-    is the tree's head array.
+    vertex's chosen arc is named by its head, and the list of arc ids the
+    search fills in is the tree's head array.
 
     The dual complement T* is not walked.  Its ('dual', e) arcs weigh 1,
     and its rim arcs follow from T by planar duality (the fundamental cycle
@@ -250,7 +250,8 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
                       for g in range(k)]))
 
     def terms():
-        for heads, w in _osts(out, range(n)):
+        heads = [0] * n   # each tree's head array, filled in by the search
+        for w in _osts(out, range(n), heads):
             for v, factor in rims:
                 h = heads[v]
                 while h < n:

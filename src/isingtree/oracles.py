@@ -12,8 +12,11 @@ oriented spanning trees (``correspondence.tree_pair_sum`` also runs it, on
 the extended primal); it backtracks on an explicit stack over integer
 adjacency lists and carries the weight products on its stack: a frame
 multiplies its arc's weight into the product of the frames below it, so a
-sum adds each configuration for one multiplication.  Both tree sums,
-`ost_Z` and ``correspondence.tree_pair_sum``, add their terms by one rule,
+sum adds each configuration for one multiplication.  The last node is
+searched in place, each of its arcs that closes no cycle completing one
+tree, and the search yields only each tree's product, leaving its arcs in
+a list the caller passes in.  Both tree sums, `ost_Z` and
+``correspondence.tree_pair_sum``, add their terms by one rule,
 :func:`_rounded_sum`: the sum is rounded once, so it does not depend on the
 order in which the search finds the trees.  `dimer_Z` makes a matching
 search's choices (the first unmatched vertex, along each free edge in edge
@@ -35,7 +38,7 @@ import heapq
 import math
 from functools import reduce
 from itertools import islice
-from operator import add, itemgetter
+from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .maps import PlanarMap
@@ -60,14 +63,14 @@ def ising_Z(m: PlanarMap, J: Sequence[float]) -> float:
     n = m.n_vertices
     if 2 ** n > STATE_CAP:
         raise TooLargeError("2^%d spin configurations exceed the cap" % n)
-    edges = [(*m.endpoints(e), J[e]) for e in range(m.n_edges)]
+    # per edge its ends and the values of J_e s_u s_v, spins equal and
+    # spins opposite: the same floats as the products, added in edge order
+    edges = [(*m.endpoints(e), (J[e], -J[e])) for e in range(m.n_edges)]
     total = 0.0
     for bits in range(2 ** n):
         energy = 0.0
-        for u, v, j in edges:
-            su = -1 if (bits >> u) & 1 else 1
-            sv = -1 if (bits >> v) & 1 else 1
-            energy += j * su * sv
+        for u, v, js in edges:
+            energy += js[(bits >> u ^ bits >> v) & 1]
         total += math.exp(energy)
     return total
 
@@ -264,52 +267,74 @@ class WeightedDigraph(NamedTuple):
     arcs: tuple[Arc, ...]
 
 
-def _osts(out: Sequence[Sequence[tuple]],
-          order: Sequence[int]) -> Iterator[tuple[list, complex]]:
+def _osts(out: Sequence[Sequence[tuple]], order: Sequence[int],
+          chosen: list[int]) -> Iterator[complex]:
     """Backtracking over the spanning trees oriented towards the nodes of
     ``range(len(out))`` that `order` leaves out (one root, or several that
     stand for one): each node of `order`, in turn, keeps one out-arc (arc
-    id, head, weight) of ``out[node]`` that closes no cycle.  Yields the
-    live list of arc ids, one per depth, with the product of their weights
-    in depth order; each partial state costs one unit of the state cap."""
+    id, head, weight) of ``out[node]`` that closes no cycle.  Yields each
+    tree's product of weights, multiplied in depth order, and leaves the
+    tree's arc ids, one per depth, in `chosen` (a list of ``len(order)``
+    items the caller passes in and reads at each yield).  The last node of
+    `order` is searched in place: once every other node has its arc, each
+    of its out-arcs that closes no cycle completes one tree.  Each partial
+    state, the empty start included, costs one unit of the state cap."""
     budget = STATE_CAP - 1
     if budget < 0:
         raise TooLargeError("tree enumeration exceeded the state cap")
     depth = len(order)
     if depth == 0:
-        yield [], 1.0 + 0j
+        yield 1.0 + 0j
         return
+    stop = depth - 1
+    last, tail = order[stop], out[order[stop]]
     head = [-1] * len(out)       # head of a node's chosen arc, -1 if none
-    chosen = [0] * depth         # arc id per depth
-    prods = [1.0 + 0j] * depth   # prods[i]: product of chosen[:i]
-    # per depth, an iterator over the out-arcs still to try
-    todo = [iter(out[order[0]])] + [None] * (depth - 1)
+    prods = [1.0 + 0j] * stop    # prods[i]: product of chosen[:i]
+    # per depth but the last, an iterator over the out-arcs still to try
+    todo = [iter(out[order[0]])] + [None] * (stop - 1)
     i = 0
+    p = 1.0 + 0j   # the product of the arcs chosen before the last node's
     while i >= 0:
-        u = order[i]
-        head[u] = -1
-        for ai, h0, x in todo[i]:
-            # the arcs chosen before u's form no cycle, so a cycle closed
-            # by u's arc is the only kind the walk from its head can find
+        if i < stop:
+            u = order[i]
+            head[u] = -1
+            for ai, h0, x in todo[i]:
+                # the arcs chosen before u's form no cycle and u has no head
+                # yet, so the walk from the arc's head ends at u only if the
+                # arc closes a cycle
+                h = h0
+                while head[h] >= 0:
+                    h = head[h]
+                if h != u:
+                    break
+            else:
+                i -= 1
+                continue
+            head[u] = h0
+            chosen[i] = ai
+            budget -= 1
+            if budget < 0:
+                raise TooLargeError("tree enumeration exceeded the state cap")
+            if i + 1 < stop:
+                i += 1
+                prods[i] = prods[i - 1] * x
+                todo[i] = iter(out[order[i]])
+                continue
+            p = prods[i] * x
+        else:
+            i = -1   # the last node is the only one: one pass, then done
+        # every other node has its arc: the last node is searched in place
+        for ai, h0, x in tail:
             h = h0
-            while h != u and head[h] >= 0:
+            while head[h] >= 0:
                 h = head[h]
-            if h != u:
-                break
-        else:
-            i -= 1
-            continue
-        head[u] = h0
-        chosen[i] = ai
-        budget -= 1
-        if budget < 0:
-            raise TooLargeError("tree enumeration exceeded the state cap")
-        if i + 1 == depth:
-            yield chosen, prods[i] * x
-        else:
-            i += 1
-            prods[i] = prods[i - 1] * x
-            todo[i] = iter(out[order[i]])
+            if h != last:
+                budget -= 1
+                if budget < 0:
+                    raise TooLargeError(
+                        "tree enumeration exceeded the state cap")
+                chosen[stop] = ai
+                yield p * x
 
 
 # _rounded_sum adds its terms in blocks of this many
@@ -358,12 +383,12 @@ def _rounded_sum(terms: Iterable[complex]) -> tuple[complex, int]:
 
 
 def _ost_args(g: WeightedDigraph, root: Hashable) -> tuple[list, list]:
-    """`_osts` arguments for `g`: out-arcs by node index, and the non-root
-    node indices fewest out-arcs first, ties in node order (a stable sort).
-    Nodes with few choices taken first keep the upper levels of the search
-    narrow: on the corner graphs of C3-C6 and grid 2x3 the search visits
-    9-23 % fewer partial states than in node order, and finds the same
-    trees."""
+    """The graph arguments of `_osts` for `g`: out-arcs by node index, and
+    the non-root node indices fewest out-arcs first, ties in node order (a
+    stable sort).  Nodes with few choices taken first keep the upper levels
+    of the search narrow: on the corner graphs of C3-C6 and grid 2x3 the
+    search visits 9-23 % fewer partial states than in node order, and finds
+    the same trees."""
     idx = {v: i for i, v in enumerate(g.nodes)}
     out: list[list[tuple]] = [[] for _ in g.nodes]
     for ai, a in enumerate(g.arcs):
@@ -374,10 +399,12 @@ def _ost_args(g: WeightedDigraph, root: Hashable) -> tuple[list, list]:
 
 def ost_Z(g: WeightedDigraph, root: Hashable) -> complex:
     """Partition function of oriented spanning trees rooted at `root`,
-    by exhaustive enumeration: the trees `_osts` finds in the order of
-    `_ost_args`, each weight product multiplied in that order, added by `_rounded_sum`, so the
-    sum does not depend on the order in which the trees are found."""
-    return _rounded_sum(map(itemgetter(1), _osts(*_ost_args(g, root))))[0]
+    by exhaustive enumeration: the tree products `_osts` yields in the
+    order of `_ost_args`, each multiplied in that order, go straight to
+    `_rounded_sum`, so the sum does not depend on the order in which the
+    trees are found."""
+    out, order = _ost_args(g, root)
+    return _rounded_sum(_osts(out, order, [0] * len(order)))[0]
 
 
 def count_osts(g: WeightedDigraph, root: Hashable) -> int | float:
@@ -442,16 +469,20 @@ def complex_det(rows: Sequence[Mapping[int, complex]]) -> complex:
     for i, row in enumerate(a):
         for j in row:
             col_rows[j].add(i)
-    # lazy min-heap of (entries, column); stale items are skipped on pop
-    heap = [(len(s), j) for j, s in enumerate(col_rows)]
+    # lazy min-heap of entries << shift | column, which pops in the order of
+    # the pairs (entries, column); stale items are skipped on pop
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
+    heap = [len(s) << shift | j for j, s in enumerate(col_rows)]
     heapq.heapify(heap)
     done = [False] * n
     col_of_row = [0] * n
     det = 1.0 + 0j
     for _ in range(n):
         while True:
-            cnt, c = heapq.heappop(heap)
-            if not done[c] and cnt == len(col_rows[c]):
+            key = heapq.heappop(heap)
+            c = key & mask
+            if not done[c] and key >> shift == len(col_rows[c]):
                 break
         done[c] = True
         cand = col_rows[c]
@@ -487,7 +518,7 @@ def complex_det(rows: Sequence[Mapping[int, complex]]) -> complex:
                 else:
                     row[j] = y - f * x
         for j in prow:
-            heapq.heappush(heap, (len(col_rows[j]), j))
+            heapq.heappush(heap, len(col_rows[j]) << shift | j)
     # sign of the permutation row -> pivot column, one transposition at a time
     for i in range(n):
         while col_of_row[i] != i:

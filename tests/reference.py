@@ -3,7 +3,8 @@
 Configurations one at a time, where the package only sums them: every
 perfect matching (`enumerate_matchings`, the search `oracles.dimer_Z`
 merges by matched set), every oriented spanning tree (`enumerate_osts`, the
-search `oracles.ost_Z` sums), and a cofactor-expansion determinant
+search `oracles.ost_Z` sums), the exactly rounded sum of their weight
+products (`exact_sum`), and a cofactor-expansion determinant
 (`det_cofactor`) beside the sparse LU kernel.  Each search reads
 `oracles.STATE_CAP` when it starts, so ``monkeypatch.setattr(oracles,
 "STATE_CAP", n)`` caps it as it caps the package's own searches.
@@ -11,6 +12,7 @@ search `oracles.ost_Z` sums), and a cofactor-expansion determinant
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 from typing import Hashable, Iterator, Sequence
 
@@ -86,8 +88,27 @@ def enumerate_osts(g: WeightedDigraph, root: Hashable) -> Iterator[tuple[int, ..
 
     Backtracking on an explicit stack, one depth per non-root node; each
     partial state costs one unit of the state cap."""
-    for chosen, _ in _osts(*_ost_args(g, root)):
+    out, order = _ost_args(g, root)
+    chosen = [0] * len(order)
+    for _ in _osts(out, order, chosen):
         yield tuple(chosen)
+
+
+def products(configurations, w) -> Iterator[complex]:
+    """Per configuration, the product of its weights ``w[x]``, multiplied
+    out in the order the configuration is yielded."""
+    for conf in configurations:
+        p = 1.0 + 0j
+        for x in conf:
+            p *= w[x]
+        yield p
+
+
+def exact_sum(configurations, w) -> complex:
+    """The products added by `math.fsum`, real and imaginary parts apart:
+    each product rounded, the sum rounded once."""
+    ps = list(products(configurations, w))
+    return complex(math.fsum(p.real for p in ps), math.fsum(p.imag for p in ps))
 
 
 def det_cofactor(rows: Sequence[Sequence[complex]]) -> complex:

@@ -21,7 +21,7 @@ from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                count_osts, dimer_Z, matrix_tree_Z, ost_Z)
 
 from conftest import bowtie
-from reference import enumerate_matchings, enumerate_osts
+from reference import enumerate_matchings, enumerate_osts, exact_sum
 
 SMALL = ("C3", "C4")
 OST_COUNTS = {"C3": (73, 248), "C4": (407, 1904)}
@@ -487,23 +487,6 @@ def tau_primal_digraph(ext, tw):
         a, b = (P.vertex_key(v) for v in P.endpoints(e))
         arcs += [Arc(a, b, tw.arc(key, a, b)), Arc(b, a, tw.arc(key, b, a))]
     return WeightedDigraph(P.vertex_keys, tuple(arcs))
-
-
-def products(configurations, w):
-    """Per configuration, the product of its weights, multiplied out in the
-    order the configuration is yielded."""
-    for conf in configurations:
-        p = 1.0 + 0j
-        for x in conf:
-            p *= w[x]
-        yield p
-
-
-def exact_sum(configurations, w):
-    """The products added by `math.fsum`, real and imaginary parts apart:
-    each product rounded, the sum rounded once."""
-    ps = list(products(configurations, w))
-    return complex(math.fsum(p.real for p in ps), math.fsum(p.imag for p in ps))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))

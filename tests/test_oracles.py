@@ -22,7 +22,8 @@ from isingtree.oracles import (Arc, TooLargeError, WeightedDigraph,
                                kasteleyn_signs, laplacian, matrix_tree_Z,
                                ost_Z, signed_dimer_Z)
 
-from reference import det_cofactor, enumerate_matchings, enumerate_osts
+from reference import (det_cofactor, enumerate_matchings, enumerate_osts,
+                       exact_sum, products)
 
 
 def test_triangle_ising_closed_form():
@@ -114,6 +115,91 @@ def test_oriented_tree_enumeration_by_hand():
     # the (1->2, 2->1) choice is a cycle and must be rejected
     assert trees == [(0, 2), (0, 3), (1, 2)]
     assert ost_Z(g, 0) == pytest.approx(2 * 3 + 2 * 7 + 5 * 3)
+
+
+def test_a_single_non_root_node_keeps_each_arc_that_leaves_it():
+    # one depth: the search's first node is its last; a loop closes a cycle,
+    # the root's own arc is never chosen
+    arcs = (Arc(1, 0, 2.0), Arc(1, 1, 5.0), Arc(0, 1, 7.0), Arc(1, 0, 3j))
+    g = WeightedDigraph(nodes=(0, 1), arcs=arcs)
+    assert list(enumerate_osts(g, 0)) == [(0,), (3,)]
+    assert list(enumerate_osts(g, 1)) == [(2,)]
+    assert repr(ost_Z(g, 0)) == repr((1.0 + 0j) * 2.0 + (1.0 + 0j) * 3j)
+    out, order = oracles._ost_args(g, 0)
+    chosen = [0]
+    assert [(p, chosen[0]) for p in oracles._osts(out, order, chosen)] == [
+        (2.0, 0), (3j, 3)]
+
+
+def test_a_single_non_root_node_with_only_a_loop_has_no_tree():
+    g = WeightedDigraph(nodes=(0, 1), arcs=(Arc(1, 1, 5.0), Arc(0, 1, 7.0)))
+    assert list(enumerate_osts(g, 0)) == []
+    assert ost_Z(g, 0) == 0j == matrix_tree_Z(g, 0)
+
+
+def test_the_root_alone_has_the_empty_tree():
+    g = WeightedDigraph(nodes=("r",), arcs=(Arc("r", "r", 5.0),))
+    assert list(enumerate_osts(g, "r")) == [()]
+    assert ost_Z(g, "r") == 1.0 == matrix_tree_Z(g, "r")
+
+
+def trees_before_the_cap(g, root):
+    """The trees `enumerate_osts` yields before it stops, and whether the
+    state cap stopped it."""
+    trees = []
+    try:
+        for t in enumerate_osts(g, root):
+            trees.append(t)
+    except TooLargeError:
+        return trees, True
+    return trees, False
+
+
+@pytest.mark.parametrize("cap,n_trees", [(0, 0), (1, 0), (2, 0), (3, 1),
+                                         (4, 2), (5, 2)])
+def test_a_cap_that_runs_out_among_the_last_nodes_arcs(cap, n_trees,
+                                                       monkeypatch):
+    # node 1 is searched first, node 2 last; after the empty start, the
+    # partial states in order: 1->0, then the trees (1->0, 2->0) and
+    # (1->0, 2->1), then 1->2, then the tree (1->2, 2->0) (2->1 closes a
+    # cycle).  Each costs one unit, the start too, so a cap c stops the
+    # search at its c-th state after the start; three of the five states
+    # are the last node's
+    g = three_node_digraph()
+    monkeypatch.setattr(oracles, "STATE_CAP", cap)
+    trees, capped = trees_before_the_cap(g, 0)
+    assert capped and trees == [(0, 2), (0, 3), (1, 2)][:n_trees]
+    with pytest.raises(TooLargeError, match="tree enumeration"):
+        ost_Z(g, 0)
+    monkeypatch.setattr(oracles, "STATE_CAP", 6)
+    assert trees_before_the_cap(g, 0) == ([(0, 2), (0, 3), (1, 2)], False)
+
+
+WEIGHT = st.complex_numbers(max_magnitude=3, allow_nan=False,
+                            allow_infinity=False)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """2-6 nodes with random out-arcs, loops and parallel arcs among them,
+    so nodes without arcs, and nodes whose every arc closes a cycle, come
+    up as well as nodes with several choices."""
+    n = draw(st.integers(2, 6))
+    ends = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.builds(Arc, ends, ends, WEIGHT), max_size=4 * n))
+    return WeightedDigraph(tuple(range(n)), tuple(arcs)), draw(ends)
+
+
+@given(weighted_digraphs())
+def test_ost_sum_is_the_rounded_sum_of_the_enumerated_trees(graph):
+    # each tree's weights multiplied in the order the search keeps them,
+    # every product added and rounded once; and the matrix-tree determinant
+    g, root = graph
+    w = [a.weight for a in g.arcs]
+    z = ost_Z(g, root)
+    assert z == exact_sum(enumerate_osts(g, root), w)
+    scale = max(1.0, sum(map(abs, products(enumerate_osts(g, root), w))))
+    assert abs(matrix_tree_Z(g, root) - z) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])
