@@ -267,7 +267,7 @@ def matching_to_trees(dd: PlanarMap, m: PlanarMap, matching: frozenset,
     for k in matching:
         for vid in ends[k]:
             if dd.tags[vid] == "white":
-                match_at[dd.vertex_key(vid)] = k
+                match_at[dd.vertex_keys[vid]] = k
 
     options = [b if match_at[white] in a else a
                for white, (a, b) in _white_rules(m)]
@@ -387,7 +387,7 @@ def _strictly_inside(dd: PlanarMap, cycle_keys: frozenset) -> set[int]:
     while stack:
         f = stack.pop()
         for d in dd.faces[f]:
-            if dd.edge_key(d >> 1) in cycle_keys:
+            if dd.edge_keys[d >> 1] in cycle_keys:
                 continue
             g = dd.face_of[d ^ 1]
             if g not in reached:

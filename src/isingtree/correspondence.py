@@ -174,7 +174,7 @@ def _outer_spokes(ext: ExtendedPair, s_key: tuple) -> tuple[list, int]:
     P = ext.primal
     darts = P.vertices[P.vertex_id(ROOT)]
     try:
-        return darts, [("u", P.edge_key(d >> 1)[1])
+        return darts, [("u", P.edge_keys[d >> 1][1])
                        for d in darts].index(s_key)
     except ValueError:
         raise ValueError("s must be an outer-orbit dart") from None
@@ -214,7 +214,7 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     inc: list[list[tuple]] = [[] for _ in range(P.n_vertices)]
     for e, key in enumerate(P.edge_keys):
         u, v = P.endpoints(e)
-        ku, kv = P.vertex_key(u), P.vertex_key(v)
+        ku, kv = P.vertex_keys[u], P.vertex_keys[v]
         inc[u].append((v, key, tw.arc(key, ku, kv)))
         inc[v].append((u, key, tw.arc(key, kv, ku)))
     order = [root]
@@ -231,7 +231,7 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
     node = [0] * P.n_vertices
     for i, v in enumerate(order[1:]):
         node[v] = i
-    b = [P.edge_key(d >> 1)[1] for d in darts]
+    b = [P.edge_keys[d >> 1][1] for d in darts]
     sink = {("bd", x): n + i for i, x in enumerate(b)}
     out: list[list[tuple]] = [[] for _ in range(n + k)]
     for u in order[1:]:
@@ -281,7 +281,7 @@ def tree_pair_det(ext: ExtendedPair, tw: TauWeights, s_key: tuple) -> complex:
     arcs = []
     for e, key in enumerate(S.edge_keys):
         cross = w[("e" if key[0] == "dual" else "bd", key[1])]
-        a, b = (S.vertex_key(v) for v in S.endpoints(e))
+        a, b = (S.vertex_keys[v] for v in S.endpoints(e))
         arcs.append(Arc(a, b, tw.arc(key, a, b) / cross))
         arcs.append(Arc(b, a, tw.arc(key, b, a) / cross))
     return math.prod(w.values()) * matrix_tree_Z(

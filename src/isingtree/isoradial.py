@@ -224,8 +224,6 @@ def dimer_weights(J: tuple[float, ...], gq: PlanarMap) -> dict:
     tanh(2 J_e), external edges weigh 1.  At the critical couplings these
     are cos theta_e and sin theta_e.
     """
-    if gq.edge_keys is None:
-        raise ValueError("quadri-tiling map without edge keys")
     out = {}
     for key in gq.edge_keys:
         kind, d = key
@@ -253,20 +251,20 @@ class TauWeights(NamedTuple):
     spoke: Mapping[tuple, float]
     rim_cw: Mapping[tuple, complex]
 
-    def arc(self, edge_key: tuple, tail_key: tuple, head_key: tuple) -> complex:
-        kind = edge_key[0]
+    def arc(self, key: tuple, tail_key: tuple, head_key: tuple) -> complex:
+        kind = key[0]
         if kind == "e":
-            return self.primal[edge_key]
+            return self.primal[key]
         if kind == "bd":
-            return self.spoke[edge_key] if head_key == ("r",) else 0.0
+            return self.spoke[key] if head_key == ("r",) else 0.0
         if kind == "dual":
             return 1.0
         if kind == "rim":
-            delta = edge_key[1]
+            delta = key[1]
             if head_key == ("u", delta):
-                return self.rim_cw[edge_key]
-            return self.rim_cw[edge_key].conjugate()
-        raise ValueError("unexpected extended-pair edge %r" % (edge_key,))
+                return self.rim_cw[key]
+            return self.rim_cw[key].conjugate()
+        raise ValueError("unexpected extended-pair edge %r" % (key,))
 
 
 def tree_weights_tau(iso: IsoradialData, bnd: BoundaryAngles) -> TauWeights:

@@ -30,8 +30,6 @@ from .isoradial import BoundaryAngles, IsoradialData
 from .maps import PlanarMap
 from .oracles import complex_det
 
-EPS_NUM = 1e-9
-
 
 def assign_phases(gq: PlanarMap, iso: IsoradialData,
                   bnd: BoundaryAngles) -> dict:
@@ -58,8 +56,7 @@ def assign_phases(gq: PlanarMap, iso: IsoradialData,
 
 class FlatnessReport(NamedTuple):
     curvatures: tuple[complex, ...]     # by face id
-    max_deviation: float
-    flat: bool
+    max_deviation: float                # max |curvature - 1|
 
 
 def check_flat(gq: PlanarMap, phases: Mapping) -> FlatnessReport:
@@ -69,8 +66,9 @@ def check_flat(gq: PlanarMap, phases: Mapping) -> FlatnessReport:
     w1 b1 w2 b2 ... wk bk the curvature is
     (-1)^(k-1) * prod e^{i phi(w_j b_j)} / prod e^{i phi(w_{j+1} b_j)},
     i.e. numerator over white->black steps, denominator over black->white
-    steps of the clockwise walk.  A flat phasing has curvature 1 everywhere
-    (up to EPS_NUM).  Each e^{i phi} is computed once per edge (see
+    steps of the clockwise walk.  A flat phasing has curvature 1 everywhere,
+    so ``max_deviation`` is zero up to rounding; the caller judges it at its
+    own tolerance.  Each e^{i phi} is computed once per edge (see
     `_unit_phases`).  ``gq`` is a `quadri_tiling` map (whites: odd darts).
     """
     return _flatness(gq, _unit_phases(gq, phases))
@@ -97,9 +95,8 @@ def _flatness(gq: PlanarMap, unit: list[complex]) -> FlatnessReport:
                 den *= unit[d >> 1]
             nxt = d
         curv.append((-1) ** (len(orb) // 2 - 1) * num / den)
-    dev = max(abs(c - 1.0) for c in curv)
-    return FlatnessReport(curvatures=tuple(curv), max_deviation=dev,
-                          flat=dev <= EPS_NUM)
+    return FlatnessReport(curvatures=tuple(curv),
+                          max_deviation=max(abs(c - 1.0) for c in curv))
 
 
 class KasteleynMatrix(NamedTuple):
@@ -131,20 +128,13 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     entry: ``('cp', d)`` is (w(d), b(d)), ``('cd', d)`` is (w(d), b(alpha d))
     and ``('ex', d)`` is (w(sigma d), b(d)).
 
-    The phasing's flatness is checked as `check_flat` does and kept as
-    ``K.flatness``.  If the supplied (or default) phasing is not flat a
-    warning is printed and the matrix is still returned; |det K| then need
-    not equal the dimer sum.
+    The phasing's flatness is measured as `check_flat` does and kept as
+    ``K.flatness``; it is not judged here.  |det K| equals the dimer sum
+    only for a flat phasing, as the default `assign_phases` is.
     """
     if phases is None:
         phases = assign_phases(gq, iso, bnd)
     unit = _unit_phases(gq, phases)
-    flat = _flatness(gq, unit)
-    if not flat.flat:
-        import warnings
-        warnings.warn("phasing is not flat (max deviation %.3g); "
-                      "|det K| need not equal the dimer partition function"
-                      % flat.max_deviation)
     sigma, theta = iso.map.sigma, iso.theta
     rows: list[dict[int, complex]] = [{} for _ in sigma]
     for e, (kind, d) in enumerate(gq.edge_keys):
@@ -158,5 +148,5 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
         r[j] = r.get(j, 0j) + mod * unit[e]
     # quadri_tiling numbers the edges black by black in key order, so the
     # keys of every row arrive in ascending column order
-    return KasteleynMatrix(rows=tuple(rows), flatness=flat)
+    return KasteleynMatrix(rows=tuple(rows), flatness=_flatness(gq, unit))
 

@@ -23,6 +23,7 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 
@@ -57,12 +58,15 @@ class PlanarMap:
     call.  Derived constructions (duals, quadri-tilings, doubles) legitimately
     produce multigraphs or degree-1 vertices and therefore skip that check.
 
-    Optional decorations:
+    Decorations:
 
     * ``coords``: one complex number per vertex (an embedding), or None.
-    * ``tags``: one string per vertex (vertex class of derived graphs).
+    * ``tags``: one string per vertex (vertex class of derived graphs), or
+      None per vertex when not given.
     * ``vertex_keys`` / ``edge_keys``: the caller's labels, kept so derived
-      graphs can be queried by provenance instead of by raw index.
+      graphs can be queried by provenance instead of by raw index.  Labels
+      are always present, a ``range`` when not given, so vertex v's label
+      is ``vertex_keys[v]`` on every map.
 
     The permutations and orbits are plain tuples, read by index (the edge
     of dart d is ``d >> 1``): ``phi[d]`` is the next dart along the face
@@ -75,7 +79,8 @@ class PlanarMap:
     numbering every dart's orbit during the walk; phi itself is sigma^{-1}
     read with its even and odd darts swapped.  Attributes are always set in
     the same order, so every map shares one instance layout (CPython 3.11
-    reads attributes faster then).
+    reads attributes faster then), except a map whose ``key_ends`` was
+    read: that adds its cached table to the instance.
     """
 
     def __init__(self, sigma: Sequence[int], outer_dart: int | None,
@@ -111,13 +116,12 @@ class PlanarMap:
         self.n_faces = len(self.faces)
         self.n_vertices = len(self.vertices)
         self.coords = tuple(coords) if coords is not None else None
-        self.tags = tuple(tags) if tags is not None else None
-        self.vertex_keys = tuple(vertex_keys) if vertex_keys is not None else None
-        self.edge_keys = tuple(edge_keys) if edge_keys is not None else None
-        # filled by key_ends; set here so that filling it changes no key
-        # of the instance dict (a new key costs CPython 3.11 its fast
-        # attribute reads on this map)
-        self._key_ends: dict[Hashable, tuple[int, int]] | None = None
+        self.tags = (tuple(tags) if tags is not None
+                     else (None,) * self.n_vertices)
+        self.vertex_keys = (tuple(vertex_keys) if vertex_keys is not None
+                            else range(self.n_vertices))
+        self.edge_keys = (tuple(edge_keys) if edge_keys is not None
+                          else range(self.n_edges))
 
     # -- incidences --------------------------------------------------------
 
@@ -150,20 +154,11 @@ class PlanarMap:
     def vertex_id(self, key: Hashable) -> int:
         return self.vertex_keys.index(key)
 
-    def vertex_key(self, v: int) -> Hashable:
-        """The caller's label of vertex v; v itself without keys."""
-        return self.vertex_keys[v] if self.vertex_keys is not None else v
-
-    def edge_key(self, e: int) -> Hashable:
-        return self.edge_keys[e] if self.edge_keys is not None else e
-
-    @property
+    @cached_property
     def key_ends(self) -> dict[Hashable, tuple[int, int]]:
-        """Edge key -> endpoint vertex ids, built once; read-only."""
-        if self._key_ends is None:
-            self._key_ends = {self.edge_key(e): self.endpoints(e)
-                              for e in range(self.n_edges)}
-        return self._key_ends
+        """Edge key -> endpoint vertex ids, built on first read; read-only."""
+        ends = self.vertex_of
+        return dict(zip(self.edge_keys, zip(ends[0::2], ends[1::2])))
 
     # -- global checks -----------------------------------------------------
 

@@ -144,7 +144,7 @@ def dimer_Z(m: PlanarMap, weights: Mapping, skip_vertex: int | None = None) -> c
     budget = STATE_CAP - 1
     if budget < 0:
         raise TooLargeError("matching enumeration exceeded the state cap")
-    w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
+    w = [weights[key] for key in m.edge_keys]
     # sums[v]: matched set (bits below v all set, v clear) -> summed products
     sums: list[dict[int, complex]] = [{} for _ in range(n + 1)]
     sums[0][0] = 1.0 + 0j
@@ -233,7 +233,7 @@ def signed_dimer_Z(m: PlanarMap, weights: Mapping,
             i, j, s = rows[w], cols[b], sign[e]
             unit[i][j] = unit[i].get(j, 0j) + s
             weighted[i][j] = (weighted[i].get(j, 0j)
-                              + s * weights[m.edge_key(e)])
+                              + s * weights[m.edge_keys[e]])
     det1 = complex_det(unit).real
     if abs(det1) < 0.5:
         return 0j, 0

@@ -64,16 +64,11 @@ def map_to_json_dict(m: PlanarMap,
 def _vertex_rows(m: PlanarMap):
     """(id, x, y, tag) per vertex; x, y and tag are None when absent."""
     coords = m.coords
-    for v, tag in enumerate(_vertex_tags(m)):
+    for v, tag in enumerate(m.tags):
         if coords is not None:
             yield v, coords[v].real, coords[v].imag, tag
         else:
             yield v, None, None, tag
-
-
-def _vertex_tags(m: PlanarMap) -> tuple:
-    """Tag per vertex id; None when absent."""
-    return m.tags if m.tags is not None else (None,) * m.n_vertices
 
 
 def _angle_rows(m: PlanarMap, theta, theta_exact):
@@ -131,8 +126,6 @@ def map_from_json_dict(data: dict) -> tuple[PlanarMap,
     for v, tag in enumerate(tags):
         if not (tag is None or isinstance(tag, str)):
             raise MapError("vertex %d: tag must be null or a string" % v)
-    if all(tag is None for tag in tags):
-        tags = None
     m = PlanarMap(sigma, 0 if n else None, coords=coords, tags=tags)
 
     outer = data["outer_face"]
@@ -247,18 +240,18 @@ def map_to_dot(m: PlanarMap, name: str = "g") -> str:
     lines = ["graph %s {" % name, "  layout=neato;",
              "  node [fontsize=10, fixedsize=false];"]
     coords = m.coords
-    for v, tag in enumerate(_vertex_tags(m)):
+    for v, (key, tag) in enumerate(zip(m.vertex_keys, m.tags)):
         shape, fill, font = _TAG_STYLE.get(tag, ("circle", "white", "black"))
-        label = _label(m.vertex_key(v))
+        label = _label(key)
         if coords is not None:
             z = coords[v]
             lines.append(_DOT_PLACED % (v, label, shape, fill, font,
                                         z.real, z.imag))
         else:
             lines.append(_DOT_NODE % (v, label, shape, fill, font))
-    for e in range(m.n_edges):
+    for e, key in enumerate(m.edge_keys):
         u, v = m.endpoints(e)
-        lines.append('  v%d -- v%d [label="%s"];' % (u, v, _label(m.edge_key(e))))
+        lines.append('  v%d -- v%d [label="%s"];' % (u, v, _label(key)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -16,11 +16,13 @@ import pytest
 from isingtree import correspondence as co
 from isingtree.generators import cycle, grid
 from isingtree.isoradial import critical_couplings, dimer_weights
-from isingtree.kasteleyn import EPS_NUM
 from isingtree.maps import PlanarMap, build_map
 from isingtree.oracles import (Arc, WeightedDigraph, count_osts, dimer_Z,
                                ising_Z, kac_ward_Z2)
 from isingtree.report import Report, check
+
+# relative tolerance of the squared-Ising checks
+SQUARED_ISING_TOL = 1e-9
 
 CORPUS = {"C3": lambda: cycle(3), "C4": lambda: cycle(4),
           "grid": lambda: grid(3, 3)}
@@ -124,7 +126,7 @@ def squared_ising_report():
     vectors drawn from seed 11.  Per J it checks
     Z_Ising(J)^2 = 2^|V| prod_e cosh(2 J_e) * Z_dimer(G^Q, nu(J)), Z_Ising
     by full spin enumeration and Z_dimer by `dimer_Z`, and the Kac-Ward
-    value of Z_Ising^2 against the spin sum, both to EPS_NUM."""
+    value of Z_Ising^2 against the spin sum, both to SQUARED_ISING_TOL."""
     def report(p):
         rng = random.Random(11)
         trials = [("critical", critical_couplings(p.iso))]
@@ -139,8 +141,9 @@ def squared_ising_report():
             rhs = (2 ** p.m.n_vertices
                    * math.prod(math.cosh(2.0 * j) for j in J)
                    * dimer_Z(p.gq, dimer_weights(J, p.gq)))
-            rep.add(check("squared-ising[%s]" % label, zi2, rhs, EPS_NUM))
+            rep.add(check("squared-ising[%s]" % label, zi2, rhs,
+                          SQUARED_ISING_TOL))
             rep.add(check("ising-Z2[kac-ward-vs-spins, %s]" % label,
-                          kac_ward_Z2(p.m, J), zi2, EPS_NUM))
+                          kac_ward_Z2(p.m, J), zi2, SQUARED_ISING_TOL))
         return rep
     return report

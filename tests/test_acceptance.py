@@ -43,7 +43,7 @@ def line(num, ok, detail):
 
 def matchings_minus_s(p):
     s = p.dd.vertex_id(p.s_key)
-    return [frozenset(p.dd.edge_key(e) for e in mt)
+    return [frozenset(p.dd.edge_keys[e] for e in mt)
             for mt in enumerate_matchings(p.dd, skip_vertex=s)]
 
 
@@ -61,7 +61,7 @@ def test_criterion_01_squared_ising_partition_identity(pipelines,
     t0 = time.perf_counter()
     worst = 0.0
     for p in pipelines.values():
-        rep = squared_ising_report(p)   # 3 samples, EPS_NUM = TOL
+        rep = squared_ising_report(p)   # 3 samples, to 1e-9 = TOL
         assert len(rep.checks) == 8   # dimers and Kac-Ward per coupling
         worst = max(worst, max(c.err for c in rep.checks))
     elapsed = time.perf_counter() - t0

@@ -424,6 +424,68 @@ def test_export_dot_matches_golden_digest(generator, what, capsys):
             == DOT_DIGESTS[generator, what])
 
 
+# sha256 of `export <kind> --input <generate grid 3 3> --format <fmt>`,
+# recorded while a map read from JSON still had no labels: its vertices and
+# edges are labelled by id (the primal and dual DOT), and the maps derived
+# from it carry their own keys, so these equal the --generator digests but
+# for the primal DOT and the dual.
+INPUT_DIGESTS = {
+    ("primal", "json"):
+        "6426296d733a695284de3e72713ccda47a929301a936c51e625859d0eace6469",
+    ("primal", "dot"):
+        "75dd2c25b04b5d61580dd11ef7e881111bbd414fa5d2b34379fae7215ee81f56",
+    ("dual", "json"):
+        "64459e8bed392d859d566d096ed05cda47e9749cc4a7ac6344a9939e055b9385",
+    ("dual", "dot"):
+        "66c88bb5fe509ed2f2772f342ddf99b3fdefda0538a576ff847a4702a6364dd1",
+    ("quad", "json"):
+        "59a129d1c8d542ab4d2796bacfc05ad178e1543f5d188701bdfd673b214048b7",
+    ("quad", "dot"):
+        "63b010b249c618773fe0b06c8adad4ee8fd978a73a1e35da5eb697f51804105d",
+    ("quadri_tiling", "json"):
+        "5eb22d78b71959139be8d1811ba10daefa6e5212a81e5044cc130bdbc2ca3786",
+    ("quadri_tiling", "dot"):
+        "80fbf179a2951e50baa9c496bc79674f5fbebbf63613097bee99a121b0e5db55",
+    ("extended_double", "json"):
+        "54f388e34885bab438f7868a598f7c0f776a4e00c74ff8c87a190bb029096da6",
+    ("extended_double", "dot"):
+        "8384b0f80a32de2e2c06c5781884e6db44fc88905d6b80e7bf61e275a2e61252",
+    ("G0", "json"):
+        "9094ca47ef6c44e22ce400887b990daed8f9bbcf3b6307129eed255121b8432f",
+    ("G0", "dot"):
+        "b1bf49f93aff6d54b42ae5c3a7bce727d89041832dc199b3dbfe64414552841a",
+    ("G", "json"):
+        "f623360268fae9e0f3fe435dbaf6e5c5189fed6c636abc72472e6a75d8d59567",
+    ("G", "dot"):
+        "6f0e5b57c86397b0b9f65f24169b71c64996005ffadf158f06c96d4f1abeca99",
+}
+
+
+@pytest.mark.parametrize("what,fmt", sorted(INPUT_DIGESTS))
+def test_export_from_input_matches_golden_digest(what, fmt, tmp_path, capsys):
+    path = tmp_path / "grid33.json"
+    assert main(["generate", "grid", "3", "3", "--out", str(path)]) == 0
+    assert main(["export", what, "--input", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == INPUT_DIGESTS[what, fmt]
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "grid:2,3", "grid:3,3",
+                                  "rhombic:2,4,1/5"])
+def test_verify_report_is_the_same_from_the_generated_file(spec, tmp_path,
+                                                           capsys):
+    # a generated map carries the generator's labels and the file read back
+    # carries none: no label reaches the report
+    name, _, params = spec.partition(":")
+    path = tmp_path / "graph.json"
+    assert main(["generate", name, *params.split(","),
+                 "--out", str(path)]) == 0
+    assert main(["verify", "--generator", spec, "--format", "json"]) == 0
+    keyed = capsys.readouterr().out
+    assert main(["verify", "--input", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == keyed
+
+
 def test_verify_json_does_not_depend_on_hash_seed():
     # The tree-pair sum multiplies arc weights in the order it orients its
     # tree; an order taken from a set of string keys would make the report's

@@ -37,7 +37,7 @@ def weight(graph, arc_indices):
 
 def matchings_minus_s(p):
     s = p.dd.vertex_id(p.s_key)
-    return [frozenset(p.dd.edge_key(e) for e in mt)
+    return [frozenset(p.dd.edge_keys[e] for e in mt)
             for mt in enumerate_matchings(p.dd, skip_vertex=s)]
 
 
@@ -224,14 +224,12 @@ def dual_key(k):
 def test_matchings_biject_onto_tree_pairs(pipelines, name, unit_tree_count):
     p = pipelines[name]
     P, S = p.ext.primal, p.ext.dual
-    p_nodes = [P.vertex_key(v) for v in range(P.n_vertices)]
-    s_nodes = [S.vertex_key(v) for v in range(S.n_vertices)]
-    all_keys = {P.edge_key(e) for e in range(P.n_edges)}
+    all_keys = set(P.edge_keys)
     primal_trees = set()
     for mk in matchings_minus_s(p):
         tp = cn.matching_to_tree_pair(p.m, mk)
-        assert cn.arcs_form_ost(tp.primal_arcs, p_nodes, co.ROOT)
-        assert cn.arcs_form_ost(tp.dual_arcs, s_nodes, p.s_key)
+        assert cn.arcs_form_ost(tp.primal_arcs, P.vertex_keys, co.ROOT)
+        assert cn.arcs_form_ost(tp.dual_arcs, S.vertex_keys, p.s_key)
         pset = frozenset(k for _, _, k in tp.primal_arcs)
         dset = frozenset(k for _, _, k in tp.dual_arcs)
         assert dset == {dual_key(k) for k in all_keys - pset}
@@ -483,8 +481,8 @@ def tau_primal_digraph(ext, tw):
     P = ext.primal
     arcs = []
     for e in range(P.n_edges):
-        key = P.edge_key(e)
-        a, b = (P.vertex_key(v) for v in P.endpoints(e))
+        key = P.edge_keys[e]
+        a, b = (P.vertex_keys[v] for v in P.endpoints(e))
         arcs += [Arc(a, b, tw.arc(key, a, b)), Arc(b, a, tw.arc(key, b, a))]
     return WeightedDigraph(P.vertex_keys, tuple(arcs))
 
@@ -507,7 +505,7 @@ def test_brute_force_sums_match_a_per_configuration_loop(
     s = c.dd.vertex_id(c.s_key)
     for m, weights, skip in ((c.gq, nu, None),
                              (c.dd, c.double_weights[1], s)):
-        w = [weights[m.edge_key(e)] for e in range(m.n_edges)]
+        w = [weights[key] for key in m.edge_keys]
         ref = exact_sum(enumerate_matchings(m, skip), w)
         assert dimer_Z(m, weights, skip) == pytest.approx(ref, rel=1e-15,
                                                           abs=0)
@@ -571,7 +569,7 @@ def plain_tree_pair_sum(ext, tw, s_key):
         nbrs[v].append(u)
         dkey = ("dual" if key[0] == "e" else "rim", key[1])
         a, b = S.endpoints(S.edge_keys.index(dkey))
-        ka, kb = S.vertex_key(a), S.vertex_key(b)
+        ka, kb = S.vertex_keys[a], S.vertex_keys[b]
         # stepping a -> b away from s adds the arc b -> a towards s
         dual[a].append((e, b, dkey, tw.arc(dkey, kb, ka)))
         dual[b].append((e, a, dkey, tw.arc(dkey, ka, kb)))
@@ -580,7 +578,7 @@ def plain_tree_pair_sum(ext, tw, s_key):
         for v in nbrs[u]:
             if v not in bfs:
                 bfs.append(v)
-    rims = [("rim", P.edge_key(d >> 1)[1]) for d in P.vertices[bfs[0]]]
+    rims = [("rim", P.edge_keys[d >> 1][1]) for d in P.vertices[bfs[0]]]
     s = S.vertex_id(s_key)
     terms = []
     for tree in enumerate_osts(g, co.ROOT):
@@ -588,7 +586,7 @@ def plain_tree_pair_sum(ext, tw, s_key):
         weight_of = {g.arcs[ai].tail: g.arcs[ai].weight for ai in tree}
         p = 1.0 + 0j
         for v in bfs[1:]:
-            p *= weight_of[P.vertex_key(v)]
+            p *= weight_of[P.vertex_keys[v]]
         rim_arcs = {}
         seen = {s}
         queue = [s]

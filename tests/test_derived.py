@@ -43,7 +43,7 @@ def test_quadri_tiling_is_cubic_and_bipartite(pipelines):
         assert by_colour["w"] == by_colour["b"] == gq.n_vertices // 2
         for e in range(gq.n_edges):
             u, v = gq.endpoints(e)
-            assert {gq.vertex_key(u)[0], gq.vertex_key(v)[0]} == {"w", "b"}
+            assert {gq.vertex_keys[u][0], gq.vertex_keys[v][0]} == {"w", "b"}
 
 
 def test_extended_double_shape(pipelines):
@@ -59,7 +59,7 @@ def test_extended_double_shape(pipelines):
         # carry the two rim halves and the spoke half (degree 3)
         for v in range(dd.n_vertices):
             if dd.tags[v] == "white":
-                key = dd.vertex_key(v)
+                key = dd.vertex_keys[v]
                 assert len(dd.vertices[v]) == (4 if key[0] == "we" else 3)
 
 
@@ -116,9 +116,9 @@ def test_extended_pair_keeps_its_numbering():
         # what no verify digest sees: the dual's outer face is the one face
         # of rims only, and the primal's outer dart leaves the root
         rims = [f for f, orb in enumerate(S.faces)
-                if all(S.edge_key(d >> 1)[0] == "rim" for d in orb)]
+                if all(S.edge_keys[d >> 1][0] == "rim" for d in orb)]
         assert rims == [S.outer_face], name
-        assert P.vertex_key(P.vertex_of[P.outer_dart]) == ("r",), name
+        assert P.vertex_keys[P.vertex_of[P.outer_dart]] == ("r",), name
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def reference_quadri_tiling(m):
     q = map_from_rotations(rotations, (("b", d0), ("ex", d0)), tags=tags)
     e = q.edge_keys.index(("ex", d0))
     sides = [f for f in (q.face_of[2 * e], q.face_of[2 * e + 1])
-             if ("cp", d0) not in {q.edge_key(x >> 1) for x in q.faces[f]}]
+             if ("cp", d0) not in {q.edge_keys[x >> 1] for x in q.faces[f]}]
     assert len(sides) == 1
     return q.with_outer_dart(next(x for x in q.faces[sides[0]]
                                   if x >> 1 == e))
@@ -179,7 +179,7 @@ def reference_extended_double(m):
     d0 = min(boundary)
     dd = map_from_rotations(rotations, (("wb", d0), ("hr", d0, 0)), tags=tags)
     rims = [orb for orb in dd.faces
-            if all(dd.edge_key(x >> 1)[0] == "hr" for x in orb)]
+            if all(dd.edge_keys[x >> 1][0] == "hr" for x in orb)]
     assert len(rims) == 1
     return dd.with_outer_dart(rims[0][0])
 
@@ -206,7 +206,7 @@ def reference_quad_graph(m):
     want = frozenset(("c", x) for x in
                      (d0, m.phi[d0], d0 ^ 1, m.phi[d0 ^ 1]))
     hits = [orb for orb in q.faces
-            if frozenset(q.edge_key(d >> 1) for d in orb) == want]
+            if frozenset(q.edge_keys[d >> 1] for d in orb) == want]
     assert len(hits) == 1
     return q.with_outer_dart(hits[0][0])
 

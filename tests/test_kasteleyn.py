@@ -34,7 +34,6 @@ def test_phasing_is_flat_on_every_face(pipelines):
     for p in pipelines.values():
         phases = assign_phases(p.gq, p.iso, p.bnd)
         rep = check_flat(p.gq, phases)
-        assert rep.flat
         assert rep.max_deviation < 1e-12
         assert all(abs(c - 1.0) < 1e-12 for c in rep.curvatures)
 
@@ -114,7 +113,7 @@ def test_rows_are_sparse_and_det_is_unchanged(pipelines):
         assert K.blacks == tuple(("b", j) for j in range(len(K.rows)))
         blacks_of = {w: set() for w in K.whites}
         for e in range(gq.n_edges):
-            ka, kb = sorted(gq.vertex_key(v) for v in gq.endpoints(e))
+            ka, kb = sorted(gq.vertex_keys[v] for v in gq.endpoints(e))
             blacks_of[kb].add(ka)
         for w, row in zip(K.whites, K.rows):
             assert isinstance(row, dict)
@@ -208,12 +207,6 @@ def test_flatness_is_pinned(pipelines):
         assert (rep.max_deviation, digest) == FLATNESS[name]
 
 
-def test_nonflat_phasing_warns(c3):
-    zero = {k: 0.0 for k in c3.gq.edge_keys}
-    with pytest.warns(UserWarning):
-        build_kasteleyn(c3.gq, c3.iso, c3.bnd, phases=zero)
-
-
 def test_build_keeps_the_flatness_report_of_its_phasing(pipelines):
     # the same floats as check_flat on the same phasing, flat or not
     for p in pipelines.values():
@@ -221,10 +214,9 @@ def test_build_keeps_the_flatness_report_of_its_phasing(pipelines):
                                                               p.bnd))
     c3 = pipelines["C3"]
     zero = {k: 0.0 for k in c3.gq.edge_keys}
-    with pytest.warns(UserWarning):
-        K = build_kasteleyn(c3.gq, c3.iso, c3.bnd, phases=zero)
+    K = build_kasteleyn(c3.gq, c3.iso, c3.bnd, phases=zero)
     assert K.flatness == check_flat(c3.gq, zero)
-    assert not K.flatness.flat
+    assert K.flatness.max_deviation > 1e-9
 
 
 @pytest.mark.parametrize("name", ["C3", "C4", "grid"])

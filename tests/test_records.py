@@ -31,7 +31,7 @@ RECORDS = {
     IsoradialData: ("map", "theta", "theta_exact", "centers"),
     BoundaryAngles: ("theta", "exact", "max_mismatch"),
     TauWeights: ("primal", "spoke", "rim_cw"),
-    FlatnessReport: ("curvatures", "max_deviation", "flat"),
+    FlatnessReport: ("curvatures", "max_deviation"),
     KasteleynMatrix: ("rows", "flatness"),
     WeightedDigraph: ("nodes", "arcs"),
     CheckResult: ("name", "lhs", "rhs", "err", "passed"),

@@ -54,6 +54,21 @@ def test_multigraph_round_trip(c4):
     assert canonical_key(back) == canonical_key(c4.dd)
 
 
+def test_a_map_read_from_json_is_labelled_by_id(grid33):
+    m, _ = loads_map(dumps_map(grid33.m))
+    assert m.vertex_keys == range(m.n_vertices)
+    assert m.edge_keys == range(m.n_edges)
+    assert m.tags == (None,) * m.n_vertices
+    assert all(m.vertex_id(k) == k for k in range(m.n_vertices))
+    ends = {e: m.endpoints(e) for e in range(m.n_edges)}
+    assert m.key_ends == ends
+    moved = m.with_outer_dart(m.faces[m.outer_face - 1][0])
+    assert moved.outer_face != m.outer_face
+    assert (moved.vertex_keys, moved.edge_keys, moved.tags) == (
+        m.vertex_keys, m.edge_keys, m.tags)
+    assert moved.key_ends == ends
+
+
 def test_dumps_is_deterministic(c3):
     assert dumps_map(c3.m) == dumps_map(c3.m)
     assert dumps_map(c3.m).endswith("\n")
