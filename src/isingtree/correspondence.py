@@ -39,7 +39,8 @@ from .derived import (ExtendedPair, extended_double, extended_pair,
 from .isoradial import (BoundaryAngles, IsoradialData, TauWeights,
                         boundary_angles, critical_couplings, dimer_weights,
                         double_weights, tree_weights_tau, validate_isoradial)
-from .kasteleyn import KasteleynMatrix, build_kasteleyn
+from .kasteleyn import (KasteleynMatrix, assign_phases, build_kasteleyn,
+                        check_flat)
 from . import oracles
 from .maps import PlanarMap, dual_map
 from .oracles import (Arc, TooLargeError, WeightedDigraph, _osts,
@@ -78,19 +79,25 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
     # gq is not read; the parameter keeps the (gq, K, m) order callers use.
     # Row and column d of K are white ('w', d) and black ('b', d).
     nodes = [("c", d) for d in range(len(m.sigma))] + [ROOT]
+    outer = _outer_flags(m)
     arcs = []
-    for d in range(len(m.sigma)):
-        sd = m.sigma[d]
+    for d, sd in enumerate(m.sigma):
         row = K.rows[sd]
         cos = row.get(sd, 0j)
         sin = row.get(sd ^ 1, 0j)
         arcs.append(Arc(("c", d), ("c", sd), cos, "cos"))
         arcs.append(Arc(("c", d), ("c", sd ^ 1), sin, "sin"))
-        if m.is_outer_dart(d):
+        if outer[d]:
             # a left fold: the same digits under every interpreter
             arcs.append(Arc(("c", d), ROOT, -reduce(add, row.values(), 0j),
                             "root"))
     return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m)
+
+
+def _outer_flags(m: PlanarMap) -> list[bool]:
+    """Per dart of m, whether the outer face lies on its left."""
+    outer_face = m.outer_face
+    return [f == outer_face for f in m.face_of]
 
 
 def permutation_sign(m: PlanarMap) -> int:
@@ -110,25 +117,24 @@ def build_G(g0: DirectedModel) -> DirectedModel:
     w0: dict[tuple, complex] = {}
     for a in g0.graph.arcs:
         w0[(a.tail[1], a.kind)] = a.weight
-
-    def head(c: int):
-        return ("b", c) if m.is_outer_dart(c) else ("c", c)
+    outer = _outer_flags(m)
+    # the node an arc into the corner of dart c heads for
+    head = [("b", c) if out else ("c", c) for c, out in enumerate(outer)]
 
     nodes: list[Hashable] = []
-    for d in range(len(m.sigma)):
-        if m.is_outer_dart(d):
+    for d, out in enumerate(outer):
+        if out:
             nodes += [("b", d), ("w", d)]
         else:
             nodes.append(("c", d))
     nodes.append(ROOT)
 
     arcs = []
-    for d in range(len(m.sigma)):
-        tail = ("w", d) if m.is_outer_dart(d) else ("c", d)
-        sd = m.sigma[d]
-        arcs.append(Arc(tail, head(sd), w0[(d, "cos")], "cos"))
-        arcs.append(Arc(tail, head(sd ^ 1), w0[(d, "sin")], "sin"))
-        if m.is_outer_dart(d):
+    for d, sd in enumerate(m.sigma):
+        tail = ("w", d) if outer[d] else ("c", d)
+        arcs.append(Arc(tail, head[sd], w0[(d, "cos")], "cos"))
+        arcs.append(Arc(tail, head[sd ^ 1], w0[(d, "sin")], "sin"))
+        if outer[d]:
             rho0 = w0[(d, "root")]
             split = rho0 / (w0[(d, "cos")] + w0[(d, "sin")])
             arcs.append(Arc(("b", d), ("w", d), 1.0 + 0j, "b3w"))
@@ -303,7 +309,8 @@ class Chain:
         "iso": lambda c: validate_isoradial(c.m, c.theta_exact),
         "bnd": lambda c: boundary_angles(c.iso),
         "gq": lambda c: quadri_tiling(c.m),
-        "K": lambda c: build_kasteleyn(c.gq, c.iso, c.bnd),
+        "phases": lambda c: assign_phases(c.gq, c.iso, c.bnd),
+        "K": lambda c: build_kasteleyn(c.gq, c.iso, c.bnd, c.phases),
         "g0": lambda c: build_G0(c.gq, c.K, c.m),
         "g": lambda c: build_G(c.g0),
         "dd": lambda c: extended_double(c.m),
@@ -380,7 +387,8 @@ def verify_main_theorem(m: PlanarMap,
                 None if zi is None else zi * zi)
     bnd, gq, K = c.bnd, c.gq, c.K
     rep.add(check("flat-phasing[max curvature deviation]",
-                  K.flatness.max_deviation, 0.0, tol, absolute=True))
+                  check_flat(gq, c.phases).max_deviation, 0.0, tol,
+                  absolute=True))
     detK = K.det()
 
     nu = dimer_weights(J, gq)

@@ -12,8 +12,10 @@ q meaning theta = q * pi), when the construction pins it down exactly.
 
 ``cycle`` hands its ccw rotation data to :func:`~isingtree.maps.build_map`.
 ``rhombic`` (and so ``grid``) writes sigma and its keys straight from the
-darts, numbered as ``build_map`` would number the grid's rotation data, and
-checks the map with :func:`~isingtree.maps.validate_simple_input`.
+darts, numbered as ``build_map`` would number the grid's rotation data,
+roots it at its outer face's least dart (where a JSON load roots a map, so
+a grid and its ``generate`` file give the same exports), and checks the map
+with :func:`~isingtree.maps.validate_simple_input`.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ def rhombic(w: int, h: int,
             first[min(rot)] = (i, j)
     keys = [v for v in first if v is not None]
     coords = [complex(i * dx, j * dy) for i, j in keys]
-    # the dart from (0,0) north has the outside on its left
-    m = validate_simple_input(PlanarMap(sigma, north[0], coords=coords,
+    # the dart from (1,0) west to (0,0) has the outside on its left and is
+    # the outer face's least dart, the one a JSON load roots the map at
+    m = validate_simple_input(PlanarMap(sigma, east[0] + 1, coords=coords,
                                         vertex_keys=keys, edge_keys=edge_keys))
     # exact angles by input edge: horizontal ones first, then vertical ones
     theta = {east[j * w + i] >> 1: frac_h for j in range(h) for i in range(w - 1)}

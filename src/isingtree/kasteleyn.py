@@ -69,21 +69,12 @@ def check_flat(gq: PlanarMap, phases: Mapping) -> FlatnessReport:
     steps of the clockwise walk.  A flat phasing has curvature 1 everywhere,
     so ``max_deviation`` is zero up to rounding; the caller judges it at its
     own tolerance.  Each e^{i phi} is computed once per edge (see
-    `_unit_phases`).  ``gq`` is a `quadri_tiling` map (whites: odd darts).
+    `_unit_phases`), and each face's darts are folded in reverse, a dart
+    into the numerator when the origin of the next dart of the face (the
+    step's start, clockwise) is white.  ``gq`` is a `quadri_tiling` map,
+    whose white darts are exactly the odd ones.
     """
-    return _flatness(gq, _unit_phases(gq, phases))
-
-
-def _unit_phases(gq: PlanarMap, phases: Mapping) -> list[complex]:
-    """e^{i phi} per edge id of gq."""
-    return [cmath.exp(1j * phases[key]) for key in gq.edge_keys]
-
-
-def _flatness(gq: PlanarMap, unit: list[complex]) -> FlatnessReport:
-    """`check_flat` from the unit phases: each face's darts are folded in
-    reverse, a dart into the numerator when the origin of the next dart of
-    the face (the step's start, clockwise) is white.  ``gq`` is a
-    `quadri_tiling` map, whose white darts are exactly the odd ones."""
+    unit = _unit_phases(gq, phases)
     curv = []
     for orb in gq.faces:
         num, den = 1.0 + 0j, 1.0 + 0j
@@ -99,15 +90,17 @@ def _flatness(gq: PlanarMap, unit: list[complex]) -> FlatnessReport:
                           max_deviation=max(abs(c - 1.0) for c in curv))
 
 
+def _unit_phases(gq: PlanarMap, phases: Mapping) -> list[complex]:
+    """e^{i phi} per edge id of gq."""
+    return [cmath.exp(1j * phases[key]) for key in gq.edge_keys]
+
+
 class KasteleynMatrix(NamedTuple):
     """White-by-black phased adjacency matrix of the quadri-tiling graph;
     row i maps the index of each black neighbour to its entry, ascending.
     Row i is the white ``('w', i)`` and column j the black ``('b', j)``:
-    ``whites`` and ``blacks`` list those keys by index.  ``flatness`` is
-    the `check_flat` report of the phasing the build used (the same
-    floats), so callers need not compute it a second time."""
+    ``whites`` and ``blacks`` list those keys by index."""
     rows: tuple[dict[int, complex], ...]
-    flatness: FlatnessReport
 
     @property
     def whites(self) -> tuple:
@@ -128,9 +121,9 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     entry: ``('cp', d)`` is (w(d), b(d)), ``('cd', d)`` is (w(d), b(alpha d))
     and ``('ex', d)`` is (w(sigma d), b(d)).
 
-    The phasing's flatness is measured as `check_flat` does and kept as
-    ``K.flatness``; it is not judged here.  |det K| equals the dimer sum
-    only for a flat phasing, as the default `assign_phases` is.
+    The phasing's flatness is not measured here: |det K| equals the dimer
+    sum only for a flat phasing, as the default `assign_phases` is, and
+    `check_flat` measures it.
     """
     if phases is None:
         phases = assign_phases(gq, iso, bnd)
@@ -148,5 +141,5 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
         r[j] = r.get(j, 0j) + mod * unit[e]
     # quadri_tiling numbers the edges black by black in key order, so the
     # keys of every row arrive in ascending column order
-    return KasteleynMatrix(rows=tuple(rows), flatness=_flatness(gq, unit))
+    return KasteleynMatrix(rows=tuple(rows))
 

@@ -65,8 +65,8 @@ class PlanarMap:
       None per vertex when not given.
     * ``vertex_keys`` / ``edge_keys``: the caller's labels, kept so derived
       graphs can be queried by provenance instead of by raw index.  Labels
-      are always present, a ``range`` when not given, so vertex v's label
-      is ``vertex_keys[v]`` on every map.
+      are always present, a ``range`` when not given or given as one, so
+      vertex v's label is ``vertex_keys[v]`` on every map.
 
     The permutations and orbits are plain tuples, read by index (the edge
     of dart d is ``d >> 1``): ``phi[d]`` is the next dart along the face
@@ -118,10 +118,8 @@ class PlanarMap:
         self.coords = tuple(coords) if coords is not None else None
         self.tags = (tuple(tags) if tags is not None
                      else (None,) * self.n_vertices)
-        self.vertex_keys = (tuple(vertex_keys) if vertex_keys is not None
-                            else range(self.n_vertices))
-        self.edge_keys = (tuple(edge_keys) if edge_keys is not None
-                          else range(self.n_edges))
+        self.vertex_keys = _labels(vertex_keys, self.n_vertices)
+        self.edge_keys = _labels(edge_keys, self.n_edges)
 
     # -- incidences --------------------------------------------------------
 
@@ -183,6 +181,14 @@ class PlanarMap:
     def __repr__(self) -> str:  # debugging aid only
         return "PlanarMap(V=%d, E=%d, F=%d, outer=%d)" % (
             self.n_vertices, self.n_edges, self.n_faces, self.outer_face)
+
+
+def _labels(keys: Sequence[Hashable] | None, n: int) -> Sequence[Hashable]:
+    """Labels as a map stores them: range(n) when none are given, a given
+    range as it is (already immutable), anything else as a tuple."""
+    if keys is None:
+        return range(n)
+    return keys if isinstance(keys, range) else tuple(keys)
 
 
 def _invert(perm: Sequence[int]) -> tuple[int, ...] | None:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately elementary -- straight enumerations, one
 dynamic program over matched-vertex sets (:func:`dimer_Z`) and one sparse
-LU kernel (:func:`complex_det`, Markowitz order with threshold pivoting)
-for det K and the matrix-tree minors -- so results can serve as ground
-truth for the structured constructions.  Beside the spin and dimer sums sit
+LU kernel (:func:`complex_det`, Markowitz order with threshold pivoting,
+its columns waiting in one heap of indices per entry count) for det K and
+the matrix-tree minors -- so results can serve as ground truth for the
+structured constructions.  Beside the spin and dimer sums sit
 their polynomial routes, which use none of the chain's constructions: the
 Kac-Ward determinant (:func:`kac_ward_Z2`) and the determinant with +-1
 Kasteleyn signs (:func:`signed_dimer_Z`).  There is one search for
@@ -455,6 +456,11 @@ def complex_det(rows: Sequence[Mapping[int, complex]]) -> complex:
     the fewest entries, then, of its entries of modulus >= 0.1 * the
     column's largest, the one in the shortest row, chosen in one pass over
     the column in set order.
+    A tie in entry count goes to the lowest-indexed column: the columns
+    wait in one min-heap of indices per entry count, a column joining the
+    heap of its new count whenever its count changes, and the pivot column
+    is the least live entry of the lowest non-empty heap, an entry being
+    live while its column is unpivoted and its count equals the heap's.
     On a tie in row length a later entry wins only with over 1.5 times the
     kept one's modulus: near-equal moduli keep set order, which costs less
     fill, and a clearly larger pivot still wins, which keeps growth low.
@@ -462,29 +468,35 @@ def complex_det(rows: Sequence[Mapping[int, complex]]) -> complex:
     entry is below 1e-13 in modulus, makes the result 0.
     """
     n = len(rows)
-    a = [{j: complex(x) for j, x in r.items() if x != 0} for r in rows]
-    if any(not 0 <= j < n for row in a for j in row):
-        raise ValueError("determinant of a non-square matrix")
+    a: list[dict[int, complex]] = []
     col_rows: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(a):
-        for j in row:
-            col_rows[j].add(i)
-    # lazy min-heap of entries << shift | column, which pops in the order of
-    # the pairs (entries, column); stale items are skipped on pop
-    shift = n.bit_length()
-    mask = (1 << shift) - 1
-    heap = [len(s) << shift | j for j, s in enumerate(col_rows)]
-    heapq.heapify(heap)
-    done = [False] * n
+    for i, r in enumerate(rows):
+        row = {}
+        for j, x in r.items():
+            if x != 0:
+                if not 0 <= j < n:
+                    raise ValueError("determinant of a non-square matrix")
+                row[j] = complex(x)
+                col_rows[j].add(i)
+        a.append(row)
+    # count[j] is the entry count of column j, -1 once it is pivoted; an
+    # entry of heaps[k] is live while its column's count is k.  Appending in
+    # index order makes each list a heap from the start.
+    count = [len(s) for s in col_rows]
+    heaps: list[list[int]] = [[] for _ in range(n + 1)]
+    for j, k in enumerate(count):
+        heaps[k].append(j)
+    least = 0
     col_of_row = [0] * n
     det = 1.0 + 0j
     for _ in range(n):
         while True:
-            key = heapq.heappop(heap)
-            c = key & mask
-            if not done[c] and key >> shift == len(col_rows[c]):
+            heap = heaps[least]
+            if not heap:
+                least += 1
+            elif count[c := heapq.heappop(heap)] == least:
                 break
-        done[c] = True
+        count[c] = -1
         cand = col_rows[c]
         mods = [abs(a[i][c]) for i in cand]
         big = max(mods, default=0.0)
@@ -518,7 +530,12 @@ def complex_det(rows: Sequence[Mapping[int, complex]]) -> complex:
                 else:
                     row[j] = y - f * x
         for j in prow:
-            heapq.heappush(heap, len(col_rows[j]) << shift | j)
+            k = len(col_rows[j])
+            if k != count[j]:
+                count[j] = k
+                heapq.heappush(heaps[k], j)
+                if k < least:
+                    least = k
     # sign of the permutation row -> pivot column, one transposition at a time
     for i in range(n):
         while col_of_row[i] != i:

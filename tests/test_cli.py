@@ -328,12 +328,14 @@ def test_export_unknown_target_is_a_usage_error():
 # moved their outer face with PlanarMap.with_outer_dart instead of a second
 # map_from_rotations call; any change to a derived map's numbering, outer
 # face, coordinates, tags or keys changes these digests.  The dual and quad
-# ones were re-recorded when the outer face's vertex left the centroid.
+# ones were re-recorded when the outer face's vertex left the centroid, and
+# the dual ones again when grid and rhombic came to root their map at the
+# outer face's least dart, which moves the dual's outer face.
 EXPORT_DIGESTS = {
     ("grid:3,3", "primal"):
         "6426296d733a695284de3e72713ccda47a929301a936c51e625859d0eace6469",
     ("grid:3,3", "dual"):
-        "4ea548761c43f9528dd85246dbf583e12362d189422cef3f7502a6cbd315ee4e",
+        "64459e8bed392d859d566d096ed05cda47e9749cc4a7ac6344a9939e055b9385",
     ("grid:3,3", "quad"):
         "59a129d1c8d542ab4d2796bacfc05ad178e1543f5d188701bdfd673b214048b7",
     ("grid:3,3", "quadri_tiling"):
@@ -350,7 +352,7 @@ EXPORT_DIGESTS = {
     ("rhombic:3,3,1/6", "primal"):
         "1f558a9788f2a03e12657641346ea52b1b4d49aca11066ca5c07780826fd287d",
     ("rhombic:3,3,1/6", "dual"):
-        "d369e61fb465f79999a97026ad1e5d8e86cb3d2a048fd7b16b0b41ea67e5f577",
+        "e645f955ee83924d57c8d2faa262062a187784f70a83ee05369ee86cef2b26f5",
     ("rhombic:3,3,1/6", "quad"):
         "5324fcad6d9647c3e5eb7bd531fc243f0360d24bebd0e72404bc263a35765d0f",
     ("rhombic:3,3,1/6", "quadri_tiling"):
@@ -428,7 +430,8 @@ def test_export_dot_matches_golden_digest(generator, what, capsys):
 # recorded while a map read from JSON still had no labels: its vertices and
 # edges are labelled by id (the primal and dual DOT), and the maps derived
 # from it carry their own keys, so these equal the --generator digests but
-# for the primal DOT and the dual.
+# for the primal and dual DOT (and, until grid rooted its map at the outer
+# face's least dart, the dual JSON).
 INPUT_DIGESTS = {
     ("primal", "json"):
         "6426296d733a695284de3e72713ccda47a929301a936c51e625859d0eace6469",
@@ -468,6 +471,27 @@ def test_export_from_input_matches_golden_digest(what, fmt, tmp_path, capsys):
     assert main(["export", what, "--input", str(path), "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == INPUT_DIGESTS[what, fmt]
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "grid:3,3", "rhombic:3,3,1/6",
+                                  "rhombic:6,6,1/5"])
+def test_every_json_export_is_the_same_from_the_generated_file(spec, tmp_path,
+                                                               capsys):
+    # the generators root each map at its outer face's least dart, the dart
+    # a JSON load roots it at, so no derived map's outer face depends on the
+    # source
+    name, _, params = spec.partition(":")
+    path = tmp_path / "graph.json"
+    assert main(["generate", name, *params.split(","),
+                 "--out", str(path)]) == 0
+    for kind in ("primal", "dual", "quad", "quadri_tiling", "extended_double",
+                 "G0", "G"):
+        assert main(["export", kind, "--generator", spec,
+                     "--format", "json"]) == 0
+        direct = capsys.readouterr().out
+        assert main(["export", kind, "--input", str(path),
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == direct, kind
 
 
 @pytest.mark.parametrize("spec", ["cycle:5", "grid:2,3", "grid:3,3",

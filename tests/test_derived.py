@@ -245,6 +245,8 @@ def reference_rhombic(w, h, beta):
     coords = {(i, j): complex(i * dx, j * dy)
               for j in range(h) for i in range(w)}
     m = build_map(rotations, ((0, 0), index[("v", 0, 0)]), coords=coords)
+    # rooted at the outer face's least dart, as a JSON load roots it
+    m = m.with_outer_dart(min(m.outer_orbit))
     return m, {m.edge_keys.index(k): v for k, v in enumerate(edge_frac)}
 
 

@@ -76,3 +76,11 @@ def test_every_generated_face_has_unit_circumradius(pipelines):
         for f, c in p.iso.centers.items():
             for d in m.faces[f]:
                 assert abs(abs(m.coords[m.vertex_of[d]] - c) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("m", [cycle(3)[0], cycle(8)[0], grid(2, 2)[0],
+                               grid(3, 5)[0], rhombic(6, 4, Fraction(1, 5))[0],
+                               rhombic(3, 3, 0.7)[0]])
+def test_every_generator_roots_its_map_at_the_outer_face_least_dart(m):
+    # the dart the JSON loader roots a map at
+    assert m.outer_dart == min(m.outer_orbit) == m.outer_orbit[0]

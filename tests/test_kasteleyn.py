@@ -207,16 +207,20 @@ def test_flatness_is_pinned(pipelines):
         assert (rep.max_deviation, digest) == FLATNESS[name]
 
 
-def test_build_keeps_the_flatness_report_of_its_phasing(pipelines):
-    # the same floats as check_flat on the same phasing, flat or not
+def test_verify_judges_the_flatness_of_the_phasing_k_is_built_from(pipelines):
+    # verify's flat-phasing check measures the chain's phases stage, with
+    # check_flat's floats, and K's entries carry that same phasing
     for p in pipelines.values():
-        assert p.K.flatness == check_flat(p.gq, assign_phases(p.gq, p.iso,
-                                                              p.bnd))
-    c3 = pipelines["C3"]
-    zero = {k: 0.0 for k in c3.gq.edge_keys}
-    K = build_kasteleyn(c3.gq, c3.iso, c3.bnd, phases=zero)
-    assert K.flatness == check_flat(c3.gq, zero)
-    assert K.flatness.max_deviation > 1e-9
+        rep = co.verify_main_theorem(p.m)
+        flat, = [ch for ch in rep.checks if ch.name.startswith("flat-phasing")]
+        assert flat.lhs == check_flat(p.gq, p.phases).max_deviation
+        assert p.K == build_kasteleyn(p.gq, p.iso, p.bnd, p.phases)
+    # K reads the stage: a chain given another phasing builds K from it
+    c = co.Chain(*grid(3, 3))
+    c.phases = zero = dict.fromkeys(c.gq.edge_keys, 0.0)
+    assert c.K == build_kasteleyn(c.gq, c.iso, c.bnd, zero)
+    assert c.K != build_kasteleyn(c.gq, c.iso, c.bnd)
+    assert check_flat(c.gq, zero).max_deviation > 1e-9
 
 
 @pytest.mark.parametrize("name", ["C3", "C4", "grid"])

@@ -32,7 +32,7 @@ RECORDS = {
     BoundaryAngles: ("theta", "exact", "max_mismatch"),
     TauWeights: ("primal", "spoke", "rim_cw"),
     FlatnessReport: ("curvatures", "max_deviation"),
-    KasteleynMatrix: ("rows", "flatness"),
+    KasteleynMatrix: ("rows",),
     WeightedDigraph: ("nodes", "arcs"),
     CheckResult: ("name", "lhs", "rhs", "err", "passed"),
     Arc: ("tail", "head", "weight", "kind"),

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from isingtree.generators import cycle, rhombic
-from isingtree.maps import MapError, PlanarMap, canonical_key, is_isomorphic
+from isingtree.maps import (MapError, PlanarMap, canonical_key, dual_map,
+                            is_isomorphic)
 from isingtree.oracles import Arc, WeightedDigraph
 from isingtree.report import Report, check
 from isingtree.serialize import (_json_scalar, digraph_to_dot,
@@ -67,6 +68,17 @@ def test_a_map_read_from_json_is_labelled_by_id(grid33):
     assert (moved.vertex_keys, moved.edge_keys, moved.tags) == (
         m.vertex_keys, m.edge_keys, m.tags)
     assert moved.key_ends == ends
+
+
+def test_the_dual_of_a_map_read_from_json_keeps_its_range_labels(grid33):
+    # never copied into a tuple of the ids
+    m, _ = loads_map(dumps_map(grid33.m))
+    d = dual_map(m)
+    assert type(d.edge_keys) is range and d.edge_keys == m.edge_keys
+    assert d.vertex_keys == range(d.n_vertices)
+    assert type(dual_map(d).edge_keys) is range
+    # a labelled map's dual carries its edge keys
+    assert dual_map(grid33.m).edge_keys == grid33.m.edge_keys
 
 
 def test_dumps_is_deterministic(c3):
