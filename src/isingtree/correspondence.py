@@ -62,7 +62,8 @@ class DirectedModel(NamedTuple):
     map: PlanarMap
 
 
-def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
+def build_G0(gq: PlanarMap | None, K: KasteleynMatrix,
+             m: PlanarMap) -> DirectedModel:
     """Corner graph: contract the external edges of the quadri-tiling graph.
 
     Node ('c', d) is the contraction of black ('b', d) with white
@@ -75,22 +76,26 @@ def build_G0(gq: PlanarMap, K: KasteleynMatrix, m: PlanarMap) -> DirectedModel:
     Interior rows sum to zero, so interior corners get no root arc and the
     root-minor determinant of the corner Laplacian is det K up to the sign
     of the row permutation sigma, which is (-1)^V.
+
+    Each node key is one tuple, shared by the node list and every arc at
+    the node.  The writers (`serialize.dumps_digraph`, `digraph_to_dot`)
+    read the keys' values only, so their bytes do not depend on that
+    sharing.
     """
     # gq is not read; the parameter keeps the (gq, K, m) order callers use.
     # Row and column d of K are white ('w', d) and black ('b', d).
-    nodes = [("c", d) for d in range(len(m.sigma))] + [ROOT]
+    nodes = [("c", d) for d in range(len(m.sigma))]
     outer = _outer_flags(m)
     arcs = []
     for d, sd in enumerate(m.sigma):
-        row = K.rows[sd]
-        cos = row.get(sd, 0j)
-        sin = row.get(sd ^ 1, 0j)
-        arcs.append(Arc(("c", d), ("c", sd), cos, "cos"))
-        arcs.append(Arc(("c", d), ("c", sd ^ 1), sin, "sin"))
+        row, tail = K.rows[sd], nodes[d]
+        arcs.append(Arc(tail, nodes[sd], row.get(sd, 0j), "cos"))
+        arcs.append(Arc(tail, nodes[sd ^ 1], row.get(sd ^ 1, 0j), "sin"))
         if outer[d]:
             # a left fold: the same digits under every interpreter
-            arcs.append(Arc(("c", d), ROOT, -reduce(add, row.values(), 0j),
+            arcs.append(Arc(tail, ROOT, -reduce(add, row.values(), 0j),
                             "root"))
+    nodes.append(ROOT)
     return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m)
 
 
@@ -112,33 +117,34 @@ def build_G(g0: DirectedModel) -> DirectedModel:
     with weight 1 or the root with weight (e^{-i theta_bd} - 1); the
     out-node inherits x's two non-root out-arcs.  Every non-root node then
     has out-degree <= 2 and in particular the tree weights factor through
-    rho0 = (e^{-i theta_bd} - 1)(i cos theta + sin theta)."""
+    rho0 = (e^{-i theta_bd} - 1)(i cos theta + sin theta).
+
+    As in `build_G0`, each node key is one tuple that the arcs share; the
+    writers read the keys' values only."""
     m = g0.map
     w0: dict[tuple, complex] = {}
     for a in g0.graph.arcs:
         w0[(a.tail[1], a.kind)] = a.weight
     outer = _outer_flags(m)
-    # the node an arc into the corner of dart c heads for
+    # per dart c: the node an arc into its corner heads for, and the node
+    # the corner's out-arcs leave from (the same node off the boundary)
     head = [("b", c) if out else ("c", c) for c, out in enumerate(outer)]
-
+    tail = [("w", c) if out else head[c] for c, out in enumerate(outer)]
     nodes: list[Hashable] = []
-    for d, out in enumerate(outer):
-        if out:
-            nodes += [("b", d), ("w", d)]
-        else:
-            nodes.append(("c", d))
+    for c, out in enumerate(outer):
+        nodes += (head[c], tail[c]) if out else (head[c],)
     nodes.append(ROOT)
 
     arcs = []
     for d, sd in enumerate(m.sigma):
-        tail = ("w", d) if outer[d] else ("c", d)
-        arcs.append(Arc(tail, head[sd], w0[(d, "cos")], "cos"))
-        arcs.append(Arc(tail, head[sd ^ 1], w0[(d, "sin")], "sin"))
+        t = tail[d]
+        cos, sin = w0[(d, "cos")], w0[(d, "sin")]
+        arcs.append(Arc(t, head[sd], cos, "cos"))
+        arcs.append(Arc(t, head[sd ^ 1], sin, "sin"))
         if outer[d]:
-            rho0 = w0[(d, "root")]
-            split = rho0 / (w0[(d, "cos")] + w0[(d, "sin")])
-            arcs.append(Arc(("b", d), ("w", d), 1.0 + 0j, "b3w"))
-            arcs.append(Arc(("b", d), ROOT, split, "b3r"))
+            split = w0[(d, "root")] / (cos + sin)
+            arcs.append(Arc(head[d], t, 1.0 + 0j, "b3w"))
+            arcs.append(Arc(head[d], ROOT, split, "b3r"))
     return DirectedModel(WeightedDigraph(tuple(nodes), tuple(arcs)), m)
 
 
@@ -244,25 +250,26 @@ def tree_pair_sum(ext: ExtendedPair, tw: TauWeights,
         for v, key, a in inc[u]:
             h = sink[key] if v == root else node[v]
             out[node[u]].append((h, h, a))
-    # per spoke i: its vertex, and by exit spoke g the factor of rim edge
-    # i, None where it lies outside T* (g == i)
+    # per spoke i: its vertex, and by the sink n + g of exit spoke g the
+    # factor of rim edge i, None where it lies outside T* (g == i); the n
+    # leading Nones let the sink id index the list
     rims = []
     for i, d in enumerate(darts):
         key, near, far = ("rim", b[i]), ("u", b[i]), ("u", b[i - 1])
         cw, ccw = tw.arc(key, far, near), tw.arc(key, near, far)
         rims.append((node[P.vertex_of[d ^ 1]],
-                     [None if g == i else
-                      cw if (j - i) % k < (g - i) % k else ccw
-                      for g in range(k)]))
+                     [None] * n + [None if g == i else
+                                   cw if (j - i) % k < (g - i) % k else ccw
+                                   for g in range(k)]))
+    heads = [0] * n   # each tree's head array, filled in by the search
 
     def terms():
-        heads = [0] * n   # each tree's head array, filled in by the search
         for w in _osts(out, range(n), heads):
             for v, factor in rims:
                 h = heads[v]
                 while h < n:
                     h = heads[h]
-                a = factor[h - n]
+                a = factor[h]
                 if a is not None:
                     w *= a
             yield w
@@ -309,9 +316,11 @@ class Chain:
         "iso": lambda c: validate_isoradial(c.m, c.theta_exact),
         "bnd": lambda c: boundary_angles(c.iso),
         "gq": lambda c: quadri_tiling(c.m),
-        "phases": lambda c: assign_phases(c.gq, c.iso, c.bnd),
-        "K": lambda c: build_kasteleyn(c.gq, c.iso, c.bnd, c.phases),
-        "g0": lambda c: build_G0(c.gq, c.K, c.m),
+        # phases, K and the corner graphs are built from the primal darts:
+        # they read no quadri-tiling, so an export of G0 or G builds none
+        "phases": lambda c: assign_phases(None, c.iso, c.bnd),
+        "K": lambda c: build_kasteleyn(None, c.iso, c.bnd, c.phases),
+        "g0": lambda c: build_G0(None, c.K, c.m),
         "g": lambda c: build_G(c.g0),
         "dd": lambda c: extended_double(c.m),
         "double_weights": lambda c: double_weights(c.iso, c.bnd, c.dd),

@@ -18,6 +18,14 @@ With this convention every white row of K sums to zero at interior corners;
 at a boundary corner the row sums to i e^{-i theta} (1 - e^{-i theta_bd}),
 which is exactly minus the weight carried by the root arc of the directed
 corner graph built downstream.
+
+Both the phases and K are computed in closed form over the darts of the
+primal map, black by black: black d owns ``('cp', d)`` (row d, column d),
+``('cd', alpha d)`` (row alpha d, column d) and ``('ex', d)`` (row sigma d,
+column d), visited for d ascending, which is the edge order of
+:func:`~isingtree.derived.quadri_tiling`.  The quadri-tiling map itself is
+not read: the ``gq`` parameter of `assign_phases` and `build_kasteleyn` is
+kept for the callers that pass it first, and may be None.
 """
 
 from __future__ import annotations
@@ -31,26 +39,23 @@ from .maps import PlanarMap
 from .oracles import complex_det
 
 
-def assign_phases(gq: PlanarMap, iso: IsoradialData,
+def assign_phases(gq: PlanarMap | None, iso: IsoradialData,
                   bnd: BoundaryAngles) -> dict:
     """Phase (argument) per quadri-tiling edge key, following the module
-    convention above."""
+    convention above, keyed in the quadri-tiling's edge order.  ``gq`` is
+    not read."""
     m = iso.map
+    theta, bnd_theta = iso.theta, bnd.theta
+    face_of, outer = m.face_of, m.outer_face
+    cp, ex = math.pi / 2.0, 1.5 * math.pi
     phases = {}
-    for key in gq.edge_keys:
-        kind, d = key
-        if kind == "cd":
-            phases[key] = 0.0
-        elif kind == "cp":
-            phases[key] = math.pi / 2.0
-        elif kind == "ex":
-            th = iso.theta[m.sigma[d] >> 1]
-            phi = 1.5 * math.pi - th
-            if m.is_outer_dart(d):
-                phi -= bnd.theta[d]
-            phases[key] = phi
-        else:
-            raise ValueError("unexpected quadri-tiling edge %r" % (key,))
+    for d, sd in enumerate(m.sigma):
+        phases["cp", d] = cp
+        phases["cd", d ^ 1] = 0.0
+        phi = ex - theta[sd >> 1]
+        if face_of[d] == outer:
+            phi -= bnd_theta[d]
+        phases["ex", d] = phi
     return phases
 
 
@@ -114,12 +119,15 @@ class KasteleynMatrix(NamedTuple):
         return complex_det(self.rows)
 
 
-def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
+def build_kasteleyn(gq: PlanarMap | None, iso: IsoradialData,
+                    bnd: BoundaryAngles,
                     phases: Mapping | None = None) -> KasteleynMatrix:
     """K[w, b] = nu_wb e^{i phi_wb}, summed over the quadri-tiling edges in
     edge order into one sparse row per white.  Each edge key names its
     entry: ``('cp', d)`` is (w(d), b(d)), ``('cd', d)`` is (w(d), b(alpha d))
-    and ``('ex', d)`` is (w(sigma d), b(d)).
+    and ``('ex', d)`` is (w(sigma d), b(d)).  The edges are visited black by
+    black from the primal darts (see the module docstring), so the keys of
+    every row arrive in ascending column order; ``gq`` is not read.
 
     The phasing's flatness is not measured here: |det K| equals the dimer
     sum only for a flat phasing, as the default `assign_phases` is, and
@@ -127,19 +135,15 @@ def build_kasteleyn(gq: PlanarMap, iso: IsoradialData, bnd: BoundaryAngles,
     """
     if phases is None:
         phases = assign_phases(gq, iso, bnd)
-    unit = _unit_phases(gq, phases)
     sigma, theta = iso.map.sigma, iso.theta
+    exp, cos, sin = cmath.exp, math.cos, math.sin
     rows: list[dict[int, complex]] = [{} for _ in sigma]
-    for e, (kind, d) in enumerate(gq.edge_keys):
-        if kind == "cp":
-            i, j, mod = d, d, math.cos(theta[d >> 1])
-        elif kind == "cd":
-            i, j, mod = d, d ^ 1, math.sin(theta[d >> 1])
-        else:
-            i, j, mod = sigma[d], d, 1.0
-        r = rows[i]
-        r[j] = r.get(j, 0j) + mod * unit[e]
-    # quadri_tiling numbers the edges black by black in key order, so the
-    # keys of every row arrive in ascending column order
+    for d, sd in enumerate(sigma):
+        t, a = theta[d >> 1], d ^ 1
+        r = rows[d]
+        r[d] = r.get(d, 0j) + cos(t) * exp(1j * phases["cp", d])
+        r = rows[a]
+        r[d] = r.get(d, 0j) + sin(t) * exp(1j * phases["cd", a])
+        r = rows[sd]
+        r[d] = r.get(d, 0j) + 1.0 * exp(1j * phases["ex", d])   # modulus 1
     return KasteleynMatrix(rows=tuple(rows))
-

@@ -17,15 +17,19 @@ All writers emit deterministic output (sorted keys, fixed ordering by id)
 so repeated exports are byte-identical.
 
 The text writers (``dumps_map`` and ``dumps_digraph`` for JSON,
-``map_to_dot`` and ``digraph_to_dot`` for DOT) fill one ``%`` template per
-record and run no JSON encoder: ``json.dumps`` with ``indent`` always runs
-the pure-Python encoder, about eight times slower on grid 20x20 maps.
+``map_to_dot`` and ``digraph_to_dot`` for DOT) fill ``%`` templates and run
+no JSON encoder: ``json.dumps`` with ``indent`` always runs the pure-Python
+encoder, about eight times slower on grid 20x20 maps.  The JSON writers
+fill each record list with one ``%`` over its record template repeated
+once per record (`_records`).
 Contract: the JSON writers' bytes equal ``json.dumps(<dict>, indent=2,
 sort_keys=True) + "\n"`` over the schema reference (``map_to_json_dict``,
 ``digraph_to_json_dict``).  Id fields are ints written with ``%d``; every
-other leaf goes through ``_json_scalar``, which writes None, bools, ints,
-floats (``repr``, or NaN / Infinity / -Infinity) and strings
-(``encode_basestring_ascii``) as ``json`` does.
+other leaf is written as ``_json_scalar`` writes it, which writes None,
+bools, ints, floats (``repr``, or NaN / Infinity / -Infinity) and strings
+(``encode_basestring_ascii``) as ``json`` does.  A column of finite floats
+goes through ``float.__repr__`` directly (`_json_scalars`), which is what
+``_json_scalar`` returns for each of them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from math import inf, pi
+from math import inf, isfinite, pi
 from typing import Mapping
 
 from .maps import MapError, PlanarMap
@@ -187,19 +191,23 @@ def dumps_map(m: PlanarMap, theta=None, theta_exact=None) -> str:
     """`map_to_json_dict` as indented JSON with sorted keys, written
     directly (see the module docstring for the byte-identity contract)."""
     sc = _json_scalar
-    sigma, vertex_of = m.sigma, m.vertex_of
     parts = ["{\n"]
     angles = _angle_rows(m, theta, theta_exact)
     if angles:
-        parts.append('  "angles": {\n%s\n  },\n' % ",\n".join(
-            [_ANGLE % (key, sc(q), sc(rad)) for key, rad, q in angles]))
-    parts.append('  "darts": %s,\n' % _json_list(
-        [_DART % (d, sigma[d], d ^ 1, vertex_of[d])
-         for d in range(len(sigma))]))
+        keys, rads, qs = zip(*angles)
+        parts.append('  "angles": {\n%s\n  },\n' % _records(
+            _ANGLE, keys, list(map(sc, qs)), _json_scalars(rads)))
+    n = len(m.sigma)
+    parts.append('  "darts": %s,\n' % _json_list(_records(
+        _DART, range(n), m.sigma, [d ^ 1 for d in range(n)], m.vertex_of)))
     parts.append('  "outer_face": %d,\n' % m.outer_face)
-    parts.append('  "vertices": %s\n}\n' % _json_list(
-        [_VERTEX % (v, sc(tag), sc(x), sc(y))
-         for v, x, y, tag in _vertex_rows(m)]))
+    if m.coords is None:
+        xs = ys = ["null"] * len(m.tags)
+    else:
+        xs = _json_scalars([z.real for z in m.coords])
+        ys = _json_scalars([z.imag for z in m.coords])
+    parts.append('  "vertices": %s\n}\n' % _json_list(_records(
+        _VERTEX, range(len(m.tags)), list(map(sc, m.tags)), xs, ys)))
     return "".join(parts)
 
 
@@ -295,20 +303,39 @@ _ARC = ('    {\n      "head": %s,\n      "im": %s,\n      "kind": %s,\n'
 def dumps_digraph(g: WeightedDigraph) -> str:
     """`digraph_to_json_dict` as indented JSON with sorted keys, written
     directly (see the module docstring for the byte-identity contract)."""
-    sc = _json_scalar
     quoted = {node: _json_str(_label(node)) for node in g.nodes}
-    arcs = [_ARC % (quoted[a.head], sc(complex(a.weight).imag), sc(a.kind),
-                    sc(a.weight.real), quoted[a.tail]) for a in g.arcs]
-    nodes = ["    " + quoted[node] for node in g.nodes]
-    return '{\n  "arcs": %s,\n  "nodes": %s\n}\n' % (_json_list(arcs),
+    arcs = g.arcs
+    kinds = {kind: _json_scalar(kind) for kind in {a.kind for a in arcs}}
+    records = _records(_ARC, [quoted[a.head] for a in arcs],
+                       _json_scalars([complex(a.weight).imag for a in arcs]),
+                       [kinds[a.kind] for a in arcs],
+                       _json_scalars([a.weight.real for a in arcs]),
+                       [quoted[a.tail] for a in arcs])
+    nodes = ",\n".join(["    " + quoted[node] for node in g.nodes])
+    return '{\n  "arcs": %s,\n  "nodes": %s\n}\n' % (_json_list(records),
                                                         _json_list(nodes))
 
 
-def _json_list(records: list[str]) -> str:
+def _records(template: str, *columns) -> str:
+    """One `template` per row of the columns, joined by ",\n" and filled
+    from the rows in order by one ``%``."""
+    fields = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        fields[i::len(columns)] = column
+    return ",\n".join([template] * len(columns[0])) % tuple(fields)
+
+
+def _json_list(records: str) -> str:
     """A list of records already indented by four spaces, closed at two."""
-    if not records:
-        return "[]"
-    return "[\n%s\n  ]" % ",\n".join(records)
+    return "[\n%s\n  ]" % records if records else "[]"
+
+
+def _json_scalars(xs) -> list[str]:
+    """`_json_scalar` of each of xs.  When all are finite floats, the
+    common case, they go through ``float.__repr__`` in one `map`."""
+    if set(map(type, xs)) <= {float} and all(map(isfinite, xs)):
+        return list(map(float.__repr__, xs))
+    return list(map(_json_scalar, xs))
 
 
 def _json_scalar(x) -> str:

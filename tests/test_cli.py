@@ -426,6 +426,72 @@ def test_export_dot_matches_golden_digest(generator, what, capsys):
             == DOT_DIGESTS[generator, what])
 
 
+# sha256 of every `export` the benchmark writes, on its two graphs: the
+# seven kinds as JSON and the five maps as DOT.  Recorded before the
+# Kasteleyn matrix and its phases were computed from the primal darts, the
+# corner graphs came to share one key tuple per node, and the JSON writers
+# filled each record list with one `%`; those changes keep every byte.
+BENCH_EXPORT_DIGESTS = {
+    ("grid:20,20", "primal", "json"):
+        "63d7d41093dee4cb25999eeace2324c9cb8309f6098d07da70d800359dab9089",
+    ("grid:20,20", "dual", "json"):
+        "ad89f261701d755b0775451aa22f04edaec1321b1df392236f947443b9e2f479",
+    ("grid:20,20", "quad", "json"):
+        "5cb42ddc94a5698f531b4a2790cca2792d8347594873a7e09ac699cb59ed2640",
+    ("grid:20,20", "quadri_tiling", "json"):
+        "6b7a57ad9dd9f49661112aeedba7b6223530098af77d58eba715ad99ff093c03",
+    ("grid:20,20", "extended_double", "json"):
+        "78539753ad36883b72a37eabc828c4c1f2714fc9f7162ba1ac4f06bdadb097cf",
+    ("grid:20,20", "G0", "json"):
+        "fc50dcb7c439e26ba1f633584e5abe099a291c85fd67e8c6c43775137a13627d",
+    ("grid:20,20", "G", "json"):
+        "034ebec0c0240a54f1b560c173ddd669eb720a9876fae9c7f4deb3b8745490c8",
+    ("grid:20,20", "primal", "dot"):
+        "8a99e5e7e930dab5226d036bb7fd5e47759be861ecb84770d5774ef786fa03f6",
+    ("grid:20,20", "dual", "dot"):
+        "affeee464b68065430933b963b791113cc30c955d6c5901c770a46fab3013219",
+    ("grid:20,20", "quad", "dot"):
+        "8d07bc516a33d1771f614c0595a86cfbbde50a8d7172fd44288dfdb6bf4209b7",
+    ("grid:20,20", "quadri_tiling", "dot"):
+        "da451fbdef6f2b8aeb5137285651049d44816e4db75e80fc25cd2643ad0dd2d7",
+    ("grid:20,20", "extended_double", "dot"):
+        "fd224b04ee8f259090aa2fe59f58839d83ff4fc43c0b3c6cd9dc186a9c8b1a75",
+    ("rhombic:6,6,1/5", "primal", "json"):
+        "8b34f18e87ae91ce8d3f16bcf6bb8188aa48ee8c88da9eac22e9ee8cb63ea2bb",
+    ("rhombic:6,6,1/5", "dual", "json"):
+        "9b245562ec01a53beef9c33ff0edbd14ad56796c12e8a3aa1db1f6c5cc87863a",
+    ("rhombic:6,6,1/5", "quad", "json"):
+        "788006aecfe30852f133676ba4e0a281a644fb7d3086af8044891b6c655487ee",
+    ("rhombic:6,6,1/5", "quadri_tiling", "json"):
+        "1c158066642a9650cd31331c05c7de5aa5962b0e0b9fc456850733a05b7828fb",
+    ("rhombic:6,6,1/5", "extended_double", "json"):
+        "a00330aa98bb0ea23ed00b54eb2a61ffcff4ea6a4baebe0f02a22b6c9f60ac14",
+    ("rhombic:6,6,1/5", "G0", "json"):
+        "65f65b268fcb76f07721dce341217d47864607a2e641168a0948603fbb4b645b",
+    ("rhombic:6,6,1/5", "G", "json"):
+        "29a6db708aa920b47e4f25d44653742b1d84554f4c6bda9d7e36285f19b7a525",
+    ("rhombic:6,6,1/5", "primal", "dot"):
+        "c754d9a402a0a20f3867fc6c69af907a239fbf048feb025841ec12b5dff092f6",
+    ("rhombic:6,6,1/5", "dual", "dot"):
+        "b48904b3358fff1593daa78e2c9894839a010433d393a656919c6a64b97e4ada",
+    ("rhombic:6,6,1/5", "quad", "dot"):
+        "758ac7b7bf20f181f8fb45f80ce678d547de0c6f6af2bf5908c12e0ecf05c431",
+    ("rhombic:6,6,1/5", "quadri_tiling", "dot"):
+        "ad87dcd3dca3d261719260615630e0f4fade37cd14456042ee1165fad8f5fdce",
+    ("rhombic:6,6,1/5", "extended_double", "dot"):
+        "296311d291c34d6fcafa65d7bfa940a5df2418e28ede2fa7975c8479c2808318",
+}
+
+
+@pytest.mark.parametrize("generator,what,fmt", sorted(BENCH_EXPORT_DIGESTS))
+def test_benchmark_exports_match_golden_digest(generator, what, fmt, capsys):
+    assert main(["export", what, "--generator", generator,
+                 "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == BENCH_EXPORT_DIGESTS[generator, what, fmt])
+
+
 # sha256 of `export <kind> --input <generate grid 3 3> --format <fmt>`,
 # recorded while a map read from JSON still had no labels: its vertices and
 # edges are labelled by id (the primal and dual DOT), and the maps derived
@@ -628,11 +694,14 @@ def test_commands_build_no_rotation_table(generator, monkeypatch):
 STAGES = ("validate_isoradial", "boundary_angles", "quadri_tiling",
           "build_kasteleyn", "build_G0", "build_G", "extended_double",
           "double_weights", "extended_pair", "tree_weights_tau")
+# the builders behind the corner graphs: K and its phases come from the
+# primal darts, so no quadri-tiling is built for them
+CORNER = tuple(s for s in STAGES[:6] if s != "quadri_tiling")
 # export kind -> the builders behind what it writes
 BEHIND = {"primal": (), "dual": ("dual_map",), "quad": ("quad_graph",),
           "quadri_tiling": ("quadri_tiling",),
           "extended_double": ("extended_double",),
-          "G0": STAGES[:5], "G": STAGES[:6]}
+          "G0": CORNER[:-1], "G": CORNER}
 # command -> the builders it calls, each once
 BUILDS = {"export %s --format %s" % (what, fmt): stages
           for what, stages in BEHIND.items() for fmt in ("json", "dot")}

@@ -6,9 +6,11 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from isingtree.correspondence import Chain
 from isingtree.derived import (extended_double, extended_pair, quad_graph,
                                quadri_tiling)
 from isingtree.generators import cycle, grid, rhombic
+from isingtree.kasteleyn import assign_phases, build_kasteleyn
 from isingtree.maps import build_map, dual_map, far_point, map_from_rotations
 
 
@@ -301,6 +303,19 @@ def test_closed_form_quadri_tiling_equals_the_rotation_table_build():
             else:
                 assert all(x & 1 for x in orb), name
         assert gq.outer_dart == 6 * min(m.outer_orbit) + 5, name
+
+
+def test_phases_and_k_from_the_darts_follow_the_quadri_tiling():
+    # assign_phases and build_kasteleyn compute over the primal darts: the
+    # phases are keyed in the quadri-tiling's edge order, and K is the same
+    # whether the quadri-tiling is passed or not
+    for name, m in corpus_with_float_beta():
+        c = Chain(m)
+        gq = quadri_tiling(m)
+        phases = assign_phases(None, c.iso, c.bnd)
+        assert list(phases) == list(gq.edge_keys), name
+        assert (build_kasteleyn(None, c.iso, c.bnd)
+                == build_kasteleyn(gq, c.iso, c.bnd)), name
 
 
 def test_closed_form_extended_double_equals_the_rotation_table_build():
